@@ -57,6 +57,7 @@ from .identities import (
     SuiteGrid,
     check_algebra_rules,
     check_avg_recovery,
+    check_class_equivalence,
     check_continuity,
     check_equivalence,
     check_left_inverse,
@@ -93,7 +94,7 @@ __all__ = [
     "IdentityReport", "SuiteGrid", "default_corpus", "run_suite", "run_case",
     "check_continuity", "check_equivalence", "check_order_relation",
     "check_left_inverse", "check_right_inverse", "check_lower_vanishing",
-    "check_avg_recovery", "check_algebra_rules",
+    "check_avg_recovery", "check_algebra_rules", "check_class_equivalence",
     # ivp
     "IvpProblem", "Trajectory", "solve_tau", "solve_volterra",
     "cross_validate",

@@ -65,6 +65,9 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _LEVELS = 8  # fixed extrapolation depth: deterministic work and output
+_TERMINAL_POINTS = 40  # longest geometric point sequence toward a terminal
+_MAX_DEPTH = 60  # deepest bisection of one quadrature panel
+_MAX_PANELS = 5000  # most panels one adaptive integral may refine
 
 
 def _mnorm(x) -> float:
@@ -126,8 +129,8 @@ class DerivResult:
     detail: str = ""
 
 
-def _richardson(seq, p: int, q: int, ratio: float = 2.0):
-    """Neville extrapolation over estimates at steps h0/ratio^k.
+def _richardson(seq, p: int, q: int):
+    """Neville extrapolation over estimates at steps h0/2^k.
 
     Assumes an error expansion c1*h^p + c2*h^(p+q) + ...; returns the
     tableau entry with the smallest error estimate (the larger of its two
@@ -142,7 +145,7 @@ def _richardson(seq, p: int, q: int, ratio: float = 2.0):
         if err < best_err:
             best, best_err = row[0], err
         for j in range(1, k + 1):
-            fac = ratio ** (p + (j - 1) * q) - 1.0
+            fac = 2.0 ** (p + (j - 1) * q) - 1.0
             cand = row[j - 1] + (row[j - 1] - prev_row[j - 1]) / fac
             err = max(_mnorm(cand - row[j - 1]), _mnorm(cand - prev_row[j - 1]))
             row.append(cand)
@@ -421,7 +424,7 @@ def _sequence_limit(vals):
     return est
 
 
-def _terminal_limit(sample, a, d0, tol, kmax=40):
+def _terminal_limit(sample, a, d0, tol):
     """Limit of sample(t_k) along t_k = a + d0*2^-k.
 
     sample returns (value array, inner error, inner ok).  Converges when
@@ -434,7 +437,7 @@ def _terminal_limit(sample, a, d0, tol, kmax=40):
     est = None
     streak = 0
     delta = math.inf
-    for k in range(kmax):
+    for k in range(_TERMINAL_POINTS):
         tk = a + d0 * 0.5**k
         v, _e, ok = sample(tk)
         v = np.asarray(v, dtype=float)
@@ -463,14 +466,11 @@ def _terminal_limit(sample, a, d0, tol, kmax=40):
                 streak = 0
         prev_est = est
     note = "sequence of accelerated estimates is not Cauchy within tolerance"
-    return est, delta, False, kmax, note
+    return est, delta, False, _TERMINAL_POINTS, note
 
 
 def lower_terminal_deriv(
-    f: AbstractFn,
-    p: ConfParams,
-    side_def: str = "limit-of-deriv",
-    tol: Tolerance | None = None,
+    f: AbstractFn, p: ConfParams, tol: Tolerance | None = None
 ) -> DerivResult:
     """Derivative value at the lower terminal itself.
 
@@ -480,11 +480,6 @@ def lower_terminal_deriv(
     is looser than the interior kernels': extrapolated limits lose about
     two digits.
     """
-    if side_def != "limit-of-deriv":
-        raise ValueError(
-            f"unsupported terminal definition {side_def!r}; "
-            "only 'limit-of-deriv' is implemented"
-        )
     tol = tol if tol is not None else Tolerance(rel=1e-5, abs=1e-7)
     lo, hi = f.domain
     if lo > p.a:
@@ -572,7 +567,7 @@ def _panel(g, lo: float, hi: float, n: int):
     return c * acc, scale
 
 
-def _refine(g, lo, hi, budget, noise, depth, max_depth, state):
+def _refine(g, lo, hi, budget, noise, depth, state):
     v10, s10 = _panel(g, lo, hi, 10)
     v7, s7 = _panel(g, lo, hi, 7)
     state["evals"] += 17
@@ -586,18 +581,18 @@ def _refine(g, lo, hi, budget, noise, depth, max_depth, state):
     # fighting back (an interior singularity, say); stop splitting and
     # carry the unresolved estimate, so the total error stays honest and
     # the final budget check can refuse the result
-    exhausted = depth >= max_depth or state["panels"] >= state["max_panels"]
+    exhausted = depth >= _MAX_DEPTH or state["panels"] >= _MAX_PANELS
     if (err <= max(budget, floor) or width <= 1e-14 * state["wtot"]
             or exhausted):
         state["err"] += err
         return v10
     mid = 0.5 * (lo + hi)
-    vl = _refine(g, lo, mid, 0.5 * budget, noise, depth + 1, max_depth, state)
-    vr = _refine(g, mid, hi, 0.5 * budget, noise, depth + 1, max_depth, state)
+    vl = _refine(g, lo, mid, 0.5 * budget, noise, depth + 1, state)
+    vr = _refine(g, mid, hi, 0.5 * budget, noise, depth + 1, state)
     return vl + vr
 
 
-def _quad_adaptive(g, lo, hi, tol, noise=None, grade=False, max_depth=60):
+def _quad_adaptive(g, lo, hi, tol, noise=None, grade=False):
     """Adaptive composite Gauss-Legendre on [lo, hi].
 
     10-point panels with an embedded 7-point error estimate, budgets split
@@ -629,11 +624,11 @@ def _quad_adaptive(g, lo, hi, tol, noise=None, grade=False, max_depth=60):
     budget_total = tol.abs + tol.rel * _mnorm(coarse)
 
     state = {"err": 0.0, "evals": 10 * (len(pts) - 1), "wtot": width,
-             "gmax": 0.0, "panels": 0, "max_panels": 5000}
+             "gmax": 0.0, "panels": 0}
     total = None
     for i in range(len(pts) - 1):
         share = budget_total * (pts[i + 1] - pts[i]) / width
-        v = _refine(g, pts[i], pts[i + 1], share, noise, 0, max_depth, state)
+        v = _refine(g, pts[i], pts[i + 1], share, noise, 0, state)
         total = v if total is None else total + v
     achieved = state["err"]
     # panels pinned at the width floor can hide a genuinely divergent

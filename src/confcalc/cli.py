@@ -111,12 +111,12 @@ def _flat_header(label: str, sample) -> list:
     return [f"{label}{i}" for i in range(n)]
 
 
-def _csv_records(records, value_key="value") -> str:
+def _csv_records(records) -> str:
     """Rows of t, value columns, err, converged; errors leave blanks."""
     sample = None
     for r in records:
-        if r.get(value_key) is not None:
-            sample = r[value_key]
+        if r.get("value") is not None:
+            sample = r["value"]
             break
     vcols = _flat_header("v", sample) if sample is not None else ["v"]
     header = ["t"] + vcols + ["err_estimate", "converged"]
@@ -124,7 +124,7 @@ def _csv_records(records, value_key="value") -> str:
     for r in records:
         t = r["inputs"].get("t")
         row = [repr(float(t)) if t is not None else ""]
-        val = r.get(value_key)
+        val = r.get("value")
         if val is None:
             row += [""] * len(vcols)
         else:
@@ -140,106 +140,87 @@ def _json_out(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_deriv(args) -> int:
+def _sweep(args, inputs: dict, compute, failed: dict) -> int:
+    """One record per t point, written as JSON or CSV; returns the exit code.
+
+    ``inputs`` holds the command's input fields in output order, with a
+    ``"t"`` slot that each record fills in.  ``compute(f, p, t, tol)``
+    returns the result fields, ``converged`` among them; a ConfcalcError
+    turns into a record with the ``failed`` fields and the error message.
+    """
     f, src = _load_source(args)
     tol = _tolerance(args)
     p = ConfParams(args.alpha, args.a)
+    template = dict(src, **inputs, **_tol_fields(tol))
     records = []
     ok = True
     for t in _t_values(args):
-        inputs = dict(src, alpha=args.alpha, a=args.a, t=t, side=args.side,
-                      **_tol_fields(tol))
+        rec = {"inputs": dict(template, t=t)}
         try:
-            r = conf_deriv(f, p, t, side=args.side, tol=tol)
-            rec = {
-                "inputs": inputs,
-                "value": to_jsonable(r.value),
-                "err_estimate": r.err_estimate,
-                "converged": r.converged,
-                "side": r.side,
-                "steps_used": r.steps_used,
-                "error": None,
-            }
-            ok = ok and r.converged
+            rec.update(compute(f, p, t, tol), error=None)
         except ConfcalcError as exc:
-            rec = {
-                "inputs": inputs, "value": None, "err_estimate": None,
-                "converged": False, "side": args.side, "steps_used": 0,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            ok = False
+            rec.update(failed, error=f"{type(exc).__name__}: {exc}")
+        ok = ok and rec["converged"]
         records.append(rec)
     text = (_json_out({"records": records}) if args.format == "json"
             else _csv_records(records))
     _emit(text, args.output)
     return 0 if ok else 1
+
+
+def _cmd_deriv(args) -> int:
+    def compute(f, p, t, tol):
+        r = conf_deriv(f, p, t, side=args.side, tol=tol)
+        return {
+            "value": to_jsonable(r.value),
+            "err_estimate": r.err_estimate,
+            "converged": r.converged,
+            "side": r.side,
+            "steps_used": r.steps_used,
+        }
+
+    return _sweep(
+        args, {"alpha": args.alpha, "a": args.a, "t": None, "side": args.side},
+        compute,
+        {"value": None, "err_estimate": None, "converged": False,
+         "side": args.side, "steps_used": 0},
+    )
 
 
 def _cmd_integ(args) -> int:
-    f, src = _load_source(args)
-    tol = _tolerance(args)
-    p = ConfParams(args.alpha, args.a)
-    records = []
-    ok = True
-    for t in _t_values(args):
-        inputs = dict(src, alpha=args.alpha, a=args.a, t=t, **_tol_fields(tol))
-        try:
-            value, err, evals = conf_integral_info(f, p, t, tol=tol)
-            rec = {
-                "inputs": inputs,
-                "value": to_jsonable(value),
-                "err_estimate": err,
-                "converged": True,
-                "evals": evals,
-                "error": None,
-            }
-        except ConfcalcError as exc:
-            rec = {
-                "inputs": inputs, "value": None, "err_estimate": None,
-                "converged": False, "evals": 0,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            ok = False
-        records.append(rec)
-    text = (_json_out({"records": records}) if args.format == "json"
-            else _csv_records(records))
-    _emit(text, args.output)
-    return 0 if ok else 1
+    def compute(f, p, t, tol):
+        value, err, evals = conf_integral_info(f, p, t, tol=tol)
+        return {
+            "value": to_jsonable(value),
+            "err_estimate": err,
+            "converged": True,
+            "evals": evals,
+        }
+
+    return _sweep(
+        args, {"alpha": args.alpha, "a": args.a, "t": None}, compute,
+        {"value": None, "err_estimate": None, "converged": False, "evals": 0},
+    )
 
 
 def _cmd_convert(args) -> int:
-    f, src = _load_source(args)
-    tol = _tolerance(args)
-    p = ConfParams(args.alpha, args.a)
-    records = []
-    ok = True
-    for t in _t_values(args):
-        inputs = dict(src, alpha=args.alpha, beta=args.beta, a=args.a, t=t,
-                      **_tol_fields(tol))
-        try:
-            r = conf_deriv(f, p, t, tol=tol)
-            conv = convert_order(r.value, args.alpha, args.beta, args.a, t)
-            rec = {
-                "inputs": inputs,
-                "value": to_jsonable(conv),
-                "source_value": to_jsonable(r.value),
-                "err_estimate": r.err_estimate,
-                "converged": r.converged,
-                "error": None,
-            }
-            ok = ok and r.converged
-        except ConfcalcError as exc:
-            rec = {
-                "inputs": inputs, "value": None, "source_value": None,
-                "err_estimate": None, "converged": False,
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            ok = False
-        records.append(rec)
-    text = (_json_out({"records": records}) if args.format == "json"
-            else _csv_records(records))
-    _emit(text, args.output)
-    return 0 if ok else 1
+    def compute(f, p, t, tol):
+        r = conf_deriv(f, p, t, tol=tol)
+        conv = convert_order(r.value, args.alpha, args.beta, args.a, t)
+        return {
+            "value": to_jsonable(conv),
+            "source_value": to_jsonable(r.value),
+            "err_estimate": r.err_estimate,
+            "converged": r.converged,
+        }
+
+    return _sweep(
+        args,
+        {"alpha": args.alpha, "beta": args.beta, "a": args.a, "t": None},
+        compute,
+        {"value": None, "source_value": None, "err_estimate": None,
+         "converged": False},
+    )
 
 
 def _cmd_limit(args) -> int:
@@ -407,19 +388,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check", help="run the identity verification suite")
     sp.add_argument("--alphas", default="0.1,0.5,0.9,1.0")
     sp.add_argument("--betas", default="0.5,1.0")
-    sp.add_argument("--a", type=float, default=0.0)
     sp.add_argument("--t-offsets", dest="t_offsets", default="0.5,2.0")
-    sp.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
-    sp.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--output", default=None)
+    _add_common(sp, alpha=False, t_axis=False)
     sp.set_defaults(fn=_cmd_check)
 
     sp = sub.add_parser("ivp", help="solve T_alpha x = F(t, x), x(a) = x0")
     sp.add_argument("--rhs", required=True,
                     help="expression in t and x, e.g. 'x' or '-x + sin(t)'")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--a", type=float, default=0.0)
+    _add_common(sp, t_axis=False)
     sp.add_argument("--x0", required=True, help="initial state")
     sp.add_argument("--t-end", dest="t_end", type=float, required=True)
     sp.add_argument("--n-steps", dest="n_steps", type=int, default=1000)
@@ -427,10 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
                     action="store_true",
                     help="also run the integral-equation solver and report "
                          "the worst node-wise deviation")
-    sp.add_argument("--tol-rel", dest="tol_rel", type=float, default=None)
-    sp.add_argument("--tol-abs", dest="tol_abs", type=float, default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--output", default=None)
     sp.set_defaults(fn=_cmd_ivp)
 
     return ap

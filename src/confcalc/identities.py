@@ -28,8 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import (
+    _EPS,
     ConfParams,
     Tolerance,
+    _mnorm,
     _terminal_limit,
     conf_deriv,
     conf_deriv_scaled,
@@ -40,7 +42,7 @@ from .calculus import (
     one_sided_limit,
     avg_recover,
 )
-from .errors import ConfcalcError, DomainError
+from .errors import ConfcalcError, DomainError, LowerTerminalError
 from .funcs import (
     AbstractFn,
     CallableFn,
@@ -50,7 +52,7 @@ from .funcs import (
     power_fn,
     vector_fn,
 )
-from .vecspace import VecValue, to_jsonable
+from .vecspace import to_jsonable
 
 __all__ = [
     "IDENTITY_IDS",
@@ -68,10 +70,10 @@ __all__ = [
     "check_lower_vanishing",
     "check_avg_recovery",
     "check_algebra_rules",
+    "check_class_equivalence",
     "run_suite",
+    "run_case",
 ]
-
-_EPS = float(np.finfo(float).eps)
 
 IDENTITY_IDS = (
     "CONTINUITY_3_1",
@@ -143,10 +145,6 @@ _SUITE_TOL = Tolerance(rel=1e-6, abs=1e-8)
 _TERMINAL_TOL = Tolerance(rel=5e-5, abs=5e-5)
 
 
-def _m(x) -> float:
-    return float(np.max(np.abs(x)))
-
-
 @dataclass(frozen=True)
 class IdentityCase:
     """One identity instance: which claim, on which inputs."""
@@ -213,14 +211,6 @@ def _na(identity_id, subject, inputs, diagnostics):
     )
 
 
-def _jab(v) -> object:
-    if v is None:
-        return None
-    if isinstance(v, VecValue):
-        return to_jsonable(v)
-    return to_jsonable(VecValue(np.asarray(v, dtype=float)))
-
-
 def _label(f: AbstractFn) -> str:
     return f.label or type(f).__name__
 
@@ -231,7 +221,7 @@ def _decay_to_zero(f, t, sign, h0, levels, thr):
     last = math.inf
     for k in range(levels):
         h = sign * h0 * 0.5**k
-        last = _m(f.eval(t + h).data - f0)
+        last = _mnorm(f.eval(t + h).data - f0)
         if last <= thr:
             return True, last
     return False, last
@@ -262,7 +252,7 @@ def check_continuity(f, p, t, tol=None) -> CaseResult:
             "no one-sided derivative converged at t; the implication is vacuous",
         )
     lo, hi = f.domain
-    thr = tol.abs + 64.0 * _EPS * (1.0 + _m(f.eval(t).data))
+    thr = tol.abs + 64.0 * _EPS * (1.0 + _mnorm(f.eval(t).data))
     worst = 0.0
     for sign in sides:
         room = (hi - t) if sign > 0 else (t - lo)
@@ -291,11 +281,12 @@ def check_equivalence(f, p, t, tol=None) -> CaseResult:
             f"{which} derivative did not converge at t "
             f"({r_theta.detail or r_scaled.detail})",
         )
-    residual = _m(r_theta.value.data - r_scaled.value.data)
-    threshold = tol.abs + tol.rel * (1.0 + _m(r_scaled.value.data))
+    residual = _mnorm(r_theta.value.data - r_scaled.value.data)
+    threshold = tol.abs + tol.rel * (1.0 + _mnorm(r_scaled.value.data))
     return _result(
         "EQUIV_3_4", _label(f), inputs,
-        _jab(r_theta.value), _jab(r_scaled.value), residual, threshold,
+        to_jsonable(r_theta.value), to_jsonable(r_scaled.value),
+        residual, threshold,
     )
 
 
@@ -315,11 +306,11 @@ def check_order_relation(f, alpha, beta, a, t, tol=None) -> CaseResult:
             "derivative quotient did not converge at one of the orders",
         )
     rhs = convert_order(rb.value, beta, alpha, a, t)
-    residual = _m(ra.value.data - rhs.data)
-    threshold = tol.abs + tol.rel * (1.0 + _m(ra.value.data))
+    residual = _mnorm(ra.value.data - rhs.data)
+    threshold = tol.abs + tol.rel * (1.0 + _mnorm(ra.value.data))
     return _result(
         "ORDER_REL_3_3", _label(f), inputs,
-        _jab(ra.value), _jab(rhs), residual, threshold,
+        to_jsonable(ra.value), to_jsonable(rhs), residual, threshold,
     )
 
 
@@ -346,8 +337,8 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
         )
     notes = []
     try:
-        gap = _m(f.eval(p.a).data - fa.data)
-        if gap > 1e-6 * (1.0 + _m(fa.data)):
+        gap = _mnorm(f.eval(p.a).data - fa.data)
+        if gap > 1e-6 * (1.0 + _mnorm(fa.data)):
             notes.append(
                 f"bounded jump at the terminal: f(a) is {gap:.3g} away from "
                 "the right limit; comparing against the right limit"
@@ -396,11 +387,11 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
         noise=lambda: err_seen[0],
     )
     rhs = f.eval(t).data - fa.data
-    residual = _m(integral.data - rhs)
-    threshold = tol.abs + tol.rel * (1.0 + _m(rhs))
+    residual = _mnorm(integral.data - rhs)
+    threshold = tol.abs + tol.rel * (1.0 + _mnorm(rhs))
     return _result(
         "LEFT_INV_3_5", subject, inputs,
-        _jab(integral), _jab(VecValue(rhs)), residual, threshold,
+        to_jsonable(integral), to_jsonable(rhs), residual, threshold,
         "; ".join(notes),
     )
 
@@ -410,7 +401,7 @@ def _bounded_near_terminal(f, a, span):
     for j in range(2, 42, 4):
         s = a + span * 0.5**j
         try:
-            worst = max(worst, _m(f.eval(s).data))
+            worst = max(worst, _mnorm(f.eval(s).data))
         except DomainError:
             return False, worst, f"f not evaluable at t = {s:.3g}"
         if not math.isfinite(worst):
@@ -426,7 +417,13 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
     Interior t: needs f bounded near the terminal and continuous at t.
     t = a: the reconstructed derivative's terminal limit is compared with
     the right limit of f, which must exist (otherwise not applicable).
+    t < a raises LowerTerminalError.
     """
+    if t < p.a:
+        raise LowerTerminalError(
+            f"t = {t} is below the lower terminal a = {p.a}; the running "
+            "integral starts at the terminal"
+        )
     inputs = {"alpha": p.alpha, "a": p.a, "t": t}
     subject = _label(f)
     lo, hi = f.domain
@@ -439,7 +436,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
     if t > p.a:
         tol = tol if tol is not None else _SUITE_TOL
         ft = f.eval(t).data
-        thr_cont = 1e-6 * (1.0 + _m(ft)) + 1e-10
+        thr_cont = 1e-6 * (1.0 + _mnorm(ft)) + 1e-10
         cont_ok = True
         for sign in (1.0, -1.0):
             room = (hi - t) if sign > 0 else (t - lo)
@@ -460,11 +457,11 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
                 None, None, "failed",
                 f"derivative of the running integral did not converge: {r.detail}",
             )
-        residual = _m(r.value.data - ft)
-        threshold = tol.abs + tol.rel * (1.0 + _m(ft))
+        residual = _mnorm(r.value.data - ft)
+        threshold = tol.abs + tol.rel * (1.0 + _mnorm(ft))
         return _result(
             "RIGHT_INV_3_7", subject, inputs,
-            _jab(r.value), _jab(VecValue(ft)), residual, threshold,
+            to_jsonable(r.value), to_jsonable(ft), residual, threshold,
         )
 
     # terminal instance
@@ -485,15 +482,15 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
     value, _err, conv, _used, note = _terminal_limit(sample, p.a, d0, tol)
     if not conv:
         return CaseResult(
-            "RIGHT_INV_AT_A_3_8", subject, inputs, None, _jab(fa),
+            "RIGHT_INV_AT_A_3_8", subject, inputs, None, to_jsonable(fa),
             None, None, "failed",
             f"terminal limit of the reconstructed derivative did not settle: {note}",
         )
-    residual = _m(np.asarray(value) - fa.data)
-    threshold = tol.abs + tol.rel * (1.0 + _m(fa.data))
+    residual = _mnorm(np.asarray(value) - fa.data)
+    threshold = tol.abs + tol.rel * (1.0 + _mnorm(fa.data))
     return _result(
         "RIGHT_INV_AT_A_3_8", subject, inputs,
-        _jab(VecValue(np.asarray(value, dtype=float))), _jab(fa),
+        to_jsonable(value), to_jsonable(fa),
         residual, threshold,
     )
 
@@ -521,14 +518,14 @@ def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
     if not r_lo.converged:
         return CaseResult(
             "LOWER_VANISH_4_3", subject, inputs,
-            _jab(r_lo.value), _jab(VecValue(np.zeros_like(r_lo.value.data))),
+            to_jsonable(r_lo.value), to_jsonable(np.zeros_like(r_lo.value.data)),
             None, float(threshold), "failed",
             f"terminal derivative at the lower order did not settle: {r_lo.detail}",
         )
-    residual = _m(r_lo.value.data)
+    residual = _mnorm(r_lo.value.data)
     return _result(
         "LOWER_VANISH_4_3", subject, inputs,
-        _jab(r_lo.value), _jab(VecValue(np.zeros_like(r_lo.value.data))),
+        to_jsonable(r_lo.value), to_jsonable(np.zeros_like(r_lo.value.data)),
         residual, threshold,
     )
 
@@ -543,10 +540,10 @@ def check_avg_recovery(f, t, tol=None) -> CaseResult:
     except ConfcalcError as exc:
         return _na("AVG_2_10", subject, inputs, f"averages did not settle: {exc}")
     ft = f.eval(t).data
-    residual = _m(avg.data - ft)
-    threshold = tol.abs + tol.rel * (1.0 + _m(ft))
+    residual = _mnorm(avg.data - ft)
+    threshold = tol.abs + tol.rel * (1.0 + _mnorm(ft))
     return _result(
-        "AVG_2_10", subject, inputs, _jab(avg), _jab(VecValue(ft)),
+        "AVG_2_10", subject, inputs, to_jsonable(avg), to_jsonable(ft),
         residual, threshold,
     )
 
@@ -582,15 +579,15 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
     r_comb = conf_deriv(comb, p, t, tol=inner)
     if both and r_comb.converged:
         rhs = c * rf.value.data + d * rg.value.data
-        residual = _m(r_comb.value.data - rhs)
+        residual = _mnorm(r_comb.value.data - rhs)
         threshold = (
-            tol.abs + tol.rel * (1.0 + _m(rhs))
+            tol.abs + tol.rel * (1.0 + _mnorm(rhs))
             + 4.0 * (abs(c) * rf.err_estimate + abs(d) * rg.err_estimate
                      + r_comb.err_estimate)
         )
         results.append(_result(
             "LINEARITY_i", subject, inputs_i,
-            _jab(r_comb.value), _jab(VecValue(rhs)), residual, threshold,
+            to_jsonable(r_comb.value), to_jsonable(rhs), residual, threshold,
         ))
     else:
         results.append(_na(
@@ -604,11 +601,11 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
         deriv=lambda s, v=fv: 0.0 * v, label="const f(t)",
     )
     r_const = conf_deriv(const_fn, p, t, tol=inner)
-    residual = _m(r_const.value.data)
+    residual = _mnorm(r_const.value.data)
     threshold = tol.abs + tol.rel
     results.append(_result(
         "CONST_ii", subject, base_inputs,
-        _jab(r_const.value), _jab(VecValue(0.0 * fv)), residual, threshold,
+        to_jsonable(r_const.value), to_jsonable(0.0 * fv), residual, threshold,
         "constant function frozen at f(t)",
     ))
 
@@ -632,15 +629,15 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
         r_prod = conf_deriv(prod, p, t, tol=inner)
         if r_prod.converged:
             rhs = gv * rf.value.data + fv * rg.value.data
-            residual = _m(r_prod.value.data - rhs)
+            residual = _mnorm(r_prod.value.data - rhs)
             threshold = (
-                tol.abs + tol.rel * (1.0 + _m(rhs))
-                + 4.0 * (_m(gv) * rf.err_estimate + _m(fv) * rg.err_estimate
+                tol.abs + tol.rel * (1.0 + _mnorm(rhs))
+                + 4.0 * (_mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate
                          + r_prod.err_estimate)
             )
             results.append(_result(
                 "PRODUCT_iii", subject, base_inputs,
-                _jab(r_prod.value), _jab(VecValue(rhs)), residual, threshold,
+                to_jsonable(r_prod.value), to_jsonable(rhs), residual, threshold,
             ))
         else:
             results.append(_na(
@@ -679,21 +676,54 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
         if r_quot.converged:
             g2 = float(gv) * float(gv)
             rhs = (gv * rf.value.data - fv * rg.value.data) / g2
-            residual = _m(r_quot.value.data - rhs)
+            residual = _mnorm(r_quot.value.data - rhs)
             threshold = (
-                tol.abs + tol.rel * (1.0 + _m(rhs))
-                + 4.0 * ((_m(gv) * rf.err_estimate + _m(fv) * rg.err_estimate) / g2
+                tol.abs + tol.rel * (1.0 + _mnorm(rhs))
+                + 4.0 * ((_mnorm(gv) * rf.err_estimate
+                          + _mnorm(fv) * rg.err_estimate) / g2
                          + r_quot.err_estimate)
             )
             results.append(_result(
                 "QUOTIENT_iv", subject, base_inputs,
-                _jab(r_quot.value), _jab(VecValue(rhs)), residual, threshold,
+                to_jsonable(r_quot.value), to_jsonable(rhs), residual, threshold,
             ))
         else:
             results.append(_na(
                 "QUOTIENT_iv", subject, base_inputs,
                 "quotient derivative did not converge at t",
             ))
+    return results
+
+
+def check_class_equivalence(f, orders, a, ts) -> list[CaseResult]:
+    """Convergence of the derivative quotient does not depend on the order.
+
+    One case per pair orders[i], orders[j] with i < j and per t in ts, in
+    that nesting; the quotient runs once per (order, t) and its
+    ``converged`` flag is shared by every pair that needs it.
+    """
+    subject = _label(f)
+    converged = {}
+
+    def conv(order, t):
+        if (order, t) not in converged:
+            converged[order, t] = conf_deriv(f, ConfParams(order, a), t).converged
+        return converged[order, t]
+
+    results = []
+    for i, alpha in enumerate(orders):
+        for beta in orders[i + 1:]:
+            for t in ts:
+                ca, cb = conv(alpha, t), conv(beta, t)
+                same = ca == cb
+                results.append(CaseResult(
+                    "CLASS_EQ_4_5", subject,
+                    {"alpha": alpha, "beta": beta, "a": a, "t": t},
+                    ca, cb, 0.0 if same else 1.0, 0.5,
+                    "passed" if same else "failed",
+                    "convergence status at the two orders"
+                    + (" matches" if same else " differs"),
+                ))
     return results
 
 
@@ -818,7 +848,6 @@ def run_suite(corpus=None, grid: SuiteGrid | None = None, tol: Tolerance | None 
     rng = np.random.default_rng(812741)
     cases: list[CaseResult] = []
     orders = tuple(sorted(set(grid.alphas) | set(grid.betas)))
-    conv_status: dict = {}
 
     for a in grid.a_values:
         members = list(corpus) if corpus is not None else default_corpus(a)
@@ -851,26 +880,9 @@ def run_suite(corpus=None, grid: SuiteGrid | None = None, tol: Tolerance | None 
                         )
 
         # CLASS_EQ_4_5: convergence class is order-independent
-        for fi, f in enumerate(members):
-            for i, alpha in enumerate(orders):
-                for beta in orders[i + 1:]:
-                    for off in grid.t_offsets:
-                        key_a = (a, fi, alpha, off)
-                        key_b = (a, fi, beta, off)
-                        for key, order in ((key_a, alpha), (key_b, beta)):
-                            if key not in conv_status:
-                                r = conf_deriv(f, ConfParams(order, a), a + off)
-                                conv_status[key] = r.converged
-                        same = conv_status[key_a] == conv_status[key_b]
-                        cases.append(CaseResult(
-                            "CLASS_EQ_4_5", _label(f),
-                            {"alpha": alpha, "beta": beta, "a": a, "t": a + off},
-                            conv_status[key_a], conv_status[key_b],
-                            0.0 if same else 1.0, 0.5,
-                            "passed" if same else "failed",
-                            "convergence status at the two orders"
-                            + (" matches" if same else " differs"),
-                        ))
+        ts = tuple(a + off for off in grid.t_offsets)
+        for f in members:
+            cases.extend(check_class_equivalence(f, orders, a, ts))
 
         # LEFT_INV_3_5 and RIGHT_INV_3_7 at interior points
         for f in members:
@@ -902,7 +914,12 @@ def run_suite(corpus=None, grid: SuiteGrid | None = None, tol: Tolerance | None 
 
 
 def run_case(case: IdentityCase) -> CaseResult:
-    """Dispatch a single IdentityCase to its checker."""
+    """Dispatch a single IdentityCase to its checker.
+
+    Raises ValueError when the case lacks the beta its identity needs, or
+    when t contradicts the id (RIGHT_INV_3_7 at t = a, RIGHT_INV_AT_A_3_8
+    away from it).
+    """
     iid = case.identity_id
     tol = case.tol
     if iid == "CONTINUITY_3_1":
@@ -916,6 +933,10 @@ def run_case(case: IdentityCase) -> CaseResult:
     if iid == "LEFT_INV_3_5":
         return check_left_inverse(case.f, case.p, case.t, tol)
     if iid in ("RIGHT_INV_3_7", "RIGHT_INV_AT_A_3_8"):
+        # the checker picks the instance from t; it must be the one asked for
+        if (case.t == case.p.a) != (iid == "RIGHT_INV_AT_A_3_8"):
+            need = "t = a" if iid == "RIGHT_INV_AT_A_3_8" else "t > a"
+            raise ValueError(f"{iid} needs {need}, got t = {case.t}, a = {case.p.a}")
         return check_right_inverse(case.f, case.p, case.t, tol)
     if iid == "LOWER_VANISH_4_3":
         if case.beta is None:
@@ -932,15 +953,8 @@ def run_case(case: IdentityCase) -> CaseResult:
     if iid == "CLASS_EQ_4_5":
         if case.beta is None:
             raise ValueError("CLASS_EQ_4_5 needs beta")
-        ra = conf_deriv(case.f, case.p, case.t)
-        rb = conf_deriv(case.f, ConfParams(case.beta, case.p.a), case.t)
-        same = ra.converged == rb.converged
-        return CaseResult(
-            iid, _label(case.f),
-            {"alpha": case.p.alpha, "beta": case.beta, "a": case.p.a, "t": case.t},
-            ra.converged, rb.converged, 0.0 if same else 1.0, 0.5,
-            "passed" if same else "failed",
-            "convergence status at the two orders"
-            + (" matches" if same else " differs"),
+        (r,) = check_class_equivalence(
+            case.f, (case.p.alpha, case.beta), case.p.a, (case.t,)
         )
+        return r
     raise ValueError(f"no dispatcher for identity id {iid!r}")

@@ -214,11 +214,6 @@ class TestConvertOrder:
 
 
 class TestTerminalDeriv:
-    def test_side_def_validated(self):
-        with pytest.raises(ValueError):
-            lower_terminal_deriv(builtin("exp"), ConfParams(alpha=0.5),
-                                 side_def="value-at-a")
-
     # T^beta at the terminal: identity -> 0 for beta < 1, exp and sin have
     # vanishing limits as well since (t-a)^(1-beta) f'(t) -> 0
     @pytest.mark.parametrize("beta", [0.25, 0.5, 0.9])

@@ -174,6 +174,27 @@ class TestConvert:
         assert "LowerTerminalError" in rec["error"]
 
 
+class TestRecordLayout:
+    # a failed point must line up with a good one, field for field
+    @pytest.mark.parametrize("argv", [
+        ["deriv", "--builtin", "pow:0.5", "--alpha", "0.5", "--t-range=0:1:2"],
+        ["integ", "--builtin", "one", "--alpha", "0.5", "--a", "1.0",
+         "--t-range=0.5:2:2"],
+        ["convert", "--builtin", "square", "--alpha", "0.5", "--beta", "1.0",
+         "--t-range=0:2:2"],
+    ], ids=["deriv", "integ", "convert"])
+    def test_error_record_matches_success(self, capsys, argv):
+        assert run(argv) == 1
+        bad, good = _json_records(capsys)
+        assert bad["error"] is not None and good["error"] is None
+        assert list(bad) == list(good)
+        assert list(bad["inputs"]) == list(good["inputs"])
+        assert run(argv + ["--format", "csv"]) == 1
+        header, bad_row, good_row = capsys.readouterr().out.splitlines()
+        width = len(header.split(","))
+        assert len(bad_row.split(",")) == width == len(good_row.split(","))
+
+
 class TestLimit:
     def test_terminal_derivative_of_smooth(self, capsys):
         code = run(["limit", "--builtin", "exp", "--alpha", "0.5"])

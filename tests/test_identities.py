@@ -8,12 +8,14 @@ from confcalc import (
     ConfParams,
     IdentityCase,
     IdentityReport,
+    LowerTerminalError,
     PointPatchedFn,
     SuiteGrid,
     Tolerance,
     builtin,
     check_algebra_rules,
     check_avg_recovery,
+    check_class_equivalence,
     check_continuity,
     check_equivalence,
     check_left_inverse,
@@ -26,6 +28,7 @@ from confcalc import (
     run_suite,
     vector_fn,
 )
+from confcalc import identities
 from confcalc.identities import IDENTITY_IDS, STATEMENTS
 
 
@@ -111,6 +114,10 @@ class TestSingleCheckers:
         assert r.identity_id == "RIGHT_INV_AT_A_3_8"
         assert r.status == "passed"
 
+    def test_right_inverse_below_terminal_rejected(self):
+        with pytest.raises(LowerTerminalError):
+            check_right_inverse(builtin("exp"), ConfParams(0.5, a=1.0), 0.0)
+
     def test_right_inverse_na_unbounded_integrand(self):
         f = CallableFn(lambda s: 1.0 / s, domain=(0.0, 10.0), label="1/t")
         r = check_right_inverse(f, ConfParams(0.5), 1.0)
@@ -144,6 +151,26 @@ class TestSingleCheckers:
     def test_avg_recovery(self):
         r = check_avg_recovery(builtin("exp"), 1.0)
         assert r.status == "passed"
+
+    def test_class_equivalence_pairs_and_work(self, monkeypatch):
+        calls = []
+        real = identities.conf_deriv
+
+        def counted(f, p, t, *args, **kwargs):
+            calls.append((p.alpha, t))
+            return real(f, p, t, *args, **kwargs)
+
+        monkeypatch.setattr(identities, "conf_deriv", counted)
+        orders, ts = (0.1, 0.5, 0.9, 1.0), (0.5, 2.0)
+        out = check_class_equivalence(builtin("exp"), orders, 0.0, ts)
+        # pair-major, t innermost; one quotient run per (order, t)
+        assert [(r.inputs["alpha"], r.inputs["beta"], r.inputs["t"])
+                for r in out] == [(al, be, t)
+                                  for i, al in enumerate(orders)
+                                  for be in orders[i + 1:] for t in ts]
+        assert all(r.identity_id == "CLASS_EQ_4_5" for r in out)
+        assert all(r.status == "passed" for r in out)
+        assert sorted(calls) == sorted((o, t) for o in orders for t in ts)
 
 
 class TestAlgebraRules:
@@ -194,6 +221,19 @@ class TestRunCase:
             run_case(case)
         r = run_case(IdentityCase(iid, builtin("exp"), ConfParams(0.9), 1.0,
                                   beta=0.5))
+        assert r.status == "passed"
+
+    @pytest.mark.parametrize("iid,t", [("RIGHT_INV_3_7", 0.0),
+                                       ("RIGHT_INV_AT_A_3_8", 1.0)])
+    def test_dispatch_rejects_contradicting_t(self, iid, t):
+        # t = a is the terminal instance and t > a the interior one
+        with pytest.raises(ValueError):
+            run_case(IdentityCase(iid, builtin("exp"), ConfParams(0.5), t))
+
+    def test_class_eq_at_one_order(self):
+        r = run_case(IdentityCase("CLASS_EQ_4_5", builtin("exp"),
+                                  ConfParams(0.5), 1.0, beta=0.5))
+        assert r.identity_id == "CLASS_EQ_4_5"
         assert r.status == "passed"
 
     def test_terminal_dispatch(self):
