@@ -27,6 +27,12 @@ refinement) is based on the componentwise max norm, so a vector or matrix
 function whose components replicate a scalar function follows exactly the
 same control flow as the scalar run.  Kernels are pure; concurrent calls
 are safe.
+
+The kernels evaluate in batches: all difference probes of one derivative
+in one :meth:`~confcalc.funcs.AbstractFn.eval_many` call, all nodes of
+one Gauss rule (or of a row of panels) in another.  The extrapolation
+tableau is built column by column over stacked arrays, and panel sums run
+node by node, so every result is bit-identical to a point-by-point loop.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .errors import (
     LowerTerminalError,
     QuadratureError,
 )
-from .expr import pow_real
+from .expr import elementwise, pow_real
 from .funcs import AbstractFn, GridFn
 from .vecspace import VecValue, as_vecvalue
 
@@ -73,7 +79,17 @@ _MAX_PANELS = 5000  # most panels one adaptive integral may refine
 def _mnorm(x) -> float:
     # max-abs norm: for replicated components it equals the scalar run's
     # value bit for bit, which keeps control flow instance-agnostic
-    return float(np.max(np.abs(x)))
+    return float(np.abs(x).max())
+
+
+def _rownorms(x: np.ndarray, lead: int = 1) -> np.ndarray:
+    # _mnorm over the value axes after the first ``lead`` (NaN stays NaN)
+    return np.abs(x).max(axis=tuple(range(lead, x.ndim)))
+
+
+def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
+    # one number per row, shaped to broadcast over like's value axes
+    return v.reshape((-1,) + (1,) * (like.ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -130,29 +146,37 @@ class DerivResult:
 
 
 def _richardson(seq, p: int, q: int):
-    """Neville extrapolation over estimates at steps h0/2^k.
+    """Neville extrapolation over the stacked estimates at steps h0/2^k.
 
-    Assumes an error expansion c1*h^p + c2*h^(p+q) + ...; returns the
-    tableau entry with the smallest error estimate (the larger of its two
-    parent deltas), which stays robust once rounding noise takes over.
+    Assumes an error expansion c1*h^p + c2*h^(p+q) + ...  The tableau is
+    built by column: T[k, 0] = seq[k] and, for 1 <= j <= k,
+    T[k, j] = T[k, j-1] + (T[k, j-1] - T[k-1, j-1]) / (2^(p+(j-1)q) - 1).
+    An entry's error estimate is the larger of its two parent deltas
+    (|T[k, 0] - T[k-1, 0]| in the first column).  Returns the entry with
+    the smallest estimate, the first in (k, j) order on ties, which stays
+    robust once rounding noise takes over; with no finite estimate it is
+    (seq[0], inf).
     """
-    best = np.asarray(seq[0], dtype=float)
-    best_err = math.inf
-    prev_row = [best]
-    for k in range(1, len(seq)):
-        row = [np.asarray(seq[k], dtype=float)]
-        err = _mnorm(row[0] - prev_row[0])
-        if err < best_err:
-            best, best_err = row[0], err
-        for j in range(1, k + 1):
-            fac = 2.0 ** (p + (j - 1) * q) - 1.0
-            cand = row[j - 1] + (row[j - 1] - prev_row[j - 1]) / fac
-            err = max(_mnorm(cand - row[j - 1]), _mnorm(cand - prev_row[j - 1]))
-            row.append(cand)
-            if err < best_err:
-                best, best_err = cand, err
-        prev_row = row
-    return best, best_err
+    seq = np.asarray(seq, dtype=float)
+    levels = len(seq)
+    # tab[k, j] = T[k, j]; NaN where j > k, so those entries' deltas are NaN
+    tab = np.full((levels, levels) + seq.shape[1:], math.nan)
+    tab[:, 0] = seq
+    for j in range(1, levels):
+        fac = 2.0 ** (p + (j - 1) * q) - 1.0
+        row, prev, cand = tab[j:, j - 1], tab[j - 1:-1, j - 1], tab[j:, j]
+        np.subtract(row, prev, out=cand)
+        np.divide(cand, fac, out=cand)
+        np.add(row, cand, out=cand)
+    errs = np.full((levels, levels), math.inf)
+    errs[1:, 0] = _rownorms(tab[1:, 0] - tab[:-1, 0])
+    own = _rownorms(tab[1:, 1:] - tab[1:, :-1], 2)
+    parent = _rownorms(tab[1:, 1:] - tab[:-1, :-1], 2)
+    errs[1:, 1:] = np.maximum(own, parent)
+    # no entry, or a NaN estimate: never picked
+    errs[np.isnan(errs)] = math.inf
+    k, j = divmod(int(errs.argmin()), levels)
+    return np.asarray(tab[k, j]), float(errs[k, j])
 
 
 def _err_floor(v) -> float:
@@ -160,8 +184,9 @@ def _err_floor(v) -> float:
 
 
 def _deriv_core(evalf, t, s, dist_cap, lo, hi, side, tol, detail="", f0=None):
-    # evalf maps a point to an ndarray; s is the step scale (t-a)^(1-alpha),
-    # so probe k sits at t +/- theta_k*s with quotient denominator theta_k.
+    # evalf maps an array of points to their stacked values; s is the step
+    # scale (t-a)^(1-alpha), so probe k sits at t +/- theta_k*s with
+    # quotient denominator theta_k.  All probes go into one evalf call.
     scale_t = max(1.0, abs(t))
     d0 = _EPS ** (1.0 / 3.0) * scale_t
     if math.isfinite(dist_cap):
@@ -190,36 +215,31 @@ def _deriv_core(evalf, t, s, dist_cap, lo, hi, side, tol, detail="", f0=None):
         )
 
     theta0 = d0 / s
-    thetas = [theta0 * 0.5**k for k in range(_LEVELS)]
-    evals = 0
-    if f0 is None:
-        f0 = evalf(t)
-        evals += 1
-    fr = fl = None
+    thetas = np.array([theta0 * 0.5**k for k in range(_LEVELS)])
+    points = [[t]] if f0 is None else []
     if use_r:
-        fr = [evalf(t + th * s) for th in thetas]
-        evals += _LEVELS
+        points.append(t + thetas * s)
     if use_l:
-        fl = [evalf(t - th * s) for th in thetas]
-        evals += _LEVELS
+        points.append(t - thetas * s)
+    vals = evalf(np.concatenate(points))
+    evals = len(vals)
+    if f0 is None:
+        f0, vals = vals[0], vals[1:]
+    fr = vals[:_LEVELS]
+    fl = vals[-_LEVELS:]
+    th = _per_row(thetas, vals)
 
     left_v = right_v = None
     left_e = right_e = math.inf
     if use_r:
-        right_v, right_e = _richardson(
-            [(v - f0) / th for v, th in zip(fr, thetas)], 1, 1
-        )
+        right_v, right_e = _richardson((fr - f0) / th, 1, 1)
         right_e = max(right_e, _err_floor(right_v))
     if use_l:
-        left_v, left_e = _richardson(
-            [(f0 - v) / th for v, th in zip(fl, thetas)], 1, 1
-        )
+        left_v, left_e = _richardson((f0 - fl) / th, 1, 1)
         left_e = max(left_e, _err_floor(left_v))
 
     if use_l and use_r:
-        cen_v, cen_e = _richardson(
-            [(vr - vl) / (2.0 * th) for vr, vl, th in zip(fr, fl, thetas)], 2, 2
-        )
+        cen_v, cen_e = _richardson((fr - fl) / (2.0 * th), 2, 2)
         cen_e = max(cen_e, _err_floor(cen_v))
         thr = tol.threshold(_mnorm(cen_v))
         gap = _mnorm(right_v - left_v)
@@ -295,7 +315,7 @@ def conf_deriv(
     _require_interior(p, t)
     lo, hi = f.domain
     s = pow_real(t - p.a, 1.0 - p.alpha)
-    return _deriv_core(lambda u: f.eval(u).data, t, s, t - p.a, lo, hi, side, tol)
+    return _deriv_core(f.eval_many, t, s, t - p.a, lo, hi, side, tol)
 
 
 def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> DerivResult:
@@ -308,9 +328,7 @@ def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> De
     tol = tol if tol is not None else Tolerance()
     t = float(t)
     lo, hi = f.domain
-    return _deriv_core(
-        lambda u: f.eval(u).data, t, 1.0, math.inf, lo, hi, "two-sided", tol
-    )
+    return _deriv_core(f.eval_many, t, 1.0, math.inf, lo, hi, "two-sided", tol)
 
 
 def conf_deriv_scaled(
@@ -550,21 +568,29 @@ def _gl(n: int):
     return _GL_CACHE[n]
 
 
-def _panel(g, lo: float, hi: float, n: int):
-    # fixed accumulation order so replicated components match scalar runs
+def _panels(g, lo, hi, n: int):
+    """The n-point Gauss-Legendre rule on every panel [lo_i, hi_i].
+
+    ``g`` maps an array of points to their stacked values; all nodes of
+    all panels go into one call, panel by panel in node order.  Returns
+    the panel integrals and each panel's largest |g|.  The weighted sum
+    runs node by node (an accumulate, never a pairwise or BLAS reduction),
+    so replicated components reproduce the scalar run bit for bit.
+    """
     x, w = _gl(n)
+    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
     c = 0.5 * (hi - lo)
     m = 0.5 * (hi + lo)
-    acc = None
-    scale = 0.0
-    for xi, wi in zip(x, w):
-        gv = np.asarray(g(m + c * xi), dtype=float)
-        gm = _mnorm(gv)
-        if gm > scale:
-            scale = gm
-        v = wi * gv
-        acc = v if acc is None else acc + v
-    return c * acc, scale
+    vals = g((m[:, None] + c[:, None] * x).reshape(-1))
+    vals = vals.reshape((c.size, n) + vals.shape[1:])
+    acc = np.add.accumulate(_per_row(w, vals[0]) * vals, axis=1)[:, -1]
+    scale = np.abs(vals).reshape(c.size, -1).max(axis=1)
+    return _per_row(c, acc) * acc, scale
+
+
+def _panel(g, lo: float, hi: float, n: int):
+    v, scale = _panels(g, lo, hi, n)
+    return v[0], float(scale[0])
 
 
 def _refine(g, lo, hi, budget, noise, depth, state):
@@ -617,10 +643,8 @@ def _quad_adaptive(g, lo, hi, tol, noise=None, grade=False):
     else:
         pts = [lo, hi]
 
-    coarse = None
-    for i in range(len(pts) - 1):
-        v, _ = _panel(g, pts[i], pts[i + 1], 10)
-        coarse = v if coarse is None else coarse + v
+    pieces, _ = _panels(g, pts[:-1], pts[1:], 10)
+    coarse = np.add.accumulate(pieces, axis=0)[-1]
     budget_total = tol.abs + tol.rel * _mnorm(coarse)
 
     state = {"err": 0.0, "evals": 10 * (len(pts) - 1), "wtot": width,
@@ -686,13 +710,9 @@ def conf_integral_info(
     inv_alpha = 1.0 / p.alpha
     upper = pow_real(t - p.a, p.alpha)
 
-    def g(u: float):
-        s_eval = p.a + pow_real(u, inv_alpha)
-        if s_eval > hi:
-            s_eval = hi
-        elif s_eval < lo:
-            s_eval = lo
-        return f.eval(s_eval).data
+    def g(us):
+        s_eval = p.a + elementwise(pow_real, us, inv_alpha)
+        return f.eval_many(np.clip(s_eval, lo, hi))
 
     # budget in the substituted variable: the final value carries 1/alpha
     sub_tol = Tolerance(rel=tol.rel, abs=tol.abs * p.alpha)
@@ -714,6 +734,16 @@ def conf_integral(
     """
     v, _err, _evals = conf_integral_info(f, p, t, tol)
     return v
+
+
+def _weighted(f: AbstractFn, p: ConfParams):
+    # batch integrand (s-a)^(alpha-1) f(s) of the interior slices
+    def g(ss):
+        weights = elementwise(pow_real, ss - p.a, p.alpha - 1.0)
+        vals = f.eval_many(ss)
+        return _per_row(weights, vals) * vals
+
+    return g
 
 
 def weighted_integral(
@@ -738,10 +768,7 @@ def weighted_integral(
     if t1 == t2:
         return VecValue(_zero_like_probe(f, t1))
 
-    def g(s: float):
-        return pow_real(s - p.a, p.alpha - 1.0) * f.eval(s).data
-
-    val, _err, _evals = _quad_adaptive(g, t1, t2, tol)
+    val, _err, _evals = _quad_adaptive(_weighted(f, p), t1, t2, tol)
     return VecValue(val)
 
 
@@ -769,11 +796,10 @@ def deriv_of_integral(
             f"running integral needs [{p.a}, {t}] inside the domain [{lo}, {hi}]"
         )
 
-    def wfun(s: float):
-        return pow_real(s - p.a, p.alpha - 1.0) * f.eval(s).data
+    wfun = _weighted(f, p)
 
-    def g_inc(u: float):
-        v, _ = _panel(wfun, t, u, 10)
+    def g_inc(us):
+        v, _ = _panels(wfun, t, us, 10)
         return v
 
     s = pow_real(t - p.a, 1.0 - p.alpha)
@@ -806,15 +832,9 @@ def avg_recover(f: AbstractFn, t: float, tol: Tolerance | None = None) -> VecVal
     if t + h0 == t:
         raise DomainError(f"averaging interval underflows at t = {t}")
 
-    def raw(s: float):
-        return f.eval(s).data
-
-    avgs = []
-    for k in range(12):
-        h = h0 * 0.5**k
-        v, _ = _panel(raw, t, t + h, 10)
-        avgs.append(v / h)
-    val, err = _richardson(avgs, 1, 1)
+    hs = np.array([h0 * 0.5**k for k in range(12)])
+    sums, _ = _panels(f.eval_many, t, t + hs, 10)
+    val, err = _richardson(sums / _per_row(hs, sums), 1, 1)
     err = max(err, _err_floor(val))
     thr = tol.threshold(_mnorm(val))
     if err > thr:

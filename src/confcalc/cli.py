@@ -274,10 +274,7 @@ def _cmd_check(args) -> int:
         t_offsets=_parse_floats(args.t_offsets),
     )
     report = run_suite(grid=grid, tol=tol)
-    if args.format == "json":
-        text = report.to_json() + "\n"
-    else:
-        text = report.to_table() + "\n"
+    text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
     _emit(text, args.output)
     return 0 if report.all_passed else 1
 
@@ -326,6 +323,9 @@ def _cmd_ivp(args) -> int:
         text = _json_out({"records": [rec]})
     else:
         text = traj.to_csv() if traj is not None else "t\n"
+        if not ok:
+            # the CSV view has no error column; say it where it is seen
+            print(f"confcalc: {rec['error']}", file=sys.stderr)
     _emit(text, args.output)
     return 0 if ok else 1
 

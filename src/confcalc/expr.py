@@ -12,6 +12,12 @@ and is right associative):
 so ``-t^2`` parses as ``-(t^2)`` and ``2^-3`` as ``2^(-3)``.  Known unary
 functions: sin, cos, exp, log, sqrt, abs.  Numbers are decimal floats.
 Errors carry the byte offset of the offending token.
+
+Evaluation walks the tree over a whole array of points at once
+(:func:`eval_array`); :func:`eval_node` is its one-point case.  The walk
+uses numpy only for operations IEEE 754 rounds exactly (+ - * /, negation,
+abs, sqrt) and maps the math-module functions element by element for the
+rest, so every point's value is the same double whatever batch it is in.
 """
 
 from __future__ import annotations
@@ -19,6 +25,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from .errors import DomainError, ExprSyntaxError, UnknownIdentifierError
 
@@ -29,6 +38,8 @@ __all__ = [
     "Binary",
     "parse_text",
     "eval_node",
+    "eval_array",
+    "elementwise",
     "diff_node",
     "node_to_text",
     "pow_real",
@@ -90,38 +101,56 @@ def pow_real(base: float, expo: float) -> float:
     raise DomainError(f"negative base {base} with non-integer exponent {expo}")
 
 
-def eval_node(node: Node, env: dict[str, float]) -> float:
+def elementwise(fn, x: np.ndarray, *rest) -> np.ndarray:
+    """``fn`` over the elements of the 1-d array ``x``, in order, as floats.
+
+    Each of ``rest`` is an array of the same length or one fixed number.
+    numpy's own exp, log and power differ from the math module in the last
+    bit on a few percent of inputs; mapping the math-module function keeps
+    a batch bit-identical to one-point evaluation.
+    """
+    cols = [r.tolist() if isinstance(r, np.ndarray) else repeat(r) for r in rest]
+    return np.fromiter(map(fn, x.tolist(), *cols), float, x.size)
+
+
+def _exp(a: float) -> float:
+    try:
+        return math.exp(a)
+    except OverflowError:
+        raise DomainError(f"overflow in exp({a})") from None
+
+
+def _log(a: float) -> float:
+    if a <= 0.0:
+        raise DomainError(f"log of non-positive value {a}")
+    return math.log(a)
+
+
+_MAPPED = {"sin": math.sin, "cos": math.cos, "exp": _exp, "log": _log}
+
+
+def _walk(node: Node, env: dict[str, np.ndarray], n: int) -> np.ndarray:
     if isinstance(node, Const):
-        return node.value
+        return np.full(n, node.value)
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Unary):
-        a = eval_node(node.arg, env)
+        a = _walk(node.arg, env, n)
         op = node.op
         if op == "neg":
             return -a
-        if op == "sin":
-            return math.sin(a)
-        if op == "cos":
-            return math.cos(a)
-        if op == "exp":
-            try:
-                return math.exp(a)
-            except OverflowError:
-                raise DomainError(f"overflow in exp({a})") from None
-        if op == "log":
-            if a <= 0.0:
-                raise DomainError(f"log of non-positive value {a}")
-            return math.log(a)
-        if op == "sqrt":
-            if a < 0.0:
-                raise DomainError(f"sqrt of negative value {a}")
-            return math.sqrt(a)
         if op == "abs":
-            return abs(a)
+            return np.abs(a)
+        if op == "sqrt":
+            bad = a < 0.0
+            if bad.any():
+                raise DomainError(f"sqrt of negative value {float(a[bad][0])}")
+            return np.sqrt(a)
+        if op in _MAPPED:
+            return elementwise(_MAPPED[op], a)
         raise DomainError(f"unknown unary op {op!r}")
-    l = eval_node(node.lhs, env)
-    r = eval_node(node.rhs, env)
+    l = _walk(node.lhs, env, n)
+    r = _walk(node.rhs, env, n)
     op = node.op
     if op == "+":
         return l + r
@@ -130,12 +159,32 @@ def eval_node(node: Node, env: dict[str, float]) -> float:
     if op == "*":
         return l * r
     if op == "/":
-        if r == 0.0:
+        if (r == 0.0).any():
             raise DomainError("division by zero")
         return l / r
     if op == "^":
-        return pow_real(l, r)
+        return elementwise(pow_real, l, r)
     raise DomainError(f"unknown binary op {op!r}")
+
+
+def eval_array(node: Node, env: dict[str, np.ndarray]) -> np.ndarray:
+    """Values of ``node`` at n points; each env entry is a 1-d array of length n.
+
+    A domain error names an offending operand (the first one in point
+    order within the failing node); callers that must name the first bad
+    point re-run the batch one point at a time.
+    """
+    n = len(next(iter(env.values()))) if env else 1
+    # overflow to inf or inf - inf is reported by the callers' finiteness
+    # checks, as it is for plain float arithmetic, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _walk(node, env, n)
+
+
+def eval_node(node: Node, env: dict[str, float]) -> float:
+    """Value of ``node`` at one point: the one-point case of :func:`eval_array`."""
+    arrays = {k: np.array([v], dtype=float) for k, v in env.items()}
+    return float(eval_array(node, arrays)[0])
 
 
 # Smart constructors with light constant folding.  Folding keeps printed

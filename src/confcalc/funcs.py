@@ -1,10 +1,13 @@
 """Function objects the calculus kernels operate on.
 
 Every function maps a real ``t`` to a scalar, vector, or square-matrix
-value.  Calling the object returns the raw payload (float or ndarray);
-:func:`evaluate` wraps the result in a :class:`~confcalc.vecspace.VecValue`
-and enforces the declared domain and finiteness.  ``exact_deriv`` returns
-the exact first derivative where one is known (expression trees and named
+value.  Each kind has one evaluator, over a batch of points:
+:meth:`AbstractFn.eval_many` returns the values stacked along a leading
+axis, after one domain and finiteness check for the whole batch.
+:meth:`AbstractFn.eval` (and :func:`evaluate`) is its one-point case
+wrapped in a :class:`~confcalc.vecspace.VecValue`; calling the object
+gives the one-point payload as an array.  ``exact_deriv`` returns the
+exact first derivative where one is known (expression trees and named
 builtins) and None where it is not (grid data).
 
 Kinds:
@@ -34,6 +37,7 @@ import numpy as np
 
 from . import expr as _e
 from .errors import DomainError, ShapeError
+from .expr import elementwise
 from .vecspace import VecValue
 
 __all__ = [
@@ -80,20 +84,50 @@ class AbstractFn:
         if not (lo <= t <= hi):
             raise DomainError(f"t = {t} outside domain [{lo}, {hi}]")
 
-    def __call__(self, t: float):
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        """Unchecked values at in-domain points, shape (n, *value shape)."""
         raise NotImplementedError
 
     def exact_deriv(self, t: float):
         """Raw exact first derivative, or None when unavailable."""
         return None
 
+    def eval_many(self, ts) -> np.ndarray:
+        """Values at the points ``ts`` (flattened), shape (n, *value shape).
+
+        Domain and finiteness are checked once for the whole batch.  Row i
+        is bit-identical to ``eval(ts[i])``.  On any error the batch is
+        re-run point by point, so the exception, type and message, is the
+        one ``eval`` raises at the first bad t in input order.
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        try:
+            return self._checked(ts)
+        except Exception:
+            # whatever the batch met first, the one-point run at the first
+            # bad t raises that point's own error
+            if ts.size > 1:
+                for i in range(ts.size):
+                    self._checked(ts[i:i + 1])
+            raise
+
+    def _checked(self, ts: np.ndarray) -> np.ndarray:
+        lo, hi = self._domain
+        inside = (ts >= lo) & (ts <= hi)
+        if not inside.all():
+            self._check_domain(float(ts[~inside][0]))
+        out = self._values(ts)
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = ~finite.reshape(ts.size, -1).all(axis=1)
+            raise DomainError(f"non-finite value at t = {float(ts[bad][0])}")
+        return out
+
     def eval(self, t: float) -> VecValue:
-        self._check_domain(t)
-        raw = self(t)
-        arr = np.asarray(raw, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise DomainError(f"non-finite value at t = {t}")
-        return VecValue(arr)
+        return VecValue(self.eval_many((t,))[0])
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.eval_many((t,))[0]
 
 
 def evaluate(f: AbstractFn, t: float) -> VecValue:
@@ -121,12 +155,8 @@ class ExprFn(AbstractFn):
         self.node = _e.parse_text(text, variables=("t",))
         self._deriv_node = None
 
-    def __call__(self, t: float) -> float:
-        self._check_domain(t)
-        v = _e.eval_node(self.node, {"t": t})
-        if not math.isfinite(v):
-            raise DomainError(f"non-finite value at t = {t}")
-        return v
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        return _e.eval_array(self.node, {"t": ts})
 
     def _dnode(self):
         if self._deriv_node is None:
@@ -167,12 +197,14 @@ class BuiltinFn(AbstractFn):
         self._fn = fn
         self._dfn = dfn
 
-    def __call__(self, t: float) -> float:
-        self._check_domain(t)
+    def _one(self, t: float) -> float:
         try:
             return self._fn(t)
         except (ValueError, OverflowError) as exc:
             raise DomainError(f"{self.name}({t}): {exc}") from None
+
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        return elementwise(self._one, ts)
 
     def exact_deriv(self, t: float) -> float:
         self._check_domain(t)
@@ -322,29 +354,33 @@ class GridFn(AbstractFn):
             )
         return out
 
-    def _locate(self, t: float) -> int:
-        i = int(np.searchsorted(self.nodes_t, t, side="right")) - 1
-        return min(max(i, 0), self.nodes_t.size - 2)
+    def _locate(self, t):
+        i = np.searchsorted(self.nodes_t, t, side="right") - 1
+        return np.clip(i, 0, self.nodes_t.size - 2)
 
-    def __call__(self, t: float):
-        self._check_domain(t)
-        ts = self.nodes_t
-        i = self._locate(t)
-        if t == ts[i]:
-            return self.values[i]
-        if t == ts[i + 1]:
-            return self.values[i + 1]
-        h = ts[i + 1] - ts[i]
-        x = (t - ts[i]) / h
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        i = self._locate(ts)
+        t0, t1 = self.nodes_t[i], self.nodes_t[i + 1]
         v0, v1 = self.values[i], self.values[i + 1]
+        h = t1 - t0
+        x = (ts - t0) / h
+        # per-point factors broadcast over the value axes
+        col = (slice(None),) + (None,) * (self.values.ndim - 1)
         if self.interp == "linear":
-            return v0 + (v1 - v0) * x
-        s0, s1 = self._slopes[i], self._slopes[i + 1]
-        h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
-        h10 = x * (1.0 - x) ** 2
-        h01 = x * x * (3.0 - 2.0 * x)
-        h11 = x * x * (x - 1.0)
-        return h00 * v0 + h10 * h * s0 + h01 * v1 + h11 * h * s1
+            out = v0 + (v1 - v0) * x[col]
+        else:
+            s0, s1 = self._slopes[i], self._slopes[i + 1]
+            # (1 - x)^2 through libm pow, as a scalar float ** 2 computes it
+            sq = elementwise(math.pow, 1.0 - x, 2.0)
+            h00 = (1.0 + 2.0 * x) * sq
+            h10 = x * sq
+            h01 = x * x * (3.0 - 2.0 * x)
+            h11 = x * x * (x - 1.0)
+            out = (h00[col] * v0 + (h10 * h)[col] * s0 + h01[col] * v1
+                   + (h11 * h)[col] * s1)
+        # stored values exactly at the nodes
+        out = np.where((ts == t1)[col], v1, out)
+        return np.where((ts == t0)[col], v0, out)
 
     def interp_deriv(self, t: float):
         """Interpolant derivative and a heuristic error bound.
@@ -355,7 +391,7 @@ class GridFn(AbstractFn):
         """
         self._check_domain(t)
         ts = self.nodes_t
-        i = self._locate(t)
+        i = int(self._locate(t))
         h = ts[i + 1] - ts[i]
         x = (t - ts[i]) / h
         v0, v1 = self.values[i], self.values[i + 1]
@@ -406,12 +442,11 @@ class CompositeFn(AbstractFn):
         hi = min(f.domain[1] for f in flat)
         super().__init__((lo, hi), label)
         self._comps = comps
+        self._flat = flat
 
-    def __call__(self, t: float):
-        self._check_domain(t)
-        if len(self._shape) == 1:
-            return np.array([f(t) for f in self._comps], dtype=float)
-        return np.array([[f(t) for f in row] for row in self._comps], dtype=float)
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        cols = [f._values(ts) for f in self._flat]
+        return np.stack(cols, axis=1).reshape((ts.size,) + self._shape)
 
     def exact_deriv(self, t: float):
         self._check_domain(t)
@@ -460,9 +495,15 @@ class CallableFn(AbstractFn):
         self._fn = fn
         self._deriv = deriv
 
-    def __call__(self, t: float):
-        self._check_domain(t)
-        return self._fn(t)
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        return np.array([np.asarray(self._fn(t), dtype=float) for t in ts.tolist()])
+
+    def eval_many(self, ts) -> np.ndarray:
+        # one point at a time, in order: the callable may keep state, so a
+        # batch stops at its first bad t and calls no point twice
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        return np.array([AbstractFn.eval_many(self, ts[i:i + 1])[0]
+                         for i in range(ts.size)])
 
     def exact_deriv(self, t: float):
         if self._deriv is None:
@@ -482,10 +523,15 @@ class PointPatchedFn(AbstractFn):
         self.at = float(at)
         self.patch_value = np.asarray(value, dtype=float)
 
-    def __call__(self, t: float):
-        if t == self.at:
-            return self.patch_value
-        return self.inner(t)
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        hit = ts == self.at
+        if not hit.any():
+            return self.inner._values(ts)
+        out = np.empty((ts.size,) + self.patch_value.shape)
+        out[hit] = self.patch_value
+        if not hit.all():
+            out[~hit] = self.inner._values(ts[~hit])
+        return out
 
     def exact_deriv(self, t: float):
         if t == self.at:

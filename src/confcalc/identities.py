@@ -21,6 +21,8 @@ timestamps.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -355,10 +357,20 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
     err_seen = [0.0]
     inner = Tolerance()
     lo_f, hi_f = f.domain
+    term_cache = []
+
+    def terminal():
+        if not term_cache:
+            term_cache.append(lower_terminal_deriv(f, p).value.data)
+        return term_cache[0]
+
     if use_scaled:
         notes.append("integrand from the scaled derivative route")
 
         def tf(s):
+            if s <= p.a:
+                # a + u^(1/alpha) rounded to the terminal itself
+                return terminal()
             r = conf_deriv_scaled(f, p, s, tol=inner)
             if r.err_estimate > err_seen[0]:
                 err_seen[0] = r.err_estimate
@@ -367,15 +379,12 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
     else:
         notes.append("integrand from the limit-quotient route")
         s_floor = 4096.0 * _EPS * max(1.0, abs(p.a))
-        term_cache = []
 
         def tf(s):
             if s - p.a <= s_floor:
                 # below differencing resolution: use the terminal value,
                 # whose weighted mass on this sliver is O(s_floor)
-                if not term_cache:
-                    term_cache.append(lower_terminal_deriv(f, p).value.data)
-                return term_cache[0]
+                return terminal()
             r = conf_deriv(f, p, s, tol=inner)
             if r.err_estimate > err_seen[0]:
                 err_seen[0] = r.err_estimate
@@ -801,6 +810,20 @@ class IdentityReport:
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_jsonable(), indent=indent)
+
+    def to_csv(self) -> str:
+        """One comma-separated row per case; blank residual/threshold when absent."""
+        buf = io.StringIO()
+        out = csv.writer(buf, lineterminator="\n")
+        out.writerow(["identity_id", "subject", "residual", "threshold", "status"])
+        for c in self.cases:
+            out.writerow([
+                c.identity_id, c.subject,
+                "" if c.residual is None else repr(float(c.residual)),
+                "" if c.threshold is None else repr(float(c.threshold)),
+                c.status,
+            ])
+        return buf.getvalue()
 
     def to_table(self) -> str:
         lines = [

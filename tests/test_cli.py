@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -239,11 +241,22 @@ class TestCheck:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_table_format(self, capsys):
+    def test_csv_format(self, capsys):
         code = run(_CHECK_ARGS + ["--format", "csv"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.splitlines()[-1].startswith("total ")
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["identity_id", "subject", "residual", "threshold",
+                           "status"]
+        run(_CHECK_ARGS)
+        cases = json.loads(capsys.readouterr().out)["cases"]
+        assert len(rows) == 1 + len(cases)
+        for row, case in zip(rows[1:], cases):
+            # subjects such as "f, g" come back whole through the quoting
+            assert row[:2] == [case["identity_id"], case["subject"]]
+            assert row[4] == case["status"]
+            for cell, key in ((row[2], "residual"), (row[3], "threshold")):
+                want = case[key]
+                assert (cell == "") if want is None else float(cell) == want
 
     def test_bad_grid_value(self, capsys):
         assert run(["check", "--alphas", "0.5,zebra"]) == 2
@@ -293,6 +306,16 @@ class TestIvp:
         assert code == 1
         (rec,) = _json_records(capsys)
         assert rec["error"] is not None
+
+    def test_blowup_csv_reports_error_on_stderr(self, capsys):
+        argv = ["ivp", "--rhs", "x ^ 2", "--alpha", "1.0", "--x0", "1.0",
+                "--t-end", "2.0", "--n-steps", "50"]
+        assert run(argv) == 1
+        (rec,) = _json_records(capsys)
+        assert run(argv + ["--format", "csv"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "t\n"
+        assert out.err == f"confcalc: {rec['error']}\n"
 
 
 class TestEnvironmentTolerance:

@@ -87,6 +87,14 @@ class TestSingleCheckers:
         assert r.status == "passed"
         assert "limit-quotient" in r.diagnostics
 
+    def test_left_inverse_scaled_route_at_nonzero_terminal(self):
+        # with a = 1 some quadrature samples a + u^(1/alpha) round to a
+        # itself; the integrand there is the terminal value, not an error
+        r = check_left_inverse(builtin("exp"), ConfParams(0.5, a=1.0), 2.0,
+                               route="scaled")
+        assert r.status == "passed"
+        assert "scaled derivative" in r.diagnostics
+
     def test_left_inverse_flags_terminal_jump(self):
         # value patched at the terminal only; the comparison must use the
         # right limit, so the identity still holds, with a note
