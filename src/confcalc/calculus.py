@@ -29,10 +29,13 @@ same control flow as the scalar run.  Kernels are pure; concurrent calls
 are safe.
 
 The kernels evaluate in batches: all difference probes of one derivative
-in one :meth:`~confcalc.funcs.AbstractFn.eval_many` call, all nodes of
-one Gauss rule (or of a row of panels) in another.  The extrapolation
-tableau is built column by column over stacked arrays, and panel sums run
-node by node, so every result is bit-identical to a point-by-point loop.
+in one :meth:`~confcalc.funcs.AbstractFn.eval_many` call, or those of
+many points in one call (:func:`conf_deriv_many`, of which
+:func:`conf_deriv` is the one-point case), and both Gauss rules of a
+quadrature panel (or one rule on a row of panels) in another.  The
+extrapolation tableaux of all points are built column by column over
+stacked arrays, and panel sums run node by node, so every result is
+bit-identical to a point-by-point loop.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from .errors import (
     QuadratureError,
 )
 from .expr import elementwise, pow_real
-from .funcs import AbstractFn, GridFn
+from .funcs import AbstractFn, GridFn, run_batch
 from .vecspace import VecValue, as_vecvalue
 
 __all__ = [
@@ -57,6 +60,7 @@ __all__ = [
     "ConfParams",
     "DerivResult",
     "conf_deriv",
+    "conf_deriv_many",
     "conf_deriv_scaled",
     "classical_deriv",
     "convert_order",
@@ -74,6 +78,9 @@ _LEVELS = 8  # fixed extrapolation depth: deterministic work and output
 _TERMINAL_POINTS = 40  # longest geometric point sequence toward a terminal
 _MAX_DEPTH = 60  # deepest bisection of one quadrature panel
 _MAX_PANELS = 5000  # most panels one adaptive integral may refine
+_HALVES = np.array([0.5**k for k in range(_LEVELS)])  # the step schedule
+_BLOCK = 48  # extrapolation tableaux built at once: 16 points' three sides
+_SIDE_ORDERS = np.array([1, 1, 2])  # right, left and central quotients
 
 
 def _mnorm(x) -> float:
@@ -84,7 +91,13 @@ def _mnorm(x) -> float:
 
 def _rownorms(x: np.ndarray, lead: int = 1) -> np.ndarray:
     # _mnorm over the value axes after the first ``lead`` (NaN stays NaN)
-    return np.abs(x).max(axis=tuple(range(lead, x.ndim)))
+    a = np.abs(x)
+    if a.ndim == lead:
+        return a
+    # value entries first, so the max runs over whole rows at a time
+    # rather than over a few entries per row (it is exact in any order)
+    a = a.reshape(a.shape[:lead] + (-1,))
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).max(axis=0)
 
 
 def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -145,145 +158,188 @@ class DerivResult:
     detail: str = ""
 
 
-def _richardson(seq, p: int, q: int):
+def _richardson(seq, orders):
     """Neville extrapolation over the stacked estimates at steps h0/2^k.
 
-    Assumes an error expansion c1*h^p + c2*h^(p+q) + ...  The tableau is
-    built by column: T[k, 0] = seq[k] and, for 1 <= j <= k,
-    T[k, j] = T[k, j-1] + (T[k, j-1] - T[k-1, j-1]) / (2^(p+(j-1)q) - 1).
+    ``seq`` has shape (n, levels, *value shape): n independent sequences,
+    one per row, and ``orders`` gives each row's integer order r: an
+    error expansion c1*h^r + c2*h^(2r) + ...  Each tableau is built by
+    column: T[k, 0] = seq[k] and, for 1 <= j <= k,
+    T[k, j] = T[k, j-1] + (T[k, j-1] - T[k-1, j-1]) / (2^(rj) - 1).
     An entry's error estimate is the larger of its two parent deltas
-    (|T[k, 0] - T[k-1, 0]| in the first column).  Returns the entry with
-    the smallest estimate, the first in (k, j) order on ties, which stays
-    robust once rounding noise takes over; with no finite estimate it is
-    (seq[0], inf).
+    (|T[k, 0] - T[k-1, 0]| in the first column).  Per row, returns the
+    entry with the smallest estimate, the first in (k, j) order on ties,
+    which stays robust once rounding noise takes over; with no finite
+    estimate it is (seq[0], inf).  Returns the picked values, shape
+    (n, *value shape), and their estimates, shape (n,).
     """
     seq = np.asarray(seq, dtype=float)
-    levels = len(seq)
-    # tab[k, j] = T[k, j]; NaN where j > k, so those entries' deltas are NaN
-    tab = np.full((levels, levels) + seq.shape[1:], math.nan)
-    tab[:, 0] = seq
+    # blocks of rows bound the size of the tableau temporaries
+    parts = [_neville(seq[i:i + _BLOCK], orders[i:i + _BLOCK])
+             for i in range(0, len(seq), _BLOCK)]
+    if len(parts) == 1:
+        return parts[0]
+    return (np.concatenate([v for v, _ in parts]),
+            np.concatenate([e for _, e in parts]))
+
+
+def _neville(seq, orders):
+    # _richardson on one block of rows
+    n, levels = seq.shape[:2]
+    # tab[i, k, j] = T[k, j] of row i; NaN where j > k, so those entries'
+    # deltas are NaN
+    tab = np.full((n, levels, levels) + seq.shape[2:], math.nan)
+    tab[:, :, 0] = seq
+    # facs[:, j-1] = 2^(rj) - 1 of every row, shaped to broadcast over
+    # column j (exact: powers of two and small integers)
+    facs = np.ldexp(1.0, np.multiply.outer(orders, np.arange(1, levels))) - 1.0
+    facs = facs.reshape((n, levels - 1, 1) + (1,) * (seq.ndim - 2))
     for j in range(1, levels):
-        fac = 2.0 ** (p + (j - 1) * q) - 1.0
-        row, prev, cand = tab[j:, j - 1], tab[j - 1:-1, j - 1], tab[j:, j]
+        row, prev = tab[:, j:, j - 1], tab[:, j - 1:-1, j - 1]
+        cand = tab[:, j:, j]
         np.subtract(row, prev, out=cand)
-        np.divide(cand, fac, out=cand)
+        np.divide(cand, facs[:, j - 1], out=cand)
         np.add(row, cand, out=cand)
-    errs = np.full((levels, levels), math.inf)
-    errs[1:, 0] = _rownorms(tab[1:, 0] - tab[:-1, 0])
-    own = _rownorms(tab[1:, 1:] - tab[1:, :-1], 2)
-    parent = _rownorms(tab[1:, 1:] - tab[:-1, :-1], 2)
-    errs[1:, 1:] = np.maximum(own, parent)
+    errs = np.full((n, levels, levels), math.inf)
+    errs[:, 1:, 0] = _rownorms(tab[:, 1:, 0] - tab[:, :-1, 0], 2)
+    own = _rownorms(tab[:, 1:, 1:] - tab[:, 1:, :-1], 3)
+    parent = _rownorms(tab[:, 1:, 1:] - tab[:, :-1, :-1], 3)
+    errs[:, 1:, 1:] = np.maximum(own, parent)
     # no entry, or a NaN estimate: never picked
     errs[np.isnan(errs)] = math.inf
-    k, j = divmod(int(errs.argmin()), levels)
-    return np.asarray(tab[k, j]), float(errs[k, j])
+    k, j = np.divmod(errs.reshape(n, -1).argmin(axis=1), levels)
+    rows = np.arange(n)
+    return tab[rows, k, j], errs[rows, k, j]
 
 
 def _err_floor(v) -> float:
     return 8.0 * _EPS * (1.0 + _mnorm(v))
 
 
-def _deriv_core(evalf, t, s, dist_cap, lo, hi, side, tol, detail="", f0=None):
-    # evalf maps an array of points to their stacked values; s is the step
-    # scale (t-a)^(1-alpha), so probe k sits at t +/- theta_k*s with
-    # quotient denominator theta_k.  All probes go into one evalf call.
-    scale_t = max(1.0, abs(t))
-    d0 = _EPS ** (1.0 / 3.0) * scale_t
-    if math.isfinite(dist_cap):
-        # keep every probe strictly between the lower terminal and t + cap/4
-        d0 = min(d0, 0.25 * dist_cap)
+def _err_floors(rows: np.ndarray) -> np.ndarray:
+    # _err_floor of every row
+    return 8.0 * _EPS * (1.0 + _rownorms(rows))
+
+
+def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
+    # One DerivResult per point t = ts[i].  evalf maps an array of points
+    # to their stacked values; ss[i] is the point's step scale
+    # (t-a)^(1-alpha), so its probe k sits at t +/- theta_k*s with
+    # quotient denominator theta_k, and every probe stays below caps[i]/4
+    # from t.  The probes of all points go into one evalf call, point by
+    # point: t (unless f0 holds the values at the points), then the right
+    # probes, then the left ones.
     want_l = side in ("left", "two-sided")
     want_r = side in ("right", "two-sided")
-    use_l = want_l and t - lo > 0.0
-    use_r = want_r and hi - t > 0.0
-    notes = [detail] if detail else []
-    if not (use_l or use_r):
-        raise DomainError(
-            f"no room for difference probes around t = {t} inside the domain"
-        )
-    if side == "two-sided" and not (use_l and use_r):
-        which = "left" if not use_l else "right"
-        notes.append(f"{which} probes unavailable at the domain edge; one-sided result")
-    if use_r:
-        d0 = min(d0, 0.5 * (hi - t))
-    if use_l:
-        d0 = min(d0, 0.5 * (t - lo))
-    if t + d0 == t or (use_l and t - d0 == t):
-        raise DomainError(
-            f"difference step underflows at t = {t}; "
-            "too close to the lower terminal or a domain edge"
-        )
-
-    theta0 = d0 / s
-    thetas = np.array([theta0 * 0.5**k for k in range(_LEVELS)])
-    points = [[t]] if f0 is None else []
-    if use_r:
-        points.append(t + thetas * s)
-    if use_l:
-        points.append(t - thetas * s)
-    vals = evalf(np.concatenate(points))
-    evals = len(vals)
-    if f0 is None:
-        f0, vals = vals[0], vals[1:]
-    fr = vals[:_LEVELS]
-    fl = vals[-_LEVELS:]
-    th = _per_row(thetas, vals)
-
-    left_v = right_v = None
-    left_e = right_e = math.inf
-    if use_r:
-        right_v, right_e = _richardson((fr - f0) / th, 1, 1)
-        right_e = max(right_e, _err_floor(right_v))
-    if use_l:
-        left_v, left_e = _richardson((f0 - fl) / th, 1, 1)
-        left_e = max(left_e, _err_floor(left_v))
-
-    if use_l and use_r:
-        cen_v, cen_e = _richardson((fr - fl) / (2.0 * th), 2, 2)
-        cen_e = max(cen_e, _err_floor(cen_v))
-        thr = tol.threshold(_mnorm(cen_v))
-        gap = _mnorm(right_v - left_v)
-        # two one-sided estimates each within thr of a common limit may
-        # differ by 2*thr; a genuine kink or jump shows up as a gap far
-        # beyond that, not a few percent over
-        agree = gap <= max(2.0 * thr, 8.0 * (left_e + right_e))
-        cauchy = cen_e <= thr
-        if not agree:
-            notes.append(
-                "one-sided estimates disagree; the two-sided limit does not exist numerically"
+    n = len(ts)
+    d0s = np.empty(n)
+    use = np.empty((n, 2), dtype=bool)  # per point: right probes, left probes
+    notes = []
+    for i, (t, dist_cap) in enumerate(zip(ts.tolist(), caps.tolist())):
+        scale_t = max(1.0, abs(t))
+        d0 = _EPS ** (1.0 / 3.0) * scale_t
+        if math.isfinite(dist_cap):
+            # keep every probe strictly between the lower terminal and t + cap/4
+            d0 = min(d0, 0.25 * dist_cap)
+        use_l = want_l and t - lo > 0.0
+        use_r = want_r and hi - t > 0.0
+        note = [detail] if detail else []
+        if not (use_l or use_r):
+            raise DomainError(
+                f"no room for difference probes around t = {t} inside the domain"
             )
-        elif not cauchy:
-            notes.append("extrapolation not Cauchy within tolerance")
-        err = cen_e if agree else max(cen_e, 0.5 * gap)
-        return DerivResult(
-            VecValue(cen_v),
-            float(err),
-            "two-sided",
-            bool(cauchy and agree),
-            evals,
-            left=VecValue(left_v),
-            right=VecValue(right_v),
-            detail="; ".join(notes),
-        )
+        if side == "two-sided" and not (use_l and use_r):
+            which = "left" if not use_l else "right"
+            note.append(f"{which} probes unavailable at the domain edge; one-sided result")
+        if use_r:
+            d0 = min(d0, 0.5 * (hi - t))
+        if use_l:
+            d0 = min(d0, 0.5 * (t - lo))
+        if t + d0 == t or (use_l and t - d0 == t):
+            raise DomainError(
+                f"difference step underflows at t = {t}; "
+                "too close to the lower terminal or a domain edge"
+            )
+        d0s[i] = d0
+        use[i] = use_r, use_l
+        notes.append(note)
 
-    if use_r:
-        value, err, side_out = right_v, right_e, "right"
-    else:
-        value, err, side_out = left_v, left_e, "left"
-    thr = tol.threshold(_mnorm(value))
-    conv = bool(err <= thr)
-    if not conv:
-        notes.append("extrapolation not Cauchy within tolerance")
-    return DerivResult(
-        VecValue(value),
-        float(err),
-        side_out,
-        conv,
-        evals,
-        left=VecValue(left_v) if left_v is not None else None,
-        right=VecValue(right_v) if right_v is not None else None,
-        detail="; ".join(notes),
-    )
+    thetas = (d0s / ss)[:, None] * _HALVES
+    steps = thetas * ss[:, None]
+    col = ts[:, None]
+    probes = np.concatenate([col, col + steps, col - steps], axis=1)
+    used = np.empty(probes.shape, dtype=bool)
+    used[:, 0] = f0 is None
+    used[:, 1:_LEVELS + 1] = use[:, :1]
+    used[:, _LEVELS + 1:] = use[:, 1:]
+    evals = used.sum(axis=1).tolist()
+    vals = evalf(probes[used])
+    # unused probes stay NaN; their rows' estimates are never reported
+    grid = np.full(used.shape + vals.shape[1:], math.nan)
+    grid[used] = vals
+    if f0 is not None:
+        grid[:, 0] = f0
+    f0s, fr, fl = grid[:, :1], grid[:, 1:_LEVELS + 1], grid[:, _LEVELS + 1:]
+    th = thetas.reshape(thetas.shape + (1,) * (vals.ndim - 1))
+    has_r, has_l = use[:, 0], use[:, 1]
+    both = has_r & has_l
+
+    # right, left and central quotients of every point in one tableau
+    # batch; a side without probes gives NaN rows, never reported
+    est, errs = _richardson(np.concatenate(
+        [(fr - f0s) / th, (f0s - fl) / th, (fr - fl) / (2.0 * th)]),
+        np.repeat(_SIDE_ORDERS, n))
+    errs = np.fmax(errs, _err_floors(est))
+    right_v, left_v, cen_v = est.reshape((3, n) + est.shape[1:])
+    right_e, left_e, cen_e = errs.reshape(3, n)
+    thr = tol.threshold(_rownorms(cen_v))
+    gap = _rownorms(right_v - left_v)
+    # two one-sided estimates each within thr of a common limit may differ
+    # by 2*thr; a genuine kink or jump shows up as a gap far beyond that,
+    # not a few percent over
+    agree = gap <= np.maximum(2.0 * thr, 8.0 * (left_e + right_e))
+    cauchy = cen_e <= thr
+    cen_err = np.where(agree, cen_e, np.fmax(cen_e, 0.5 * gap))
+    if not both.all():
+        # one-sided results: the right side where there is one
+        one_v = np.where(_per_row(has_r, right_v), right_v, left_v)
+        one_e = np.where(has_r, right_e, left_e)
+        one_conv = one_e <= tol.threshold(_rownorms(one_v))
+
+    out = []
+    for i in range(n):
+        note = notes[i]
+        if both[i]:
+            if not agree[i]:
+                note.append(
+                    "one-sided estimates disagree; the two-sided limit does not exist numerically"
+                )
+            elif not cauchy[i]:
+                note.append("extrapolation not Cauchy within tolerance")
+            out.append(DerivResult(
+                VecValue(cen_v[i]),
+                float(cen_err[i]),
+                "two-sided",
+                bool(cauchy[i] and agree[i]),
+                evals[i],
+                left=VecValue(left_v[i]),
+                right=VecValue(right_v[i]),
+                detail="; ".join(note),
+            ))
+            continue
+        if not one_conv[i]:
+            note.append("extrapolation not Cauchy within tolerance")
+        out.append(DerivResult(
+            VecValue(one_v[i]),
+            float(one_e[i]),
+            "right" if has_r[i] else "left",
+            bool(one_conv[i]),
+            evals[i],
+            left=VecValue(left_v[i]) if has_l[i] else None,
+            right=VecValue(right_v[i]) if has_r[i] else None,
+            detail="; ".join(note),
+        ))
+    return out
 
 
 def _require_interior(p: ConfParams, t: float):
@@ -306,16 +362,42 @@ def conf_deriv(
     ``side`` selects theta -> 0-, 0+, or the symmetric limit; the default
     two-sided run also reports both one-sided estimates and declares
     non-convergence when they disagree (the limit fails to exist, as for
-    a kink or a jump at t).
+    a kink or a jump at t).  The one-point case of :func:`conf_deriv_many`.
+    """
+    (r,) = conf_deriv_many(f, p, (t,), side, tol)
+    return r
+
+
+def conf_deriv_many(
+    f: AbstractFn,
+    p: ConfParams,
+    ts,
+    side: str = "two-sided",
+    tol: Tolerance | None = None,
+) -> list[DerivResult]:
+    """:func:`conf_deriv` at each of the points ``ts``, in one batch.
+
+    The 17 difference probes of every point go into one
+    :meth:`~confcalc.funcs.AbstractFn.eval_many` call, point by point, and
+    the extrapolation tableaux of all points are built together.  Result
+    i equals ``conf_deriv(f, p, ts[i], side, tol)`` field for field, bit
+    for bit.  On any error the points are re-run one at a time, so the
+    error raised is the one the first failing ``conf_deriv`` raises.
     """
     tol = tol if tol is not None else Tolerance()
     if side not in ("left", "right", "two-sided"):
         raise ValueError(f"side must be left, right, or two-sided, not {side!r}")
-    t = float(t)
-    _require_interior(p, t)
     lo, hi = f.domain
-    s = pow_real(t - p.a, 1.0 - p.alpha)
-    return _deriv_core(f.eval_many, t, s, t - p.a, lo, hi, side, tol)
+
+    def run(x):
+        for t in x.tolist():
+            _require_interior(p, t)
+        dist = x - p.a
+        ss = elementwise(pow_real, dist, 1.0 - p.alpha)
+        return _deriv_core(f.eval_many, x, ss, dist, lo, hi, side, tol)
+
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    return run_batch(run, ts) if ts.size else []
 
 
 def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> DerivResult:
@@ -326,9 +408,10 @@ def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> De
     converged = False.
     """
     tol = tol if tol is not None else Tolerance()
-    t = float(t)
     lo, hi = f.domain
-    return _deriv_core(f.eval_many, t, 1.0, math.inf, lo, hi, "two-sided", tol)
+    (r,) = _deriv_core(f.eval_many, np.array([float(t)]), np.ones(1),
+                       np.array([math.inf]), lo, hi, "two-sided", tol)
+    return r
 
 
 def conf_deriv_scaled(
@@ -568,34 +651,41 @@ def _gl(n: int):
     return _GL_CACHE[n]
 
 
-def _panels(g, lo, hi, n: int):
-    """The n-point Gauss-Legendre rule on every panel [lo_i, hi_i].
+def _panels(g, lo, hi, *ns: int):
+    """The Gauss-Legendre rules of ``ns`` points on every panel [lo_i, hi_i].
 
     ``g`` maps an array of points to their stacked values; all nodes of
-    all panels go into one call, panel by panel in node order.  Returns
-    the panel integrals and each panel's largest |g|.  The weighted sum
-    runs node by node (an accumulate, never a pairwise or BLAS reduction),
-    so replicated components reproduce the scalar run bit for bit.
+    all panels go into one call, panel by panel, and within a panel rule
+    by rule in node order.  Returns, per rule, the panel integrals and
+    each panel's largest |g|.  The weighted sum runs node by node (an
+    accumulate, never a pairwise or BLAS reduction), so replicated
+    components reproduce the scalar run bit for bit.
     """
-    x, w = _gl(n)
+    rules = [_gl(n) for n in ns]
+    x = np.concatenate([xr for xr, _ in rules])
     lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
     c = 0.5 * (hi - lo)
     m = 0.5 * (hi + lo)
     vals = g((m[:, None] + c[:, None] * x).reshape(-1))
-    vals = vals.reshape((c.size, n) + vals.shape[1:])
-    acc = np.add.accumulate(_per_row(w, vals[0]) * vals, axis=1)[:, -1]
-    scale = np.abs(vals).reshape(c.size, -1).max(axis=1)
-    return _per_row(c, acc) * acc, scale
+    vals = vals.reshape((c.size, x.size) + vals.shape[1:])
+    out, start = [], 0
+    for _, w in rules:
+        part = vals[:, start:start + w.size]
+        start += w.size
+        acc = np.add.accumulate(_per_row(w, part[0]) * part, axis=1)[:, -1]
+        scale = np.abs(part).reshape(c.size, -1).max(axis=1)
+        out.append((_per_row(c, acc) * acc, scale))
+    return out
 
 
-def _panel(g, lo: float, hi: float, n: int):
-    v, scale = _panels(g, lo, hi, n)
-    return v[0], float(scale[0])
+def _panel(g, lo: float, hi: float, *ns: int):
+    # one panel: (integral, largest |g|) per rule
+    return [(v[0], float(scale[0])) for v, scale in _panels(g, lo, hi, *ns)]
 
 
 def _refine(g, lo, hi, budget, noise, depth, state):
-    v10, s10 = _panel(g, lo, hi, 10)
-    v7, s7 = _panel(g, lo, hi, 7)
+    # both rules in one call: the 10 nodes, then the 7
+    (v10, s10), (v7, s7) = _panel(g, lo, hi, 10, 7)
     state["evals"] += 17
     state["panels"] += 1
     if s10 > state["gmax"]:
@@ -643,7 +733,7 @@ def _quad_adaptive(g, lo, hi, tol, noise=None, grade=False):
     else:
         pts = [lo, hi]
 
-    pieces, _ = _panels(g, pts[:-1], pts[1:], 10)
+    [(pieces, _)] = _panels(g, pts[:-1], pts[1:], 10)
     coarse = np.add.accumulate(pieces, axis=0)[-1]
     budget_total = tol.abs + tol.rel * _mnorm(coarse)
 
@@ -799,16 +889,18 @@ def deriv_of_integral(
     wfun = _weighted(f, p)
 
     def g_inc(us):
-        v, _ = _panels(wfun, t, us, 10)
+        [(v, _)] = _panels(wfun, t, us, 10)
         return v
 
     s = pow_real(t - p.a, 1.0 - p.alpha)
     zero = 0.0 * f.eval(t).data
-    return _deriv_core(
-        g_inc, t, s, t - p.a, lo, hi, side, tol,
+    (r,) = _deriv_core(
+        g_inc, np.array([t]), np.array([s]), np.array([t - p.a]), lo, hi,
+        side, tol,
         detail="derivative of the running integral via local increments",
-        f0=zero,
+        f0=zero[None],
     )
+    return r
 
 
 def avg_recover(f: AbstractFn, t: float, tol: Tolerance | None = None) -> VecValue:
@@ -833,9 +925,10 @@ def avg_recover(f: AbstractFn, t: float, tol: Tolerance | None = None) -> VecVal
         raise DomainError(f"averaging interval underflows at t = {t}")
 
     hs = np.array([h0 * 0.5**k for k in range(12)])
-    sums, _ = _panels(f.eval_many, t, t + hs, 10)
-    val, err = _richardson(sums / _per_row(hs, sums), 1, 1)
-    err = max(err, _err_floor(val))
+    [(sums, _)] = _panels(f.eval_many, t, t + hs, 10)
+    vals, errs = _richardson((sums / _per_row(hs, sums))[None], np.ones(1, int))
+    val = vals[0]
+    err = max(float(errs[0]), _err_floor(val))
     thr = tol.threshold(_mnorm(val))
     if err > thr:
         raise ConvergenceError(

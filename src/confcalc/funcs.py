@@ -6,9 +6,12 @@ value.  Each kind has one evaluator, over a batch of points:
 axis, after one domain and finiteness check for the whole batch.
 :meth:`AbstractFn.eval` (and :func:`evaluate`) is its one-point case
 wrapped in a :class:`~confcalc.vecspace.VecValue`; calling the object
-gives the one-point payload as an array.  ``exact_deriv`` returns the
-exact first derivative where one is known (expression trees and named
-builtins) and None where it is not (grid data).
+gives the one-point payload as an array.  Exact first derivatives follow
+the same pattern: :meth:`AbstractFn.exact_deriv_many` stacks them for a
+batch of points (an array evaluation for expression trees, named
+builtins and their composites, a point loop for the other kinds), and
+``exact_deriv`` is its one-point case.  Both return None where no exact
+derivative is known (grid data, say).
 
 Kinds:
 
@@ -84,13 +87,49 @@ class AbstractFn:
         if not (lo <= t <= hi):
             raise DomainError(f"t = {t} outside domain [{lo}, {hi}]")
 
+    def _inside(self, ts: np.ndarray) -> np.ndarray:
+        lo, hi = self._domain
+        inside = (ts >= lo) & (ts <= hi)
+        if not inside.all():
+            self._check_domain(float(ts[~inside][0]))
+        return ts
+
     def _values(self, ts: np.ndarray) -> np.ndarray:
         """Unchecked values at in-domain points, shape (n, *value shape)."""
         raise NotImplementedError
 
+    # Kinds with a closed-form derivative set this to a method giving the
+    # unchecked derivatives at in-domain points, shape (n, *value shape),
+    # or None when a component has none.
+    _derivs = None
+
     def exact_deriv(self, t: float):
         """Raw exact first derivative, or None when unavailable."""
-        return None
+        if self._derivs is None:
+            return None
+        d = self.exact_deriv_many((t,))
+        return None if d is None else d[0]
+
+    def exact_deriv_many(self, ts):
+        """Exact first derivatives at the points ``ts``, shape (n, *value
+        shape), or None when one is unavailable at any of them.
+
+        Row i is bit-identical to ``exact_deriv(ts[i])``, and an error is
+        the one ``exact_deriv`` raises at the first bad t in input order.
+        Kinds with a closed form evaluate the batch as arrays after one
+        domain check; the others loop over their own ``exact_deriv`` in
+        order and stop at the first None.
+        """
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        if self._derivs is not None:
+            return run_batch(lambda x: self._derivs(self._inside(x)), ts)
+        rows = []
+        for t in ts.tolist():
+            d = self.exact_deriv(t)
+            if d is None:
+                return None
+            rows.append(np.asarray(d, dtype=float))
+        return np.array(rows)
 
     def eval_many(self, ts) -> np.ndarray:
         """Values at the points ``ts`` (flattened), shape (n, *value shape).
@@ -100,23 +139,10 @@ class AbstractFn:
         re-run point by point, so the exception, type and message, is the
         one ``eval`` raises at the first bad t in input order.
         """
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        try:
-            return self._checked(ts)
-        except Exception:
-            # whatever the batch met first, the one-point run at the first
-            # bad t raises that point's own error
-            if ts.size > 1:
-                for i in range(ts.size):
-                    self._checked(ts[i:i + 1])
-            raise
+        return run_batch(self._checked, np.asarray(ts, dtype=float).reshape(-1))
 
     def _checked(self, ts: np.ndarray) -> np.ndarray:
-        lo, hi = self._domain
-        inside = (ts >= lo) & (ts <= hi)
-        if not inside.all():
-            self._check_domain(float(ts[~inside][0]))
-        out = self._values(ts)
+        out = self._values(self._inside(ts))
         finite = np.isfinite(out)
         if not finite.all():
             bad = ~finite.reshape(ts.size, -1).all(axis=1)
@@ -128,6 +154,19 @@ class AbstractFn:
 
     def __call__(self, t: float) -> np.ndarray:
         return self.eval_many((t,))[0]
+
+
+def run_batch(run, ts: np.ndarray):
+    """``run(ts)`` over a 1-d batch of points; on any error, ``run`` again
+    one point at a time, so the exception raised (type and message) is
+    the one the first failing point raises on its own."""
+    try:
+        return run(ts)
+    except Exception:
+        if ts.size > 1:
+            for i in range(ts.size):
+                run(ts[i:i + 1])
+        raise
 
 
 def evaluate(f: AbstractFn, t: float) -> VecValue:
@@ -163,9 +202,8 @@ class ExprFn(AbstractFn):
             self._deriv_node = _e.diff_node(self.node, "t")
         return self._deriv_node
 
-    def exact_deriv(self, t: float) -> float:
-        self._check_domain(t)
-        return _e.eval_node(self._dnode(), {"t": t})
+    def _derivs(self, ts: np.ndarray) -> np.ndarray:
+        return _e.eval_array(self._dnode(), {"t": ts})
 
     def printed(self) -> str:
         """Canonical text that re-parses to an equivalent expression."""
@@ -206,12 +244,14 @@ class BuiltinFn(AbstractFn):
     def _values(self, ts: np.ndarray) -> np.ndarray:
         return elementwise(self._one, ts)
 
-    def exact_deriv(self, t: float) -> float:
-        self._check_domain(t)
+    def _one_deriv(self, t: float) -> float:
         try:
             return self._dfn(t)
-        except (ValueError, OverflowError) as exc:
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:
             raise DomainError(f"{self.name}'({t}): {exc}") from None
+
+    def _derivs(self, ts: np.ndarray) -> np.ndarray:
+        return elementwise(self._one_deriv, ts)
 
 
 def power_fn(p: float, shift: float = 0.0) -> BuiltinFn:
@@ -448,17 +488,11 @@ class CompositeFn(AbstractFn):
         cols = [f._values(ts) for f in self._flat]
         return np.stack(cols, axis=1).reshape((ts.size,) + self._shape)
 
-    def exact_deriv(self, t: float):
-        self._check_domain(t)
-        if len(self._shape) == 1:
-            ds = [f.exact_deriv(t) for f in self._comps]
-            if any(d is None for d in ds):
-                return None
-            return np.array(ds, dtype=float)
-        ds = [[f.exact_deriv(t) for f in row] for row in self._comps]
-        if any(d is None for row in ds for d in row):
+    def _derivs(self, ts: np.ndarray):
+        cols = [f.exact_deriv_many(ts) for f in self._flat]
+        if any(d is None for d in cols):
             return None
-        return np.array(ds, dtype=float)
+        return np.stack(cols, axis=1).reshape((ts.size,) + self._shape)
 
 
 def _nested(components) -> bool:

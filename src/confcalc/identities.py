@@ -33,9 +33,12 @@ from .calculus import (
     _EPS,
     ConfParams,
     Tolerance,
+    _err_floors,
     _mnorm,
+    _per_row,
     _terminal_limit,
     conf_deriv,
+    conf_deriv_many,
     conf_deriv_scaled,
     conf_integral_info,
     convert_order,
@@ -45,9 +48,9 @@ from .calculus import (
     avg_recover,
 )
 from .errors import ConfcalcError, DomainError, LowerTerminalError
+from .expr import elementwise, pow_real
 from .funcs import (
     AbstractFn,
-    CallableFn,
     ExprFn,
     builtin,
     diag_fn,
@@ -217,6 +220,40 @@ def _label(f: AbstractFn) -> str:
     return f.label or type(f).__name__
 
 
+def _rowwise(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # op on two stacks of values, row by row: the value shapes broadcast
+    # against each other as they do for one point
+    k = max(x.ndim, y.ndim)
+    x = x.reshape(x.shape[:1] + (1,) * (k - x.ndim) + x.shape[1:])
+    y = y.reshape(y.shape[:1] + (1,) * (k - y.ndim) + y.shape[1:])
+    return op(x, y)
+
+
+def _stacked(results):
+    # the values of a list of DerivResults, stacked, and their estimates
+    return (np.array([r.value.data for r in results]),
+            [r.err_estimate for r in results])
+
+
+class _BatchFn(AbstractFn):
+    """A derived function given by its values on a whole batch of points.
+
+    ``values(ts)`` returns the stacked values at in-domain points, so a
+    kernel's 17 difference probes or a quadrature panel's Gauss nodes
+    cost one call; domain and finiteness are checked as for every kind.
+    """
+
+    kind = "batch"
+
+    def __init__(self, values, domain, label: str):
+        super().__init__(domain, label)
+        self._batch = values
+
+    def _values(self, ts: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._batch(ts)
+
+
 def _decay_to_zero(f, t, sign, h0, levels, thr):
     """Does norm(f(t + sign*h) - f(t)) fall below thr as h halves?"""
     f0 = f.eval(t).data
@@ -367,30 +404,49 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
     if use_scaled:
         notes.append("integrand from the scaled derivative route")
 
-        def tf(s):
-            if s <= p.a:
-                # a + u^(1/alpha) rounded to the terminal itself
-                return terminal()
-            r = conf_deriv_scaled(f, p, s, tol=inner)
-            if r.err_estimate > err_seen[0]:
-                err_seen[0] = r.err_estimate
-            return r.value.data
+        def interior(ss):
+            try:
+                d = f.exact_deriv_many(ss)
+            except DomainError:
+                d = None
+            if d is None:
+                # conf_deriv_scaled's own fallback, point by point
+                return _stacked([conf_deriv_scaled(f, p, s, tol=inner)
+                                 for s in ss.tolist()])
+            # (s-a)^(1-alpha) * f'(s), as conf_deriv_scaled forms it
+            vals = _per_row(elementwise(pow_real, ss - p.a, 1.0 - p.alpha), d) * d
+            return vals, _err_floors(vals).tolist()
+
+        def at_terminal(ss):
+            # a + u^(1/alpha) rounded to the terminal itself
+            return ss <= p.a
 
     else:
         notes.append("integrand from the limit-quotient route")
         s_floor = 4096.0 * _EPS * max(1.0, abs(p.a))
 
-        def tf(s):
-            if s - p.a <= s_floor:
-                # below differencing resolution: use the terminal value,
-                # whose weighted mass on this sliver is O(s_floor)
-                return terminal()
-            r = conf_deriv(f, p, s, tol=inner)
-            if r.err_estimate > err_seen[0]:
-                err_seen[0] = r.err_estimate
-            return r.value.data
+        def interior(ss):
+            return _stacked(conf_deriv_many(f, p, ss, tol=inner))
 
-    tf_fn = CallableFn(tf, domain=(p.a, hi_f), label=f"T[{subject}]")
+        def at_terminal(ss):
+            # below differencing resolution: use the terminal value, whose
+            # weighted mass on this sliver is O(s_floor)
+            return ss - p.a <= s_floor
+
+    def tf(ss):
+        near = at_terminal(ss)
+        if near.all():
+            return np.repeat(terminal()[None], ss.size, axis=0)
+        vals, errs = interior(ss[~near])
+        err_seen[0] = max(err_seen[0], *errs)
+        if not near.any():
+            return vals
+        out = np.empty((ss.size,) + vals.shape[1:])
+        out[~near] = vals
+        out[near] = terminal()
+        return out
+
+    tf_fn = _BatchFn(tf, domain=(p.a, hi_f), label=f"T[{subject}]")
     integral, q_err, _evals = conf_integral_info(
         tf_fn, p, t, tol=Tolerance(rel=1e-9, abs=1e-9),
         noise=lambda: err_seen[0],
@@ -581,8 +637,9 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
 
     # (i) linearity with the supplied coefficients
     inputs_i = dict(base_inputs, c=c, d=d)
-    comb = CallableFn(
-        lambda s: c * np.asarray(f(s), dtype=float) + d * np.asarray(g(s), dtype=float),
+    comb = _BatchFn(
+        lambda ss: _rowwise(lambda u, v: c * u + d * v,
+                            f.eval_many(ss), g.eval_many(ss)),
         domain=(lo, hi), label=f"{c:g}*f + {d:g}*g",
     )
     r_comb = conf_deriv(comb, p, t, tol=inner)
@@ -605,9 +662,9 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
         ))
 
     # (ii) constants: freeze f's value at t into a constant function
-    const_fn = CallableFn(
-        lambda s, v=fv: v, domain=(lo, hi),
-        deriv=lambda s, v=fv: 0.0 * v, label="const f(t)",
+    const_fn = _BatchFn(
+        lambda ss: np.repeat(fv[None], ss.size, axis=0), domain=(lo, hi),
+        label="const f(t)",
     )
     r_const = conf_deriv(const_fn, p, t, tol=inner)
     residual = _mnorm(r_const.value.data)
@@ -618,7 +675,7 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
         "constant function frozen at f(t)",
     ))
 
-    commutative = f.eval(t).kind == "scalar" and g.eval(t).kind == "scalar"
+    commutative = fv.ndim == 0 and gv.ndim == 0
 
     # (iii) product rule
     if not commutative:
@@ -632,8 +689,9 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
             "a derivative quotient did not converge at t",
         ))
     else:
-        prod = CallableFn(
-            lambda s: float(f(s)) * float(g(s)), domain=(lo, hi), label="f*g"
+        prod = _BatchFn(
+            lambda ss: f.eval_many(ss) * g.eval_many(ss), domain=(lo, hi),
+            label="f*g",
         )
         r_prod = conf_deriv(prod, p, t, tol=inner)
         if r_prod.converged:
@@ -670,13 +728,14 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
             "a derivative quotient did not converge at t",
         ))
     else:
-        def quot(s):
-            den = float(g(s))
-            if den == 0.0:
-                raise DomainError(f"g vanishes at t = {s}")
-            return float(f(s)) / den
+        def quot(ss):
+            den = g.eval_many(ss)
+            zero = den == 0.0
+            if zero.any():
+                raise DomainError(f"g vanishes at t = {float(ss[zero][0])}")
+            return f.eval_many(ss) / den
 
-        quot_fn = CallableFn(quot, domain=(lo, hi), label="f/g")
+        quot_fn = _BatchFn(quot, domain=(lo, hi), label="f/g")
         try:
             r_quot = conf_deriv(quot_fn, p, t, tol=inner)
         except DomainError as exc:
@@ -877,13 +936,15 @@ def run_suite(corpus=None, grid: SuiteGrid | None = None, tol: Tolerance | None 
 
         # EQUIV_3_4, CONTINUITY_3_1, algebra rules: per member, alpha, t
         for f in members:
+            g = None  # the algebra partner, one per member
             for alpha in grid.alphas:
                 p = ConfParams(alpha, a)
                 for off in grid.t_offsets:
                     t = a + off
                     cases.append(check_equivalence(f, p, t, tol))
                     cases.append(check_continuity(f, p, t, tol))
-                    g = _partner_like(f, t)
+                    if g is None:
+                        g = _partner_like(f, t)
                     c_coef = float(rng.uniform(-5.0, 5.0))
                     d_coef = float(rng.uniform(-5.0, 5.0))
                     cases.extend(

@@ -1,31 +1,52 @@
-"""The batched evaluation path: eval_many, column Richardson, node-order panels.
+"""The batched evaluation path: eval_many, exact_deriv_many, conf_deriv_many,
+column Richardson, node-order panels and the batch integrands of the
+identity checks.
 
 Every batch must give, point for point, the bits that one-point
 evaluation gives, and raise what one-point evaluation raises at the first
-bad point.  The Richardson tableau and the Gauss panel are checked against
-the point-by-point loops they replace, kept here as oracles.
+bad point.  The Richardson tableau, the Gauss panel and the one-point
+integrands of the left-inverse and algebra checks are checked against the
+point-by-point code they replace, kept here as oracles.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confcalc import (
+    AbstractFn,
     CallableFn,
+    ConfParams,
     GridFn,
     PointPatchedFn,
+    Tolerance,
     builtin,
+    check_algebra_rules,
+    check_left_inverse,
+    conf_deriv,
+    conf_deriv_many,
+    conf_deriv_scaled,
     diag_fn,
     matrix_fn,
     parse_expr,
     power_fn,
     vector_fn,
 )
-from confcalc.calculus import _panel, _richardson
+from confcalc import identities
+from confcalc.calculus import (
+    _EPS,
+    _mnorm,
+    _panel,
+    _richardson,
+    conf_integral_info,
+    lower_terminal_deriv,
+    one_sided_limit,
+)
 from confcalc.errors import DomainError
+from confcalc.vecspace import to_jsonable
 
 
 def _assert_bits(f, ts):
@@ -227,30 +248,51 @@ _ENTRY = st.one_of(
 
 @st.composite
 def _tableaux(draw):
+    # a batch of one to three sequences of one length and value shape,
+    # each with its own order
     levels = draw(st.integers(min_value=2, max_value=12))
     shape = draw(st.sampled_from([(), (3,), (2, 2)]))
     size = levels * int(np.prod(shape, dtype=int))
-    if draw(st.booleans()):
-        # every level the same row: all deltas tie at zero
-        row = draw(st.lists(_ENTRY, min_size=size // levels,
-                            max_size=size // levels))
-        flat = row * levels
-    else:
-        flat = draw(st.lists(_ENTRY, min_size=size, max_size=size))
-    pq = draw(st.sampled_from([(1, 1), (2, 2)]))
-    return np.array(flat, dtype=float).reshape((levels,) + shape), pq
+    batch, orders = [], []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        orders.append(draw(st.sampled_from([1, 2])))
+        if draw(st.booleans()):
+            # every level the same row: all deltas tie at zero
+            row = draw(st.lists(_ENTRY, min_size=size // levels,
+                                max_size=size // levels))
+            flat = row * levels
+        else:
+            flat = draw(st.lists(_ENTRY, min_size=size, max_size=size))
+        batch.append(np.array(flat, dtype=float).reshape((levels,) + shape))
+    return np.stack(batch), np.array(orders)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_tableaux())
 def test_column_richardson_matches_the_loop(case):
-    seq, (p, q) = case
+    seqs, orders = case
     with np.errstate(all="ignore"):
-        got_v, got_e = _richardson(seq, p, q)
-        want_v, want_e = _richardson_loop(list(seq), p, q)
-    assert got_e == want_e
-    assert np.array_equal(got_v, want_v, equal_nan=True)
-    assert np.shape(got_v) == np.shape(want_v)
+        got_v, got_e = _richardson(seqs, orders)
+        for i, (seq, r) in enumerate(zip(seqs, orders.tolist())):
+            want_v, want_e = _richardson_loop(list(seq), r, r)
+            assert got_e[i] == want_e
+            assert np.array_equal(got_v[i], want_v, equal_nan=True)
+            assert np.shape(got_v[i]) == np.shape(want_v)
+
+
+def test_richardson_blocks_of_rows_match_the_loop():
+    # more rows than one block of tableaux, with mixed orders
+    rng = np.random.default_rng(11)
+    seqs = rng.standard_normal((130, 8, 2)) * 10.0 ** rng.integers(-8, 3, (130, 1, 1))
+    seqs[5] = 1.0
+    seqs[77, 3] = math.inf
+    orders = rng.integers(1, 3, 130)
+    with np.errstate(all="ignore"):
+        got_v, got_e = _richardson(seqs, orders)
+        for i, (seq, p) in enumerate(zip(seqs, orders.tolist())):
+            want_v, want_e = _richardson_loop(list(seq), p, p)
+            assert got_e[i] == want_e
+            assert np.array_equal(got_v[i], want_v, equal_nan=True)
 
 
 def test_panel_sums_in_node_order():
@@ -268,11 +310,401 @@ def test_panel_sums_in_node_order():
         found += 1
         lo, hi = 0.25, 1.75
         c = 0.5 * (hi - lo)
-        value, scale = _panel(lambda ts: vals, lo, hi, 10)
+        [(value, scale)] = _panel(lambda ts: vals, lo, hi, 10)
         assert float(value) == c * sequential
         assert scale == float(np.max(np.abs(vals)))
-        rep, rep_scale = _panel(lambda ts: np.stack([vals] * 3, axis=1),
-                                lo, hi, 10)
+        [(rep, rep_scale)] = _panel(
+            lambda ts: np.stack([vals] * 3, axis=1), lo, hi, 10)
         assert rep.tolist() == [float(value)] * 3
         assert rep_scale == scale
     assert found >= 20
+
+
+def _bits_equal(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(
+        a.reshape(-1).view(np.int64), b.reshape(-1).view(np.int64))
+
+
+def _stacked_exact(f, ts):
+    # the one-point loop exact_deriv_many replaces
+    rows = [f.exact_deriv(float(t)) for t in ts]
+    if any(d is None for d in rows):
+        return None
+    return np.array([np.asarray(d, dtype=float) for d in rows])
+
+
+def _same_error(call_batch, call_one):
+    with pytest.raises(Exception) as one:
+        call_one()
+    with pytest.raises(Exception) as batch:
+        call_batch()
+    assert type(batch.value) is type(one.value)
+    assert str(batch.value) == str(one.value)
+
+
+class TestExactDerivMany:
+    @pytest.mark.parametrize("f", [
+        *(builtin(n) for n in ("one", "identity", "square", "cube", "exp",
+                               "sin", "cos", "t_sin", "sqrt", "log")),
+        power_fn(0.5), power_fn(2.5, shift=0.05), power_fn(3.0),
+        parse_expr("exp(-t/3) * sin(t) + cos(2*t) - log(t + 1) "
+                   "+ sqrt(abs(t - 2)) + t^0.9 - -t"),
+        vector_fn([builtin("exp"), builtin("sin"), parse_expr("t^0.5")]),
+        matrix_fn([[builtin("one"), builtin("cube")],
+                   [parse_expr("log(t)"), builtin("cos")]]),
+        diag_fn([builtin("sin"), builtin("exp")]),
+        CallableFn(math.sin, deriv=math.cos),
+        CallableFn(lambda t: [t, t * t], deriv=lambda t: [1.0, 2.0 * t]),
+        PointPatchedFn(builtin("exp"), at=0.0, value=2.0),
+    ], ids=lambda f: f.label or type(f).__name__)
+    def test_rows_match_the_point_loop(self, rng, f):
+        ts = _points(rng, 0.1, 6.0, 200)
+        got = f.exact_deriv_many(ts)
+        assert got is not None
+        assert _bits_equal(got, _stacked_exact(f, ts))
+        assert _bits_equal(f.exact_deriv_many(ts[:1])[0], f.exact_deriv(ts[0]))
+
+    @pytest.mark.parametrize("f", [
+        GridFn([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 0.0, 1.0]),
+        CallableFn(math.sin),
+        # the patched point mid-batch
+        PointPatchedFn(builtin("exp"), at=1.0, value=2.0),
+        vector_fn([builtin("exp"), CallableFn(math.sin)]),
+    ], ids=lambda f: f.label or type(f).__name__)
+    def test_none_when_unavailable_at_a_point(self, f):
+        ts = [0.5, 1.0, 1.5]
+        assert _stacked_exact(f, ts) is None
+        assert f.exact_deriv_many(ts) is None
+
+    @pytest.mark.parametrize("f,ts", [
+        # sqrt' and log' at 0 divide by zero inside the derivative closure
+        (builtin("sqrt"), [1.0, 0.0, 2.0, -1.0]),
+        (builtin("log"), [2.0, 0.0, 1.0]),
+        (power_fn(0.5), [1.0, 0.0, -1.0]),
+        (parse_expr("sqrt(t)"), [4.0, 0.0, 1.0]),
+        (builtin("exp"), [1.0, 800.0, 2.0]),
+        (vector_fn([builtin("sin"), power_fn(0.5)]), [1.0, -2.0, 0.0]),
+        (PointPatchedFn(power_fn(0.5), at=1.0, value=2.0), [2.0, 0.0, 1.0]),
+    ], ids=lambda v: getattr(v, "label", None) or "")
+    def test_names_the_first_bad_point(self, f, ts):
+        first_bad = next(t for t in ts if _exact_raises(f, t))
+        _same_error(lambda: f.exact_deriv_many(ts),
+                    lambda: f.exact_deriv(first_bad))
+        with pytest.raises(DomainError):
+            f.exact_deriv(first_bad)
+
+
+def _exact_raises(f, t):
+    try:
+        f.exact_deriv(t)
+    except Exception:
+        return True
+    return False
+
+
+_GRID = GridFn(np.linspace(0.0, 4.0, 17), np.sin(np.linspace(0.0, 4.0, 17)))
+_DERIV_FNS = {
+    "exp": builtin("exp"),
+    # a finite domain: its right edge leaves only left probes
+    "grid": _GRID,
+    "vector": vector_fn([builtin("sin"), builtin("exp"), builtin("cube")]),
+    "matrix": diag_fn([builtin("sin"), parse_expr("t^0.5")]),
+    # a kink at t = 1: the one-sided estimates disagree there
+    "kink": parse_expr("abs(t - 1)"),
+    "patched": PointPatchedFn(builtin("sin"), at=1.0, value=5.0),
+}
+_DERIV_T = st.one_of(
+    st.floats(min_value=1e-3, max_value=4.0),
+    st.sampled_from([4.0, 1.0, 0.5, 1e-300, 0.0, -0.5, 4.5]),
+)
+
+
+def _deriv_or_error(f, p, t, side):
+    try:
+        return conf_deriv(f, p, t, side=side)
+    except Exception as exc:
+        return exc
+
+
+def _same_result(a, b):
+    assert _bits_equal(a.value.data, b.value.data)
+    assert _bits_equal(a.err_estimate, b.err_estimate)
+    for name in ("side", "converged", "steps_used", "detail"):
+        assert getattr(a, name) == getattr(b, name)
+    for name in ("left", "right"):
+        u, v = getattr(a, name), getattr(b, name)
+        assert (u is None) == (v is None)
+        if u is not None:
+            assert _bits_equal(u.data, v.data)
+
+
+@settings(max_examples=150, deadline=None)
+# the first failing point's error, not the first one a batch step meets:
+# probes outside the domain before a point at the terminal, an
+# underflowing step before a point below it
+@example("grid", 0.5, "two-sided", [1.0, 4.5, 0.0])
+@example("exp", 0.5, "right", [1.0, 1e-300, -1.0])
+@given(st.sampled_from(sorted(_DERIV_FNS)), st.sampled_from([0.1, 0.5, 1.0]),
+       st.sampled_from(["two-sided", "left", "right"]),
+       st.lists(_DERIV_T, min_size=1, max_size=5))
+def test_conf_deriv_many_equals_the_loop(fname, alpha, side, ts):
+    f, p = _DERIV_FNS[fname], ConfParams(alpha)
+    loop = [_deriv_or_error(f, p, t, side) for t in ts]
+    bad = next((r for r in loop if isinstance(r, Exception)), None)
+    if bad is not None:
+        with pytest.raises(Exception) as batch:
+            conf_deriv_many(f, p, ts, side=side)
+        assert type(batch.value) is type(bad)
+        assert str(batch.value) == str(bad)
+        return
+    got = conf_deriv_many(f, p, ts, side=side)
+    assert len(got) == len(loop)
+    for a, b in zip(got, loop):
+        _same_result(a, b)
+
+
+def test_conf_deriv_many_mixes_sides_at_a_domain_edge():
+    # the edge point is one-sided among two-sided neighbours
+    got = conf_deriv_many(_GRID, ConfParams(0.5), [3.5, 4.0, 2.0])
+    assert [r.side for r in got] == ["two-sided", "left", "two-sided"]
+    assert [r.steps_used for r in got] == [17, 9, 17]
+    assert "right probes unavailable" in got[1].detail
+    assert conf_deriv_many(_GRID, ConfParams(0.5), []) == []
+
+
+# The one-point integrands the batch integrands replace.  Each copy below
+# is the check as it read when its integrand was a CallableFn called once
+# per quadrature node or difference probe.
+
+
+def _left_inverse_reference(f, p, t, route):
+    tol = identities._SUITE_TOL
+    inputs = {"alpha": p.alpha, "a": p.a, "t": t, "route": route}
+    subject = identities._label(f)
+    fa, _fa_err, fa_ok = one_sided_limit(f, p.a, "right")
+    if not fa_ok:
+        return None
+    use_scaled = route == "scaled"
+    if route == "auto":
+        try:
+            use_scaled = f.exact_deriv(t) is not None
+        except DomainError:
+            use_scaled = False
+    err_seen = [0.0]
+    inner = Tolerance()
+    term_cache = []
+
+    def terminal():
+        if not term_cache:
+            term_cache.append(lower_terminal_deriv(f, p).value.data)
+        return term_cache[0]
+
+    s_floor = 4096.0 * _EPS * max(1.0, abs(p.a))
+
+    def tf(s):
+        if (s <= p.a) if use_scaled else (s - p.a <= s_floor):
+            return terminal()
+        if use_scaled:
+            r = conf_deriv_scaled(f, p, s, tol=inner)
+        else:
+            r = conf_deriv(f, p, s, tol=inner)
+        if r.err_estimate > err_seen[0]:
+            err_seen[0] = r.err_estimate
+        return r.value.data
+
+    tf_fn = CallableFn(tf, domain=(p.a, f.domain[1]), label=f"T[{subject}]")
+    integral, _q_err, _evals = conf_integral_info(
+        tf_fn, p, t, tol=Tolerance(rel=1e-9, abs=1e-9),
+        noise=lambda: err_seen[0],
+    )
+    rhs = f.eval(t).data - fa.data
+    residual = _mnorm(integral.data - rhs)
+    threshold = tol.abs + tol.rel * (1.0 + _mnorm(rhs))
+    return identities._result("LEFT_INV_3_5", subject, inputs,
+                              to_jsonable(integral), to_jsonable(rhs),
+                              residual, threshold)
+
+
+def _algebra_reference(f, g, c, d, p, t):
+    # lhs, residual and status of the four rules, in order
+    tol, inner = identities._SUITE_TOL, Tolerance()
+    lo = max(f.domain[0], g.domain[0])
+    hi = min(f.domain[1], g.domain[1])
+    rf = conf_deriv(f, p, t, tol=inner)
+    rg = conf_deriv(g, p, t, tol=inner)
+    fv, gv = f.eval(t).data, g.eval(t).data
+    both = rf.converged and rg.converged
+    out = []
+
+    def case(r, rhs, extra):
+        residual = _mnorm(r.value.data - rhs)
+        threshold = tol.abs + tol.rel * (1.0 + _mnorm(rhs)) + extra
+        status = "passed" if residual <= threshold else "failed"
+        return to_jsonable(r.value), residual, status
+
+    comb = CallableFn(
+        lambda s: c * np.asarray(f(s), dtype=float) + d * np.asarray(g(s), dtype=float),
+        domain=(lo, hi))
+    r_comb = conf_deriv(comb, p, t, tol=inner)
+    if both and r_comb.converged:
+        out.append(case(r_comb, c * rf.value.data + d * rg.value.data,
+                        4.0 * (abs(c) * rf.err_estimate + abs(d) * rg.err_estimate
+                               + r_comb.err_estimate)))
+    else:
+        out.append(None)
+    const_fn = CallableFn(lambda s: fv, domain=(lo, hi))
+    out.append(case(conf_deriv(const_fn, p, t, tol=inner), 0.0 * fv, 0.0))
+    if not (fv.ndim == 0 and gv.ndim == 0 and both):
+        return out + [None, None]
+    prod = CallableFn(lambda s: float(f(s)) * float(g(s)), domain=(lo, hi))
+    r_prod = conf_deriv(prod, p, t, tol=inner)
+    out.append(case(r_prod, gv * rf.value.data + fv * rg.value.data,
+                    4.0 * (_mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate
+                           + r_prod.err_estimate))
+               if r_prod.converged else None)
+
+    def quot(s):
+        den = float(g(s))
+        if den == 0.0:
+            raise DomainError(f"g vanishes at t = {s}")
+        return float(f(s)) / den
+
+    if abs(float(gv)) <= 1e-12:
+        return out + [None]
+    try:
+        r_quot = conf_deriv(CallableFn(quot, domain=(lo, hi)), p, t, tol=inner)
+    except DomainError as exc:
+        return out + [str(exc)]
+    g2 = float(gv) * float(gv)
+    out.append(case(r_quot, (gv * rf.value.data - fv * rg.value.data) / g2,
+                    4.0 * ((_mnorm(gv) * rf.err_estimate
+                            + _mnorm(fv) * rg.err_estimate) / g2
+                           + r_quot.err_estimate))
+               if r_quot.converged else None)
+    return out
+
+
+def _sin_with_a_hole():
+    # exact derivative raises inside (0.3, 0.4): those panels fall back
+    def deriv(t):
+        if 0.3 < t < 0.4:
+            raise DomainError(f"no exact derivative at {t}")
+        return math.cos(t)
+
+    return CallableFn(math.sin, deriv=deriv, label="sin, hole in f'")
+
+
+class TestIntegrandsMatchTheOnePointCode:
+    @pytest.mark.parametrize("f,alpha,a,t,route", [
+        (builtin("exp"), 0.5, 0.0, 1.0, "scaled"),
+        (builtin("exp"), 0.5, 0.0, 1.0, "theta"),
+        # the noise floor read after each panel decides its refinement here
+        (builtin("exp"), 0.5, 0.0, 0.5, "theta"),
+        (vector_fn([builtin("sin"), builtin("exp")]), 0.9, 0.0, 2.0, "scaled"),
+        (diag_fn([builtin("sin"), builtin("exp")]), 0.1, 0.0, 1.0, "theta"),
+        (parse_expr("t^0.5 + sin(t)"), 0.5, 0.0, 1.0, "auto"),
+        # s = a + u^(1/alpha) rounds to the terminal a = 1
+        (power_fn(0.5, shift=1.0), 0.5, 1.0, 2.0, "scaled"),
+        # a bounded jump at the terminal
+        (PointPatchedFn(power_fn(0.5), at=0.0, value=2.0), 0.5, 0.0, 1.5, "scaled"),
+        # no exact derivative: the interpolant's, point by point
+        (GridFn(np.linspace(0.0, 2.0, 9), np.linspace(0.0, 2.0, 9) ** 2),
+         1.0, 0.0, 1.5, "scaled"),
+        (_sin_with_a_hole(), 0.5, 0.0, 1.0, "scaled"),
+    ], ids=lambda v: getattr(v, "label", None) or str(v))
+    def test_left_inverse(self, f, alpha, a, t, route):
+        p = ConfParams(alpha, a)
+        got = check_left_inverse(f, p, t, route=route)
+        want = _left_inverse_reference(f, p, t, route)
+        assert got.lhs == want.lhs
+        assert got.residual == want.residual
+        assert got.status == want.status
+
+    @pytest.mark.parametrize("f,g,t", [
+        (builtin("exp"), parse_expr("2 + sin(t)"), 1.0),
+        (builtin("t_sin"), parse_expr("2 + sin(t)"), 2.5),
+        (vector_fn([builtin("sin"), builtin("exp")]),
+         vector_fn([parse_expr("2 + sin(t)")] * 2), 1.0),
+        (diag_fn([builtin("identity"), builtin("square")]),
+         diag_fn([parse_expr("2 + sin(t)")] * 2), 0.5),
+        # value shapes broadcast against each other as for one point
+        (builtin("exp"), vector_fn([builtin("sin"), builtin("cos")]), 1.0),
+        # g(t) = 0: quotient not applicable
+        (builtin("exp"), parse_expr("sin(t)"), math.pi),
+    ], ids=lambda v: getattr(v, "label", None) or str(v))
+    def test_algebra_rules(self, f, g, t):
+        p = ConfParams(0.5)
+        got = check_algebra_rules(f, g, 1.75, -2.5, p, t)
+        want = _algebra_reference(f, g, 1.75, -2.5, p, t)
+        for case, ref in zip(got, want):
+            if ref is None:
+                assert case.status == "not_applicable"
+                continue
+            lhs, residual, status = ref
+            assert case.lhs == lhs
+            assert case.residual == residual
+            assert case.status == status
+
+    def test_quotient_names_the_first_zero_of_g(self):
+        # g patched to 0 at the third right probe around t = 1
+        seen = []
+        conf_deriv(CallableFn(lambda s: seen.append(s) or 1.0), ConfParams(0.5), 1.0)
+        g = PointPatchedFn(parse_expr("2 + sin(t)"), at=seen[3], value=0.0)
+        got = check_algebra_rules(builtin("exp"), g, 1.0, 1.0, ConfParams(0.5), 1.0)
+        want = _algebra_reference(builtin("exp"), g, 1.0, 1.0, ConfParams(0.5), 1.0)
+        assert got[3].status == "not_applicable"
+        assert got[3].diagnostics == want[3] == f"g vanishes at t = {seen[3]}"
+
+
+def _count_batches(monkeypatch):
+    calls = []
+    original = AbstractFn.eval_many
+
+    def counted(self, ts):
+        calls.append((self.label, np.size(ts), np.array(ts, dtype=float)))
+        return original(self, ts)
+
+    monkeypatch.setattr(AbstractFn, "eval_many", counted)
+    return calls
+
+
+class TestOneCallPerBatch:
+    @pytest.mark.parametrize("route", ["scaled", "theta"])
+    def test_left_inverse_integrand(self, monkeypatch, route):
+        calls = _count_batches(monkeypatch)
+        check_left_inverse(builtin("exp"), ConfParams(0.5), 1.0, route=route)
+        nodes = [ts for label, _n, ts in calls if label == "T[exp]"]
+        # the graded coarse partition's 25 panels in one call, then one
+        # call of both Gauss rules (17 nodes) per refined panel
+        assert [ts.size for ts in nodes[:2]] == [250, 17]
+        assert {ts.size for ts in nodes[1:]} == {17}
+        if route == "theta":
+            # one call of 17 probes per node for the nodes of each integrand
+            # call that are not at the terminal (calls of one node are left
+            # out: lower_terminal_deriv makes such calls too)
+            interior = [int((ts > 4096.0 * _EPS).sum()) for ts in nodes]
+            probes = [n for label, n, _ts in calls if label == "exp" and n > 17]
+            assert probes == [17 * k for k in interior if k > 1]
+
+    def test_algebra_integrands(self, monkeypatch):
+        calls = _count_batches(monkeypatch)
+        check_algebra_rules(builtin("exp"), parse_expr("2 + sin(t)"), 1.5, -0.5,
+                            ConfParams(0.5), 1.0)
+        for label in ("1.5*f + -0.5*g", "const f(t)", "f*g", "f/g"):
+            assert [n for lab, n, _ts in calls if lab == label] == [17]
+        # f's derivative and its value at t, read once, then one batch for
+        # each of the combination, the product and the quotient
+        assert [n for lab, n, _ts in calls if lab == "exp"] == [17, 1, 17, 17, 17]
+
+
+def test_refine_calls_both_rules_in_node_order():
+    # a stateful integrand sees each refined panel's 10 Gauss nodes, then
+    # its 7, in one call
+    seen = []
+    f = CallableFn(lambda s: seen.append(s) or math.sqrt(s), domain=(0.0, 4.0))
+    conf_integral_info(f, ConfParams(1.0), 4.0)
+    x10, x7 = (np.polynomial.legendre.leggauss(n)[0] for n in (10, 7))
+    lo, hi = 0.0, 4.0  # the first refined panel is the whole range
+    c, m = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    assert seen[10:27] == (m + c * np.concatenate([x10, x7])).tolist()
