@@ -11,6 +11,7 @@ from .calculus import (
     conf_deriv,
     conf_deriv_many,
     conf_deriv_scaled,
+    conf_deriv_scaled_many,
     conf_integral,
     conf_integral_info,
     convert_order,
@@ -86,8 +87,8 @@ __all__ = [
     "load_grid_csv", "evaluate", "exact_first_deriv",
     # kernels
     "Tolerance", "ConfParams", "DerivResult",
-    "conf_deriv", "conf_deriv_many", "conf_deriv_scaled", "classical_deriv",
-    "convert_order",
+    "conf_deriv", "conf_deriv_many", "conf_deriv_scaled",
+    "conf_deriv_scaled_many", "classical_deriv", "convert_order",
     "lower_terminal_deriv", "one_sided_limit",
     "conf_integral", "conf_integral_info", "weighted_integral",
     "deriv_of_integral", "avg_recover",

@@ -10,7 +10,8 @@ integrals with controlled error:
   extrapolation, one-sided and symmetric (:func:`conf_deriv`,
   :func:`classical_deriv`);
 * the scaled form ``(t-a)**(1-alpha) * f'(t)`` as an independent route
-  (:func:`conf_deriv_scaled`);
+  (:func:`conf_deriv_scaled`, and :func:`conf_deriv_scaled_many` for a
+  batch of points);
 * order conversion between two alphas at a fixed point
   (:func:`convert_order`);
 * values at the lower terminal itself as limits of interior derivatives
@@ -62,6 +63,7 @@ __all__ = [
     "conf_deriv",
     "conf_deriv_many",
     "conf_deriv_scaled",
+    "conf_deriv_scaled_many",
     "classical_deriv",
     "convert_order",
     "lower_terminal_deriv",
@@ -382,7 +384,9 @@ def conf_deriv_many(
     the extrapolation tableaux of all points are built together.  Result
     i equals ``conf_deriv(f, p, ts[i], side, tol)`` field for field, bit
     for bit.  On any error the points are re-run one at a time, so the
-    error raised is the one the first failing ``conf_deriv`` raises.
+    error raised is the one the first failing ``conf_deriv`` raises; the
+    probes of the points before it are then evaluated a second time,
+    which a stateful :class:`~confcalc.funcs.CallableFn` would see.
     """
     tol = tol if tol is not None else Tolerance()
     if side not in ("left", "right", "two-sided"):
@@ -422,13 +426,13 @@ def conf_deriv_scaled(
     f' comes from the exact derivative when the function carries one, from
     the interpolant (with an inflated error bound) for grid data, and from
     classical differencing otherwise.  Never evaluates the limit quotient,
-    so it can cross-check :func:`conf_deriv`.
+    so it can cross-check :func:`conf_deriv`.  :func:`conf_deriv_scaled_many`
+    gives its values and error estimates at a batch of points.
     """
     tol = tol if tol is not None else Tolerance()
     t = float(t)
     _require_interior(p, t)
     f._check_domain(t)
-    s = pow_real(t - p.a, 1.0 - p.alpha)
 
     note = ""
     d = None
@@ -437,13 +441,14 @@ def conf_deriv_scaled(
     except DomainError:
         note = "exact derivative undefined at t; numeric fallback; "
     if d is not None:
-        val = s * np.asarray(d, dtype=float)
-        err = _err_floor(val)
+        (val,), (err,) = _scaled_exact(
+            p, np.array([t]), np.asarray(d, dtype=float)[None])
         return DerivResult(
             VecValue(val), err, "two-sided", True, 0,
             detail="scaled exact first derivative",
         )
 
+    s = pow_real(t - p.a, 1.0 - p.alpha)
     if isinstance(f, GridFn):
         dv, de = f.interp_deriv(t)
         val = s * np.asarray(dv, dtype=float)
@@ -468,6 +473,61 @@ def conf_deriv_scaled(
         right=VecValue(s * r.right.data) if r.right is not None else None,
         detail=note + "scaled classical difference derivative",
     )
+
+
+def conf_deriv_scaled_many(
+    f: AbstractFn, p: ConfParams, ts, tol: Tolerance | None = None
+) -> tuple[np.ndarray, list[float]]:
+    """Values and error estimates of :func:`conf_deriv_scaled` at each of
+    the points ``ts``.
+
+    Returns the values stacked, shape (n, *value shape), and the list of
+    their ``err_estimate``; row i and entry i equal those fields of
+    ``conf_deriv_scaled(f, p, ts[i], tol)`` bit for bit, and an error is
+    the one the first failing point raises.  The other fields are left
+    out: a quadrature integrand needs only these two, and building a
+    :class:`DerivResult` per node costs more than the derivative.  When
+    ``f`` has a closed-form derivative (expressions, builtins and their
+    composites), the exact derivatives of the whole batch come from one
+    :meth:`~confcalc.funcs.AbstractFn.exact_deriv_many` call.  If that
+    derivative is unavailable or undefined at some point, and for every
+    other kind of function, the points run one at a time through
+    :func:`conf_deriv_scaled`, in order, so a
+    :class:`~confcalc.funcs.CallableFn`'s derivative is called once per
+    point.
+    """
+    tol = tol if tol is not None else Tolerance()
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+
+    def one_by_one(x):
+        return _stacked([conf_deriv_scaled(f, p, t, tol) for t in x.tolist()])
+
+    def run(x):
+        for t in x.tolist():
+            _require_interior(p, t)
+            f._check_domain(t)
+        try:
+            d = f.exact_deriv_many(x)
+        except DomainError:
+            d = None
+        return one_by_one(x) if d is None else _scaled_exact(p, x, d)
+
+    if f._derivs is None:
+        return one_by_one(ts)
+    return run_batch(run, ts)
+
+
+def _scaled_exact(p: ConfParams, ts: np.ndarray, d: np.ndarray):
+    # (t-a)^(1-alpha) * f'(t) for stacked exact derivatives d at the
+    # points ts, and its error estimates
+    vals = _per_row(elementwise(pow_real, ts - p.a, 1.0 - p.alpha), d) * d
+    return vals, _err_floors(vals).tolist()
+
+
+def _stacked(results):
+    # the values of a list of DerivResults, stacked, and their estimates
+    return (np.array([r.value.data for r in results]),
+            [r.err_estimate for r in results])
 
 
 def convert_order(Ta, alpha: float, beta: float, a: float, t0: float) -> VecValue:

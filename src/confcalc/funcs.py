@@ -107,22 +107,29 @@ class AbstractFn:
         """Raw exact first derivative, or None when unavailable."""
         if self._derivs is None:
             return None
-        d = self.exact_deriv_many((t,))
+        d = self._derivs(self._inside(np.array([float(t)])))
         return None if d is None else d[0]
 
     def exact_deriv_many(self, ts):
         """Exact first derivatives at the points ``ts``, shape (n, *value
         shape), or None when one is unavailable at any of them.
 
-        Row i is bit-identical to ``exact_deriv(ts[i])``, and an error is
-        the one ``exact_deriv`` raises at the first bad t in input order.
+        Row i is bit-identical to ``exact_deriv(ts[i])``.  The answer is
+        the one a loop over ``exact_deriv`` in input order gives: the
+        first point whose derivative is unavailable or raises decides,
+        None for the one and that point's own error for the other.
         Kinds with a closed form evaluate the batch as arrays after one
-        domain check; the others loop over their own ``exact_deriv`` in
-        order and stop at the first None.
+        domain check, and when that batch meets None or an error they run
+        that loop; the other kinds always loop.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        if self._derivs is not None:
-            return run_batch(lambda x: self._derivs(self._inside(x)), ts)
+        if self._derivs is not None and ts.size != 1:
+            try:
+                d = self._derivs(self._inside(ts))
+            except Exception:
+                d = None
+            if d is not None:
+                return d
         rows = []
         for t in ts.tolist():
             d = self.exact_deriv(t)
@@ -489,6 +496,8 @@ class CompositeFn(AbstractFn):
         return np.stack(cols, axis=1).reshape((ts.size,) + self._shape)
 
     def _derivs(self, ts: np.ndarray):
+        # every component is asked, so at one point an error of any
+        # component wins over another's None, whatever their order
         cols = [f.exact_deriv_many(ts) for f in self._flat]
         if any(d is None for d in cols):
             return None
@@ -534,7 +543,8 @@ class CallableFn(AbstractFn):
 
     def eval_many(self, ts) -> np.ndarray:
         # one point at a time, in order: the callable may keep state, so a
-        # batch stops at its first bad t and calls no point twice
+        # batch stops at its first bad t and calls no point twice (a
+        # composite holding this function re-runs its own failed batch)
         ts = np.asarray(ts, dtype=float).reshape(-1)
         return np.array([AbstractFn.eval_many(self, ts[i:i + 1])[0]
                          for i in range(ts.size)])

@@ -33,13 +33,13 @@ from .calculus import (
     _EPS,
     ConfParams,
     Tolerance,
-    _err_floors,
     _mnorm,
-    _per_row,
+    _stacked,
     _terminal_limit,
     conf_deriv,
     conf_deriv_many,
     conf_deriv_scaled,
+    conf_deriv_scaled_many,
     conf_integral_info,
     convert_order,
     deriv_of_integral,
@@ -48,7 +48,6 @@ from .calculus import (
     avg_recover,
 )
 from .errors import ConfcalcError, DomainError, LowerTerminalError
-from .expr import elementwise, pow_real
 from .funcs import (
     AbstractFn,
     ExprFn,
@@ -229,12 +228,6 @@ def _rowwise(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return op(x, y)
 
 
-def _stacked(results):
-    # the values of a list of DerivResults, stacked, and their estimates
-    return (np.array([r.value.data for r in results]),
-            [r.err_estimate for r in results])
-
-
 class _BatchFn(AbstractFn):
     """A derived function given by its values on a whole batch of points.
 
@@ -405,17 +398,7 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
         notes.append("integrand from the scaled derivative route")
 
         def interior(ss):
-            try:
-                d = f.exact_deriv_many(ss)
-            except DomainError:
-                d = None
-            if d is None:
-                # conf_deriv_scaled's own fallback, point by point
-                return _stacked([conf_deriv_scaled(f, p, s, tol=inner)
-                                 for s in ss.tolist()])
-            # (s-a)^(1-alpha) * f'(s), as conf_deriv_scaled forms it
-            vals = _per_row(elementwise(pow_real, ss - p.a, 1.0 - p.alpha), d) * d
-            return vals, _err_floors(vals).tolist()
+            return conf_deriv_scaled_many(f, p, ss, tol=inner)
 
         def at_terminal(ss):
             # a + u^(1/alpha) rounded to the terminal itself

@@ -1,5 +1,5 @@
 """The batched evaluation path: eval_many, exact_deriv_many, conf_deriv_many,
-column Richardson, node-order panels and the batch integrands of the
+conf_deriv_scaled_many, column Richardson, node-order panels and the batch integrands of the
 identity checks.
 
 Every batch must give, point for point, the bits that one-point
@@ -29,6 +29,7 @@ from confcalc import (
     conf_deriv,
     conf_deriv_many,
     conf_deriv_scaled,
+    conf_deriv_scaled_many,
     diag_fn,
     matrix_fn,
     parse_expr,
@@ -395,6 +396,33 @@ class TestExactDerivMany:
             f.exact_deriv(first_bad)
 
 
+    @pytest.mark.parametrize("patched_first", [True, False])
+    def test_the_first_point_in_order_decides(self, patched_first):
+        # at t = 1 the patched component has no derivative, at t = 0
+        # power_fn(0.5)' raises: the loop answers for whichever comes first
+        patched = PointPatchedFn(builtin("exp"), at=1.0, value=2.0)
+        comps = [patched, power_fn(0.5)]
+        f = vector_fn(comps if patched_first else comps[::-1])
+        assert _exact_loop(f, [1.0, 0.0]) is None
+        assert f.exact_deriv_many([1.0, 0.0]) is None
+        assert f.exact_deriv_many([2.0, 1.0, 0.0]) is None
+        _same_error(lambda: f.exact_deriv_many([0.0, 1.0]),
+                    lambda: _exact_loop(f, [0.0, 1.0]))
+        # at one point an error beats None, whatever the component order
+        _same_error(lambda: f.exact_deriv(0.0), lambda: power_fn(0.5).exact_deriv(0.0))
+
+
+def _exact_loop(f, ts):
+    # exact_deriv point by point, stopping at the first None or error
+    rows = []
+    for t in ts:
+        d = f.exact_deriv(float(t))
+        if d is None:
+            return None
+        rows.append(np.asarray(d, dtype=float))
+    return np.array(rows)
+
+
 def _exact_raises(f, t):
     try:
         f.exact_deriv(t)
@@ -471,6 +499,77 @@ def test_conf_deriv_many_mixes_sides_at_a_domain_edge():
     assert [r.steps_used for r in got] == [17, 9, 17]
     assert "right probes unavailable" in got[1].detail
     assert conf_deriv_many(_GRID, ConfParams(0.5), []) == []
+
+
+def _sin_with_a_hole():
+    # exact derivative raises inside (0.3, 0.4): those panels fall back
+    def deriv(t):
+        if 0.3 < t < 0.4:
+            raise DomainError(f"no exact derivative at {t}")
+        return math.cos(t)
+
+    return CallableFn(math.sin, deriv=deriv, label="sin, hole in f'")
+
+
+def _scaled_or_error(f, p, t):
+    try:
+        return conf_deriv_scaled(f, p, t)
+    except Exception as exc:
+        return exc
+
+
+class TestConfDerivScaledMany:
+    @pytest.mark.parametrize("f", [
+        builtin("exp"),
+        power_fn(0.5),
+        vector_fn([builtin("sin"), builtin("exp"), parse_expr("t^0.5")]),
+        diag_fn([builtin("identity"), builtin("square")]),
+        # f' undefined at t = 1 inside the batch: every point falls back
+        parse_expr("sqrt(abs(t - 1))"),
+        GridFn(np.linspace(0.0, 4.0, 9), np.linspace(0.0, 4.0, 9) ** 2),
+        CallableFn(math.sin, deriv=math.cos),
+        _sin_with_a_hole(),
+        PointPatchedFn(builtin("exp"), at=1.0, value=2.0),
+    ], ids=lambda f: f.label or type(f).__name__)
+    def test_equals_the_point_loop(self, f):
+        p = ConfParams(0.5)
+        ts = np.concatenate([np.linspace(0.05, 3.0, 24), [1.0, 0.35]])
+        vals, errs = conf_deriv_scaled_many(f, p, ts)
+        assert len(vals) == len(errs) == ts.size
+        for t, v, e in zip(ts, vals, errs):
+            r = conf_deriv_scaled(f, p, t)
+            assert _bits_equal(v, r.value.data)
+            assert _bits_equal(e, r.err_estimate)
+
+    @pytest.mark.parametrize("f,ts", [
+        (builtin("exp"), [1.0, -0.5, 2.0]),
+        (builtin("exp"), [1.0, 800.0, 0.0]),
+        (power_fn(0.5), [1.0, 0.0]),
+        (GridFn([0.0, 1.0, 2.0], [0.0, 1.0, 4.0]), [1.5, 3.0, -1.0]),
+        (vector_fn([builtin("sin"), builtin("log")]), [2.0, 0.0]),
+    ], ids=lambda v: getattr(v, "label", None) or "")
+    def test_raises_the_first_failing_points_error(self, f, ts):
+        p = ConfParams(0.5)
+        bad = next(r for r in (_scaled_or_error(f, p, t) for t in ts)
+                   if isinstance(r, Exception))
+        with pytest.raises(Exception) as batch:
+            conf_deriv_scaled_many(f, p, ts)
+        assert type(batch.value) is type(bad)
+        assert str(batch.value) == str(bad)
+
+    def test_callable_derivative_called_once_per_point_in_order(self):
+        seen = []
+
+        def deriv(t):
+            seen.append(t)
+            if t == 1.0:
+                raise DomainError("no exact derivative at 1")
+            return math.cos(t)
+
+        ts = [0.5, 2.0, 1.0, 1.5]
+        conf_deriv_scaled_many(CallableFn(math.sin, deriv=deriv),
+                               ConfParams(0.5), ts)
+        assert seen == ts
 
 
 # The one-point integrands the batch integrands replace.  Each copy below
@@ -583,16 +682,6 @@ def _algebra_reference(f, g, c, d, p, t):
                            + r_quot.err_estimate))
                if r_quot.converged else None)
     return out
-
-
-def _sin_with_a_hole():
-    # exact derivative raises inside (0.3, 0.4): those panels fall back
-    def deriv(t):
-        if 0.3 < t < 0.4:
-            raise DomainError(f"no exact derivative at {t}")
-        return math.cos(t)
-
-    return CallableFn(math.sin, deriv=deriv, label="sin, hole in f'")
 
 
 class TestIntegrandsMatchTheOnePointCode:
