@@ -54,7 +54,7 @@ from .errors import (
 )
 from .expr import elementwise, pow_real
 from .funcs import AbstractFn, GridFn, run_batch
-from .vecspace import VecValue, as_vecvalue
+from .vecspace import VecValue, _mnorm, as_vecvalue
 
 __all__ = [
     "Tolerance",
@@ -83,12 +83,6 @@ _MAX_PANELS = 5000  # most panels one adaptive integral may refine
 _HALVES = np.array([0.5**k for k in range(_LEVELS)])  # the step schedule
 _BLOCK = 48  # extrapolation tableaux built at once: 16 points' three sides
 _SIDE_ORDERS = np.array([1, 1, 2])  # right, left and central quotients
-
-
-def _mnorm(x) -> float:
-    # max-abs norm: for replicated components it equals the scalar run's
-    # value bit for bit, which keeps control flow instance-agnostic
-    return float(np.abs(x).max())
 
 
 def _rownorms(x: np.ndarray, lead: int = 1) -> np.ndarray:
@@ -498,23 +492,15 @@ def conf_deriv_scaled_many(
     """
     tol = tol if tol is not None else Tolerance()
     ts = np.asarray(ts, dtype=float).reshape(-1)
-
-    def one_by_one(x):
-        return _stacked([conf_deriv_scaled(f, p, t, tol) for t in x.tolist()])
-
-    def run(x):
-        for t in x.tolist():
-            _require_interior(p, t)
-            f._check_domain(t)
+    d = None
+    if f._derivs is not None and (ts > p.a).all():
         try:
-            d = f.exact_deriv_many(x)
+            d = f.exact_deriv_many(ts)
         except DomainError:
-            d = None
-        return one_by_one(x) if d is None else _scaled_exact(p, x, d)
-
-    if f._derivs is None:
-        return one_by_one(ts)
-    return run_batch(run, ts)
+            pass
+    if d is None:
+        return _stacked([conf_deriv_scaled(f, p, t, tol) for t in ts.tolist()])
+    return _scaled_exact(p, ts, d)
 
 
 def _scaled_exact(p: ConfParams, ts: np.ndarray, d: np.ndarray):
@@ -693,7 +679,7 @@ def one_sided_limit(
         d0 = -min(0.1 * max(1.0, abs(at)), 0.5 * room)
 
     def sample(tk):
-        return f.eval(tk).data, 0.0, True
+        return f(tk), 0.0, True
 
     value, err, conv, _used, _note = _terminal_limit(sample, at, d0, tol)
     return VecValue(np.asarray(value, dtype=float)), float(err), bool(conv)
@@ -738,14 +724,10 @@ def _panels(g, lo, hi, *ns: int):
     return out
 
 
-def _panel(g, lo: float, hi: float, *ns: int):
-    # one panel: (integral, largest |g|) per rule
-    return [(v[0], float(scale[0])) for v, scale in _panels(g, lo, hi, *ns)]
-
-
 def _refine(g, lo, hi, budget, noise, depth, state):
     # both rules in one call: the 10 nodes, then the 7
-    (v10, s10), (v7, s7) = _panel(g, lo, hi, 10, 7)
+    (v10, s10), (v7, s7) = [(v[0], float(scale[0]))
+                            for v, scale in _panels(g, lo, hi, 10, 7)]
     state["evals"] += 17
     state["panels"] += 1
     if s10 > state["gmax"]:
@@ -821,11 +803,11 @@ def _quad_adaptive(g, lo, hi, tol, noise=None, grade=False):
 
 def _zero_like_probe(f: AbstractFn, a: float):
     try:
-        return 0.0 * f.eval(a).data
+        return 0.0 * f(a)
     except DomainError:
         lo, hi = f.domain
         probe = min(hi, a + 0.5 * max(1e-8, min(1.0, hi - a)))
-        return 0.0 * f.eval(probe).data
+        return 0.0 * f(probe)
 
 
 def conf_integral_info(
@@ -953,7 +935,7 @@ def deriv_of_integral(
         return v
 
     s = pow_real(t - p.a, 1.0 - p.alpha)
-    zero = 0.0 * f.eval(t).data
+    zero = 0.0 * f(t)
     (r,) = _deriv_core(
         g_inc, np.array([t]), np.array([s]), np.array([t - p.a]), lo, hi,
         side, tol,

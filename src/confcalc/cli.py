@@ -112,18 +112,20 @@ def _flat_header(label: str, sample) -> list:
 
 
 def _csv_records(records) -> str:
-    """Rows of t, value columns, err, converged; errors leave blanks."""
+    """Rows of t (alpha, a when the inputs have no t), value columns, err,
+    converged; errors leave blanks."""
     sample = None
     for r in records:
         if r.get("value") is not None:
             sample = r["value"]
             break
     vcols = _flat_header("v", sample) if sample is not None else ["v"]
-    header = ["t"] + vcols + ["err_estimate", "converged"]
+    lead = ["t"] if "t" in records[0]["inputs"] else ["alpha", "a"]
+    header = lead + vcols + ["err_estimate", "converged"]
     lines = [",".join(header)]
     for r in records:
-        t = r["inputs"].get("t")
-        row = [repr(float(t)) if t is not None else ""]
+        row = ["" if r["inputs"][k] is None else repr(float(r["inputs"][k]))
+               for k in lead]
         val = r.get("value")
         if val is None:
             row += [""] * len(vcols)
@@ -144,9 +146,10 @@ def _sweep(args, inputs: dict, compute, failed: dict) -> int:
     """One record per t point, written as JSON or CSV; returns the exit code.
 
     ``inputs`` holds the command's input fields in output order, with a
-    ``"t"`` slot that each record fills in.  ``compute(f, p, t, tol)``
-    returns the result fields, ``converged`` among them; a ConfcalcError
-    turns into a record with the ``failed`` fields and the error message.
+    ``"t"`` slot that each record fills in; without one there is a single
+    record, computed with t = None.  ``compute(f, p, t, tol)`` returns the
+    result fields, ``converged`` among them; a ConfcalcError turns into a
+    record with the ``failed`` fields and the error message.
     """
     f, src = _load_source(args)
     tol = _tolerance(args)
@@ -154,8 +157,8 @@ def _sweep(args, inputs: dict, compute, failed: dict) -> int:
     template = dict(src, **inputs, **_tol_fields(tol))
     records = []
     ok = True
-    for t in _t_values(args):
-        rec = {"inputs": dict(template, t=t)}
+    for t in _t_values(args) if "t" in inputs else [None]:
+        rec = {"inputs": template if t is None else dict(template, t=t)}
         try:
             rec.update(compute(f, p, t, tol), error=None)
         except ConfcalcError as exc:
@@ -224,45 +227,21 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_limit(args) -> int:
-    f, src = _load_source(args)
-    tol = _tolerance(args)
-    p = ConfParams(args.alpha, args.a)
-    inputs = dict(src, alpha=args.alpha, a=args.a, **_tol_fields(tol))
-    try:
+    def compute(f, p, _t, tol):
         r = lower_terminal_deriv(f, p, tol=tol)
-        rec = {
-            "inputs": inputs,
+        return {
             "value": to_jsonable(r.value),
             "err_estimate": r.err_estimate,
             "converged": r.converged,
             "steps_used": r.steps_used,
             "detail": r.detail,
-            "error": None,
         }
-        ok = r.converged
-    except ConfcalcError as exc:
-        rec = {
-            "inputs": inputs, "value": None, "err_estimate": None,
-            "converged": False, "steps_used": 0, "detail": "",
-            "error": f"{type(exc).__name__}: {exc}",
-        }
-        ok = False
-    if args.format == "json":
-        text = _json_out({"records": [rec]})
-    else:
-        val = rec["value"]
-        cols = _flat_header("v", val) if val is not None else ["v"]
-        lines = [",".join(["alpha", "a"] + cols + ["err_estimate", "converged"])]
-        row = [repr(float(args.alpha)), repr(float(args.a))]
-        if val is None:
-            row += [""] * len(cols) + ["", "false"]
-        else:
-            row += [repr(float(v)) for v in np.ravel(np.asarray(val))]
-            row += [repr(float(rec["err_estimate"])), str(rec["converged"]).lower()]
-        lines.append(",".join(row))
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
-    return 0 if ok else 1
+
+    return _sweep(
+        args, {"alpha": args.alpha, "a": args.a}, compute,
+        {"value": None, "err_estimate": None, "converged": False,
+         "steps_used": 0, "detail": ""},
+    )
 
 
 def _cmd_check(args) -> int:

@@ -41,7 +41,7 @@ import numpy as np
 from . import expr as _e
 from .errors import DomainError, ShapeError
 from .expr import elementwise
-from .vecspace import VecValue
+from .vecspace import VecValue, _mnorm
 
 __all__ = [
     "AbstractFn",
@@ -434,7 +434,8 @@ class GridFn(AbstractFn):
 
         The bound is inflated by the interpolation order: for linear data
         it is the jump between neighboring chord slopes, for cubic it is
-        scaled by the local third differences.
+        scaled by the local third differences.  Both use the componentwise
+        max norm, so replicated value columns get the scalar grid's bound.
         """
         self._check_domain(t)
         ts = self.nodes_t
@@ -446,18 +447,14 @@ class GridFn(AbstractFn):
         if self.interp == "linear":
             jm = self._chord(max(i - 1, 0))
             jp = self._chord(min(i + 1, ts.size - 2))
-            err = float(
-                max(np.linalg.norm(chord - jm), np.linalg.norm(jp - chord))
-            )
-            return chord, err
+            return chord, max(_mnorm(chord - jm), _mnorm(jp - chord))
         s0, s1 = self._slopes[i], self._slopes[i + 1]
         d00 = (6.0 * x * x - 6.0 * x) / h
         d10 = 3.0 * x * x - 4.0 * x + 1.0
         d01 = -d00
         d11 = 3.0 * x * x - 2.0 * x
         val = d00 * v0 + d10 * s0 + d01 * v1 + d11 * s1
-        err = float(np.linalg.norm(s1 - s0) + np.linalg.norm(s0 + s1 - 2.0 * chord))
-        return val, err
+        return val, _mnorm(s1 - s0) + _mnorm(s0 + s1 - 2.0 * chord)
 
     def _chord(self, i: int):
         return (self.values[i + 1] - self.values[i]) / (
@@ -471,18 +468,18 @@ class CompositeFn(AbstractFn):
     kind = "composite"
 
     def __init__(self, components, label: str = ""):
-        comps = [list(row) for row in components] if _nested(components) else list(
-            components
-        )
-        if _nested(components):
+        comps = list(components)
+        if not comps:
+            raise ShapeError("empty composite")
+        if not isinstance(comps[0], AbstractFn):
+            # rows of functions: a square matrix
+            comps = [list(row) for row in comps]
             n = len(comps)
             if any(len(row) != n for row in comps):
                 raise ShapeError("matrix assembly needs an n by n grid of functions")
             flat = [f for row in comps for f in row]
             self._shape = (n, n)
         else:
-            if not comps:
-                raise ShapeError("empty composite")
             flat = comps
             self._shape = (len(comps),)
         lo = max(f.domain[0] for f in flat)
@@ -502,11 +499,6 @@ class CompositeFn(AbstractFn):
         if any(d is None for d in cols):
             return None
         return np.stack(cols, axis=1).reshape((ts.size,) + self._shape)
-
-
-def _nested(components) -> bool:
-    first = next(iter(components))
-    return not isinstance(first, AbstractFn)
 
 
 def vector_fn(components: Sequence[AbstractFn], label: str = "") -> CompositeFn:

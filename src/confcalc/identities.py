@@ -33,7 +33,6 @@ from .calculus import (
     _EPS,
     ConfParams,
     Tolerance,
-    _mnorm,
     _stacked,
     _terminal_limit,
     conf_deriv,
@@ -56,7 +55,7 @@ from .funcs import (
     power_fn,
     vector_fn,
 )
-from .vecspace import to_jsonable
+from .vecspace import _mnorm, as_vecvalue, to_jsonable
 
 __all__ = [
     "IDENTITY_IDS",
@@ -78,22 +77,6 @@ __all__ = [
     "run_suite",
     "run_case",
 ]
-
-IDENTITY_IDS = (
-    "CONTINUITY_3_1",
-    "ORDER_REL_3_3",
-    "EQUIV_3_4",
-    "LEFT_INV_3_5",
-    "RIGHT_INV_3_7",
-    "RIGHT_INV_AT_A_3_8",
-    "LOWER_VANISH_4_3",
-    "LINEARITY_i",
-    "CONST_ii",
-    "PRODUCT_iii",
-    "QUOTIENT_iv",
-    "AVG_2_10",
-    "CLASS_EQ_4_5",
-)
 
 # What each identity asserts, in the operator's own terms.
 STATEMENTS = {
@@ -143,6 +126,7 @@ STATEMENTS = {
         "alpha: convergence at one order implies it at every other"
     ),
 }
+IDENTITY_IDS = tuple(STATEMENTS)
 
 _SUITE_TOL = Tolerance(rel=1e-6, abs=1e-8)
 # terminal-limit families lose about two digits to extrapolation
@@ -208,6 +192,20 @@ def _result(identity_id, subject, inputs, lhs, rhs, residual, threshold, diagnos
     )
 
 
+def _compare(identity_id, subject, inputs, lhs, rhs, tol, slack=0.0, ref=None,
+             diagnostics=""):
+    # the one comparison rule: norm(lhs - rhs) against
+    # tol.abs + tol.rel*(1 + norm(ref)) + slack, where ref is rhs unless given
+    lhs, rhs = as_vecvalue(lhs), as_vecvalue(rhs)
+    ref = rhs if ref is None else as_vecvalue(ref)
+    residual = _mnorm(lhs.data - rhs.data)
+    threshold = tol.abs + tol.rel * (1.0 + _mnorm(ref.data)) + slack
+    return _result(
+        identity_id, subject, inputs, to_jsonable(lhs), to_jsonable(rhs),
+        residual, threshold, diagnostics,
+    )
+
+
 def _na(identity_id, subject, inputs, diagnostics):
     return CaseResult(
         identity_id, subject, inputs,
@@ -247,13 +245,22 @@ class _BatchFn(AbstractFn):
             return self._batch(ts)
 
 
-def _decay_to_zero(f, t, sign, h0, levels, thr):
-    """Does norm(f(t + sign*h) - f(t)) fall below thr as h halves?"""
-    f0 = f.eval(t).data
+def _decay_to_zero(f, t, sign, levels, thr):
+    """Does norm(f(t + sign*h) - f(t)) fall below thr as h halves?
+
+    h starts at min(0.01*max(1, |t|), half the domain room on that side);
+    a side with no room passes with a residual of 0.
+    """
+    lo, hi = f.domain
+    room = (hi - t) if sign > 0 else (t - lo)
+    if room <= 0.0:
+        return True, 0.0
+    h0 = min(0.01 * max(1.0, abs(t)), 0.5 * room)
+    f0 = f(t)
     last = math.inf
     for k in range(levels):
         h = sign * h0 * 0.5**k
-        last = _mnorm(f.eval(t + h).data - f0)
+        last = _mnorm(f(t + h) - f0)
         if last <= thr:
             return True, last
     return False, last
@@ -283,15 +290,10 @@ def check_continuity(f, p, t, tol=None) -> CaseResult:
             "CONTINUITY_3_1", _label(f), inputs,
             "no one-sided derivative converged at t; the implication is vacuous",
         )
-    lo, hi = f.domain
-    thr = tol.abs + 64.0 * _EPS * (1.0 + _mnorm(f.eval(t).data))
+    thr = tol.abs + 64.0 * _EPS * (1.0 + _mnorm(f(t)))
     worst = 0.0
     for sign in sides:
-        room = (hi - t) if sign > 0 else (t - lo)
-        if room <= 0.0:
-            continue
-        h0 = min(0.01 * max(1.0, abs(t)), 0.5 * room)
-        ok, last = _decay_to_zero(f, t, sign, h0, 34, thr)
+        _ok, last = _decay_to_zero(f, t, sign, 34, thr)
         worst = max(worst, last)
     return _result(
         "CONTINUITY_3_1", _label(f), inputs,
@@ -313,12 +315,8 @@ def check_equivalence(f, p, t, tol=None) -> CaseResult:
             f"{which} derivative did not converge at t "
             f"({r_theta.detail or r_scaled.detail})",
         )
-    residual = _mnorm(r_theta.value.data - r_scaled.value.data)
-    threshold = tol.abs + tol.rel * (1.0 + _mnorm(r_scaled.value.data))
-    return _result(
-        "EQUIV_3_4", _label(f), inputs,
-        to_jsonable(r_theta.value), to_jsonable(r_scaled.value),
-        residual, threshold,
+    return _compare(
+        "EQUIV_3_4", _label(f), inputs, r_theta.value, r_scaled.value, tol,
     )
 
 
@@ -337,12 +335,9 @@ def check_order_relation(f, alpha, beta, a, t, tol=None) -> CaseResult:
             "ORDER_REL_3_3", _label(f), inputs,
             "derivative quotient did not converge at one of the orders",
         )
-    rhs = convert_order(rb.value, beta, alpha, a, t)
-    residual = _mnorm(ra.value.data - rhs.data)
-    threshold = tol.abs + tol.rel * (1.0 + _mnorm(ra.value.data))
-    return _result(
+    return _compare(
         "ORDER_REL_3_3", _label(f), inputs,
-        to_jsonable(ra.value), to_jsonable(rhs), residual, threshold,
+        ra.value, convert_order(rb.value, beta, alpha, a, t), tol, ref=ra.value,
     )
 
 
@@ -369,7 +364,7 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
         )
     notes = []
     try:
-        gap = _mnorm(f.eval(p.a).data - fa.data)
+        gap = _mnorm(f(p.a) - fa.data)
         if gap > 1e-6 * (1.0 + _mnorm(fa.data)):
             notes.append(
                 f"bounded jump at the terminal: f(a) is {gap:.3g} away from "
@@ -434,13 +429,9 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
         tf_fn, p, t, tol=Tolerance(rel=1e-9, abs=1e-9),
         noise=lambda: err_seen[0],
     )
-    rhs = f.eval(t).data - fa.data
-    residual = _mnorm(integral.data - rhs)
-    threshold = tol.abs + tol.rel * (1.0 + _mnorm(rhs))
-    return _result(
-        "LEFT_INV_3_5", subject, inputs,
-        to_jsonable(integral), to_jsonable(rhs), residual, threshold,
-        "; ".join(notes),
+    return _compare(
+        "LEFT_INV_3_5", subject, inputs, integral, f(t) - fa.data, tol,
+        diagnostics="; ".join(notes),
     )
 
 
@@ -449,7 +440,7 @@ def _bounded_near_terminal(f, a, span):
     for j in range(2, 42, 4):
         s = a + span * 0.5**j
         try:
-            worst = max(worst, _mnorm(f.eval(s).data))
+            worst = max(worst, _mnorm(f(s)))
         except DomainError:
             return False, worst, f"f not evaluable at t = {s:.3g}"
         if not math.isfinite(worst):
@@ -474,7 +465,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
         )
     inputs = {"alpha": p.alpha, "a": p.a, "t": t}
     subject = _label(f)
-    lo, hi = f.domain
+    hi = f.domain[1]
     span = min(1.0, max(hi - p.a, 0.0)) or 1.0
     ok, _worst, why = _bounded_near_terminal(f, p.a, span)
     if not ok:
@@ -483,17 +474,11 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
 
     if t > p.a:
         tol = tol if tol is not None else _SUITE_TOL
-        ft = f.eval(t).data
+        ft = f(t)
         thr_cont = 1e-6 * (1.0 + _mnorm(ft)) + 1e-10
-        cont_ok = True
-        for sign in (1.0, -1.0):
-            room = (hi - t) if sign > 0 else (t - lo)
-            if room <= 0.0:
-                continue
-            h0 = min(0.01 * max(1.0, abs(t)), 0.5 * room)
-            ok_side, _ = _decay_to_zero(f, t, sign, h0, 24, thr_cont)
-            cont_ok = cont_ok and ok_side
-        if not cont_ok:
+        # both sides are probed, also when the first one fails
+        if not all([_decay_to_zero(f, t, sign, 24, thr_cont)[0]
+                    for sign in (1.0, -1.0)]):
             return _na(
                 "RIGHT_INV_3_7", subject, inputs,
                 "f is not continuous at t numerically; hypothesis fails",
@@ -505,12 +490,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
                 None, None, "failed",
                 f"derivative of the running integral did not converge: {r.detail}",
             )
-        residual = _mnorm(r.value.data - ft)
-        threshold = tol.abs + tol.rel * (1.0 + _mnorm(ft))
-        return _result(
-            "RIGHT_INV_3_7", subject, inputs,
-            to_jsonable(r.value), to_jsonable(ft), residual, threshold,
-        )
+        return _compare("RIGHT_INV_3_7", subject, inputs, r.value, ft, tol)
 
     # terminal instance
     tol = tol if tol is not None else _TERMINAL_TOL
@@ -534,13 +514,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
             None, None, "failed",
             f"terminal limit of the reconstructed derivative did not settle: {note}",
         )
-    residual = _mnorm(np.asarray(value) - fa.data)
-    threshold = tol.abs + tol.rel * (1.0 + _mnorm(fa.data))
-    return _result(
-        "RIGHT_INV_AT_A_3_8", subject, inputs,
-        to_jsonable(value), to_jsonable(fa),
-        residual, threshold,
-    )
+    return _compare("RIGHT_INV_AT_A_3_8", subject, inputs, value, fa, tol)
 
 
 def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
@@ -562,20 +536,15 @@ def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
             "hypothesis fails",
         )
     r_lo = lower_terminal_deriv(f, ConfParams(beta, a))
-    threshold = tol.abs + tol.rel
+    zero = np.zeros_like(r_lo.value.data)
     if not r_lo.converged:
         return CaseResult(
             "LOWER_VANISH_4_3", subject, inputs,
-            to_jsonable(r_lo.value), to_jsonable(np.zeros_like(r_lo.value.data)),
-            None, float(threshold), "failed",
+            to_jsonable(r_lo.value), to_jsonable(zero),
+            None, float(tol.abs + tol.rel), "failed",
             f"terminal derivative at the lower order did not settle: {r_lo.detail}",
         )
-    residual = _mnorm(r_lo.value.data)
-    return _result(
-        "LOWER_VANISH_4_3", subject, inputs,
-        to_jsonable(r_lo.value), to_jsonable(np.zeros_like(r_lo.value.data)),
-        residual, threshold,
-    )
+    return _compare("LOWER_VANISH_4_3", subject, inputs, r_lo.value, zero, tol)
 
 
 def check_avg_recovery(f, t, tol=None) -> CaseResult:
@@ -587,13 +556,7 @@ def check_avg_recovery(f, t, tol=None) -> CaseResult:
         avg = avg_recover(f, t, tol=Tolerance(rel=max(tol.rel, 1e-9), abs=tol.abs))
     except ConfcalcError as exc:
         return _na("AVG_2_10", subject, inputs, f"averages did not settle: {exc}")
-    ft = f.eval(t).data
-    residual = _mnorm(avg.data - ft)
-    threshold = tol.abs + tol.rel * (1.0 + _mnorm(ft))
-    return _result(
-        "AVG_2_10", subject, inputs, to_jsonable(avg), to_jsonable(ft),
-        residual, threshold,
-    )
+    return _compare("AVG_2_10", subject, inputs, avg, f(t), tol)
 
 
 def check_algebra_rules(f, g, c, d, p, t, tol=None):
@@ -614,35 +577,34 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
 
     rf = conf_deriv(f, p, t, tol=inner)
     rg = conf_deriv(g, p, t, tol=inner)
-    fv = f.eval(t).data
-    gv = g.eval(t).data
+    fv = f(t)
+    gv = g(t)
     both = rf.converged and rg.converged
 
+    def rule(iid, inputs, values, label, rhs, spread, why, ready=True,
+             catch=()):
+        # derive the combination given by values; once every quotient
+        # converged, compare it with rhs() within 4*(spread + its error)
+        fn = _BatchFn(values, domain=(lo, hi), label=label)
+        try:
+            r = conf_deriv(fn, p, t, tol=inner)
+        except catch as exc:
+            return _na(iid, subject, inputs, str(exc))
+        if not (ready and r.converged):
+            return _na(iid, subject, inputs, why)
+        return _compare(iid, subject, inputs, r.value, rhs(), tol,
+                        slack=4.0 * (spread + r.err_estimate))
+
     # (i) linearity with the supplied coefficients
-    inputs_i = dict(base_inputs, c=c, d=d)
-    comb = _BatchFn(
+    results.append(rule(
+        "LINEARITY_i", dict(base_inputs, c=c, d=d),
         lambda ss: _rowwise(lambda u, v: c * u + d * v,
                             f.eval_many(ss), g.eval_many(ss)),
-        domain=(lo, hi), label=f"{c:g}*f + {d:g}*g",
-    )
-    r_comb = conf_deriv(comb, p, t, tol=inner)
-    if both and r_comb.converged:
-        rhs = c * rf.value.data + d * rg.value.data
-        residual = _mnorm(r_comb.value.data - rhs)
-        threshold = (
-            tol.abs + tol.rel * (1.0 + _mnorm(rhs))
-            + 4.0 * (abs(c) * rf.err_estimate + abs(d) * rg.err_estimate
-                     + r_comb.err_estimate)
-        )
-        results.append(_result(
-            "LINEARITY_i", subject, inputs_i,
-            to_jsonable(r_comb.value), to_jsonable(rhs), residual, threshold,
-        ))
-    else:
-        results.append(_na(
-            "LINEARITY_i", subject, inputs_i,
-            "a derivative quotient did not converge at t",
-        ))
+        f"{c:g}*f + {d:g}*g",
+        lambda: c * rf.value.data + d * rg.value.data,
+        abs(c) * rf.err_estimate + abs(d) * rg.err_estimate,
+        "a derivative quotient did not converge at t", ready=both,
+    ))
 
     # (ii) constants: freeze f's value at t into a constant function
     const_fn = _BatchFn(
@@ -650,99 +612,48 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
         label="const f(t)",
     )
     r_const = conf_deriv(const_fn, p, t, tol=inner)
-    residual = _mnorm(r_const.value.data)
-    threshold = tol.abs + tol.rel
-    results.append(_result(
-        "CONST_ii", subject, base_inputs,
-        to_jsonable(r_const.value), to_jsonable(0.0 * fv), residual, threshold,
-        "constant function frozen at f(t)",
+    results.append(_compare(
+        "CONST_ii", subject, base_inputs, r_const.value, 0.0 * fv, tol,
+        diagnostics="constant function frozen at f(t)",
     ))
 
-    commutative = fv.ndim == 0 and gv.ndim == 0
-
-    # (iii) product rule
-    if not commutative:
-        results.append(_na(
-            "PRODUCT_iii", subject, base_inputs,
-            "multiplication is not commutative for this instance; rule not claimed",
-        ))
-    elif not both:
-        results.append(_na(
-            "PRODUCT_iii", subject, base_inputs,
-            "a derivative quotient did not converge at t",
-        ))
+    # (iii) product and (iv) quotient rules
+    if not (fv.ndim == 0 and gv.ndim == 0):
+        why = "multiplication is not commutative for this instance; rule not claimed"
+        return results + [_na(iid, subject, base_inputs, why)
+                          for iid in ("PRODUCT_iii", "QUOTIENT_iv")]
+    unconverged = "a derivative quotient did not converge at t"
+    if not both:
+        results.append(_na("PRODUCT_iii", subject, base_inputs, unconverged))
     else:
-        prod = _BatchFn(
-            lambda ss: f.eval_many(ss) * g.eval_many(ss), domain=(lo, hi),
-            label="f*g",
-        )
-        r_prod = conf_deriv(prod, p, t, tol=inner)
-        if r_prod.converged:
-            rhs = gv * rf.value.data + fv * rg.value.data
-            residual = _mnorm(r_prod.value.data - rhs)
-            threshold = (
-                tol.abs + tol.rel * (1.0 + _mnorm(rhs))
-                + 4.0 * (_mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate
-                         + r_prod.err_estimate)
-            )
-            results.append(_result(
-                "PRODUCT_iii", subject, base_inputs,
-                to_jsonable(r_prod.value), to_jsonable(rhs), residual, threshold,
-            ))
-        else:
-            results.append(_na(
-                "PRODUCT_iii", subject, base_inputs,
-                "product derivative quotient did not converge at t",
-            ))
+        results.append(rule(
+            "PRODUCT_iii", base_inputs,
+            lambda ss: f.eval_many(ss) * g.eval_many(ss), "f*g",
+            lambda: gv * rf.value.data + fv * rg.value.data,
+            _mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate,
+            "product derivative quotient did not converge at t",
+        ))
 
-    # (iv) quotient rule
-    if not commutative:
-        results.append(_na(
-            "QUOTIENT_iv", subject, base_inputs,
-            "multiplication is not commutative for this instance; rule not claimed",
-        ))
-    elif abs(float(gv)) <= 1e-12:
-        results.append(_na(
-            "QUOTIENT_iv", subject, base_inputs, "g(t) is not invertible",
-        ))
+    def quot(ss):
+        den = g.eval_many(ss)
+        zero = den == 0.0
+        if zero.any():
+            raise DomainError(f"g vanishes at t = {float(ss[zero][0])}")
+        return f.eval_many(ss) / den
+
+    if abs(float(gv)) <= 1e-12:
+        results.append(_na("QUOTIENT_iv", subject, base_inputs,
+                           "g(t) is not invertible"))
     elif not both:
-        results.append(_na(
-            "QUOTIENT_iv", subject, base_inputs,
-            "a derivative quotient did not converge at t",
-        ))
+        results.append(_na("QUOTIENT_iv", subject, base_inputs, unconverged))
     else:
-        def quot(ss):
-            den = g.eval_many(ss)
-            zero = den == 0.0
-            if zero.any():
-                raise DomainError(f"g vanishes at t = {float(ss[zero][0])}")
-            return f.eval_many(ss) / den
-
-        quot_fn = _BatchFn(quot, domain=(lo, hi), label="f/g")
-        try:
-            r_quot = conf_deriv(quot_fn, p, t, tol=inner)
-        except DomainError as exc:
-            results.append(_na("QUOTIENT_iv", subject, base_inputs, str(exc)))
-            return results
-        if r_quot.converged:
-            g2 = float(gv) * float(gv)
-            rhs = (gv * rf.value.data - fv * rg.value.data) / g2
-            residual = _mnorm(r_quot.value.data - rhs)
-            threshold = (
-                tol.abs + tol.rel * (1.0 + _mnorm(rhs))
-                + 4.0 * ((_mnorm(gv) * rf.err_estimate
-                          + _mnorm(fv) * rg.err_estimate) / g2
-                         + r_quot.err_estimate)
-            )
-            results.append(_result(
-                "QUOTIENT_iv", subject, base_inputs,
-                to_jsonable(r_quot.value), to_jsonable(rhs), residual, threshold,
-            ))
-        else:
-            results.append(_na(
-                "QUOTIENT_iv", subject, base_inputs,
-                "quotient derivative did not converge at t",
-            ))
+        g2 = float(gv) * float(gv)
+        results.append(rule(
+            "QUOTIENT_iv", base_inputs, quot, "f/g",
+            lambda: (gv * rf.value.data - fv * rg.value.data) / g2,
+            (_mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate) / g2,
+            "quotient derivative did not converge at t", catch=DomainError,
+        ))
     return results
 
 
@@ -980,6 +891,54 @@ def run_suite(corpus=None, grid: SuiteGrid | None = None, tol: Tolerance | None 
     return IdentityReport(tuple(cases), grid, tol)
 
 
+def _beta(case: IdentityCase) -> float:
+    if case.beta is None:
+        raise ValueError(f"{case.identity_id} needs beta")
+    return case.beta
+
+
+def _right_inverse(case: IdentityCase) -> CaseResult:
+    # the checker picks the instance from t; it must be the one asked for
+    iid = case.identity_id
+    if (case.t == case.p.a) != (iid == "RIGHT_INV_AT_A_3_8"):
+        need = "t = a" if iid == "RIGHT_INV_AT_A_3_8" else "t > a"
+        raise ValueError(f"{iid} needs {need}, got t = {case.t}, a = {case.p.a}")
+    return check_right_inverse(case.f, case.p, case.t, case.tol)
+
+
+def _algebra_rule(case: IdentityCase) -> CaseResult:
+    g = case.g if case.g is not None else _partner_like(case.f, case.t)
+    four = check_algebra_rules(case.f, g, 2.0, -3.0, case.p, case.t, case.tol)
+    return next(r for r in four if r.identity_id == case.identity_id)
+
+
+def _class_equivalence(case: IdentityCase) -> CaseResult:
+    (r,) = check_class_equivalence(
+        case.f, (case.p.alpha, _beta(case)), case.p.a, (case.t,)
+    )
+    return r
+
+
+# which checker answers which identity, one runner per id
+_RUNNERS = {
+    "CONTINUITY_3_1": lambda c: check_continuity(c.f, c.p, c.t, c.tol),
+    "ORDER_REL_3_3": lambda c: check_order_relation(
+        c.f, c.p.alpha, _beta(c), c.p.a, c.t, c.tol),
+    "EQUIV_3_4": lambda c: check_equivalence(c.f, c.p, c.t, c.tol),
+    "LEFT_INV_3_5": lambda c: check_left_inverse(c.f, c.p, c.t, c.tol),
+    "RIGHT_INV_3_7": _right_inverse,
+    "RIGHT_INV_AT_A_3_8": _right_inverse,
+    "LOWER_VANISH_4_3": lambda c: check_lower_vanishing(
+        c.f, c.p.alpha, _beta(c), c.p.a, c.tol),
+    "LINEARITY_i": _algebra_rule,
+    "CONST_ii": _algebra_rule,
+    "PRODUCT_iii": _algebra_rule,
+    "QUOTIENT_iv": _algebra_rule,
+    "AVG_2_10": lambda c: check_avg_recovery(c.f, c.t, c.tol),
+    "CLASS_EQ_4_5": _class_equivalence,
+}
+
+
 def run_case(case: IdentityCase) -> CaseResult:
     """Dispatch a single IdentityCase to its checker.
 
@@ -987,41 +946,4 @@ def run_case(case: IdentityCase) -> CaseResult:
     when t contradicts the id (RIGHT_INV_3_7 at t = a, RIGHT_INV_AT_A_3_8
     away from it).
     """
-    iid = case.identity_id
-    tol = case.tol
-    if iid == "CONTINUITY_3_1":
-        return check_continuity(case.f, case.p, case.t, tol)
-    if iid == "EQUIV_3_4":
-        return check_equivalence(case.f, case.p, case.t, tol)
-    if iid == "ORDER_REL_3_3":
-        if case.beta is None:
-            raise ValueError("ORDER_REL_3_3 needs beta")
-        return check_order_relation(case.f, case.p.alpha, case.beta, case.p.a, case.t, tol)
-    if iid == "LEFT_INV_3_5":
-        return check_left_inverse(case.f, case.p, case.t, tol)
-    if iid in ("RIGHT_INV_3_7", "RIGHT_INV_AT_A_3_8"):
-        # the checker picks the instance from t; it must be the one asked for
-        if (case.t == case.p.a) != (iid == "RIGHT_INV_AT_A_3_8"):
-            need = "t = a" if iid == "RIGHT_INV_AT_A_3_8" else "t > a"
-            raise ValueError(f"{iid} needs {need}, got t = {case.t}, a = {case.p.a}")
-        return check_right_inverse(case.f, case.p, case.t, tol)
-    if iid == "LOWER_VANISH_4_3":
-        if case.beta is None:
-            raise ValueError("LOWER_VANISH_4_3 needs beta")
-        return check_lower_vanishing(case.f, case.p.alpha, case.beta, case.p.a, tol)
-    if iid == "AVG_2_10":
-        return check_avg_recovery(case.f, case.t, tol)
-    if iid in ("LINEARITY_i", "CONST_ii", "PRODUCT_iii", "QUOTIENT_iv"):
-        g = case.g if case.g is not None else _partner_like(case.f, case.t)
-        four = check_algebra_rules(case.f, g, 2.0, -3.0, case.p, case.t, tol)
-        for r in four:
-            if r.identity_id == iid:
-                return r
-    if iid == "CLASS_EQ_4_5":
-        if case.beta is None:
-            raise ValueError("CLASS_EQ_4_5 needs beta")
-        (r,) = check_class_equivalence(
-            case.f, (case.p.alpha, case.beta), case.p.a, (case.t,)
-        )
-        return r
-    raise ValueError(f"no dispatcher for identity id {iid!r}")
+    return _RUNNERS[case.identity_id](case)

@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import ConfParams, Tolerance, _mnorm
+from .calculus import ConfParams, Tolerance, _gl
 from .errors import ConvergenceError, DomainError
 from .expr import pow_real
 from .funcs import CallableFn
-from .vecspace import VecValue, as_vecvalue, to_jsonable
+from .vecspace import VecValue, _mnorm, as_vecvalue, to_jsonable
 
 __all__ = [
     "IvpProblem",
@@ -192,7 +192,7 @@ def solve_tau(prob: IvpProblem, n_steps: int) -> Trajectory:
     )
 
 
-_GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
+_GL5_X, _GL5_W = _gl(5)
 
 
 def solve_volterra(
@@ -213,6 +213,8 @@ def solve_volterra(
     n = int(n_steps)
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     p = prob.p
     h, taus, ts = _grid(p, prob.t_end, n)
     inv = 1.0 / p.alpha

@@ -177,6 +177,12 @@ def identity_like(v: VecValue) -> VecValue:
     raise AlgebraError("vectors do not form an algebra")
 
 
+def _mnorm(x) -> float:
+    # max-abs norm: for replicated components it equals the scalar run's
+    # value bit for bit, which keeps control flow instance-agnostic
+    return float(np.abs(x).max())
+
+
 def to_jsonable(v: VecValue):
     """JSON form: scalar as a number, vector flat, matrix nested row-major."""
     v = as_vecvalue(v)

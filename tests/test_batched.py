@@ -40,7 +40,7 @@ from confcalc import identities
 from confcalc.calculus import (
     _EPS,
     _mnorm,
-    _panel,
+    _panels,
     _richardson,
     conf_integral_info,
     lower_terminal_deriv,
@@ -311,10 +311,10 @@ def test_panel_sums_in_node_order():
         found += 1
         lo, hi = 0.25, 1.75
         c = 0.5 * (hi - lo)
-        [(value, scale)] = _panel(lambda ts: vals, lo, hi, 10)
+        [((value,), (scale,))] = _panels(lambda ts: vals, lo, hi, 10)
         assert float(value) == c * sequential
         assert scale == float(np.max(np.abs(vals)))
-        [(rep, rep_scale)] = _panel(
+        [((rep,), (rep_scale,))] = _panels(
             lambda ts: np.stack([vals] * 3, axis=1), lo, hi, 10)
         assert rep.tolist() == [float(value)] * 3
         assert rep_scale == scale

@@ -6,6 +6,7 @@ import pytest
 from confcalc import (
     CallableFn,
     ConfParams,
+    GridFn,
     Tolerance,
     avg_recover,
     builtin,
@@ -182,6 +183,21 @@ class TestScaledRoute:
     def test_interior_required(self):
         with pytest.raises(LowerTerminalError):
             conf_deriv_scaled(builtin("exp"), ConfParams(alpha=0.5, a=2.0), 2.0)
+
+    @pytest.mark.parametrize("interp", ["cubic", "linear"])
+    def test_replicated_grid_follows_scalar_grid(self, interp):
+        # the interpolant's error bound is a max norm, so copies of one
+        # column give the scalar grid's value and bound bit for bit
+        ts = np.linspace(0.0, 2.0, 9)
+        p = ConfParams(alpha=0.5)
+        want = conf_deriv_scaled(GridFn(ts, np.sin(ts), interp=interp), p, 0.7)
+        assert want.err_estimate > 0.0
+        for shape in ((2,), (4,), (2, 2)):
+            vs = np.sin(ts).reshape((-1,) + (1,) * len(shape)) * np.ones(shape)
+            r = conf_deriv_scaled(GridFn(ts, vs, interp=interp), p, 0.7)
+            assert r.err_estimate == want.err_estimate
+            assert r.converged == want.converged
+            assert np.all(r.value.data == want.value.data)
 
 
 class TestConvertOrder:

@@ -196,6 +196,26 @@ class TestRecordLayout:
         width = len(header.split(","))
         assert len(bad_row.split(",")) == width == len(good_row.split(","))
 
+    def test_limit_error_record_matches_success(self, capsys):
+        # limit makes one record per run: the domain of sqrt starts above
+        # a = -1, which fails, and a = 0 succeeds
+        bad_argv = ["limit", "--builtin", "sqrt", "--alpha", "0.5", "--a", "-1"]
+        good_argv = ["limit", "--builtin", "sqrt", "--alpha", "0.5"]
+        assert run(bad_argv) == 1
+        (bad,) = _json_records(capsys)
+        assert run(good_argv) == 0
+        (good,) = _json_records(capsys)
+        assert bad["error"].startswith("DomainError") and good["error"] is None
+        assert list(bad) == list(good)
+        assert list(bad["inputs"]) == list(good["inputs"])
+        rows = []
+        for argv in (bad_argv, good_argv):
+            run(argv + ["--format", "csv"])
+            rows += capsys.readouterr().out.splitlines()
+        bad_header, bad_row, good_header, good_row = rows
+        assert bad_header == good_header == "alpha,a,v,err_estimate,converged"
+        assert len(bad_row.split(",")) == 5 == len(good_row.split(","))
+
 
 class TestLimit:
     def test_terminal_derivative_of_smooth(self, capsys):

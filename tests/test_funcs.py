@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from confcalc import (
+    CompositeFn,
     GridFn,
     PointPatchedFn,
     builtin,
@@ -17,7 +18,7 @@ from confcalc import (
     power_fn,
     vector_fn,
 )
-from confcalc.errors import DomainError
+from confcalc.errors import DomainError, ShapeError
 
 
 @pytest.mark.parametrize(
@@ -170,6 +171,11 @@ class TestComposite:
         f = vector_fn([builtin("sqrt"), builtin("sin")])
         with pytest.raises(DomainError):
             evaluate(f, -1.0)
+
+    @pytest.mark.parametrize("make", [vector_fn, matrix_fn, CompositeFn])
+    def test_empty_composite_rejected(self, make):
+        with pytest.raises(ShapeError, match="empty composite"):
+            make([])
 
     def test_deriv_none_propagates(self):
         g = GridFn(np.linspace(0, 1, 5), np.linspace(0, 1, 5))

@@ -52,6 +52,10 @@ def test_identity_id_enumeration_is_stable():
     assert set(STATEMENTS) == set(IDENTITY_IDS)
 
 
+def test_every_id_has_one_runner():
+    assert tuple(identities._RUNNERS) == IDENTITY_IDS
+
+
 def test_case_rejects_unknown_id():
     with pytest.raises(ValueError):
         IdentityCase("NOT_AN_ID", builtin("exp"), ConfParams(0.5), 1.0)

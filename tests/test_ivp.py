@@ -39,6 +39,12 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             solve_volterra(prob, n_steps=0)
 
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_sweep_budget_positive(self, max_iter):
+        prob = _scalar_problem(_linear(1.0), 0.5, 0.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="max_iter"):
+            solve_volterra(prob, max_iter=max_iter)
+
     def test_rhs_shape_mismatch_rejected(self):
         bad = lambda t, x: VecValue(np.array([1.0, 2.0]))
         prob = _scalar_problem(bad, 0.5, 0.0, 1.0, 1.0)
