@@ -571,14 +571,19 @@ def _sequence_limit(vals):
     return est
 
 
-def _terminal_limit(sample, a, d0, tol):
+def _terminal_limit(sample, a, room, tol):
     """Limit of sample(t_k) along t_k = a + d0*2^-k.
+
+    ``room`` is the signed distance from a to the domain's end on the side
+    approached (negative for a limit from the left); the first step is
+    d0 = min(0.1*max(1, |a|), |room|/2) with the sign of room.
 
     sample returns (value array, inner error, inner ok).  Converges when
     two consecutive accelerated estimates move by at most
     tol.abs + tol.rel*(1 + |estimate|).  Returns (value, err, converged,
     points used, note).
     """
+    d0 = math.copysign(min(0.1 * max(1.0, abs(a)), 0.5 * abs(room)), room)
     vals = []
     prev_est = None
     est = None
@@ -635,15 +640,13 @@ def lower_terminal_deriv(
         )
     if hi <= p.a:
         raise DomainError(f"domain ends at {hi}, at or before the terminal {p.a}")
-    d0 = min(0.1 * max(1.0, abs(p.a)), 0.5 * (hi - p.a))
-
     inner = Tolerance()
 
     def sample(tk):
         r = conf_deriv(f, p, tk, side="two-sided", tol=inner)
         return r.value.data, r.err_estimate, r.converged
 
-    value, err, conv, used, note = _terminal_limit(sample, p.a, d0, tol)
+    value, err, conv, used, note = _terminal_limit(sample, p.a, hi - p.a, tol)
     return DerivResult(
         VecValue(np.asarray(value, dtype=float)),
         float(err),
@@ -667,21 +670,15 @@ def one_sided_limit(
         raise ValueError(f"direction must be left or right, not {direction!r}")
     lo, hi = f.domain
     at = float(at)
-    if direction == "right":
-        room = hi - at
-        if room <= 0.0:
-            raise DomainError(f"no domain room to the right of {at}")
-        d0 = min(0.1 * max(1.0, abs(at)), 0.5 * room)
-    else:
-        room = at - lo
-        if room <= 0.0:
-            raise DomainError(f"no domain room to the left of {at}")
-        d0 = -min(0.1 * max(1.0, abs(at)), 0.5 * room)
+    room = hi - at if direction == "right" else at - lo
+    if room <= 0.0:
+        raise DomainError(f"no domain room to the {direction} of {at}")
 
     def sample(tk):
         return f(tk), 0.0, True
 
-    value, err, conv, _used, _note = _terminal_limit(sample, at, d0, tol)
+    signed = room if direction == "right" else -room
+    value, err, conv, _used, _note = _terminal_limit(sample, at, signed, tol)
     return VecValue(np.asarray(value, dtype=float)), float(err), bool(conv)
 
 

@@ -506,8 +506,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
         r = deriv_of_integral(f, p, tk)
         return r.value.data, r.err_estimate, r.converged
 
-    d0 = min(0.1 * max(1.0, abs(p.a)), 0.5 * (hi - p.a))
-    value, _err, conv, _used, note = _terminal_limit(sample, p.a, d0, tol)
+    value, _err, conv, _used, note = _terminal_limit(sample, p.a, hi - p.a, tol)
     if not conv:
         return CaseResult(
             "RIGHT_INV_AT_A_3_8", subject, inputs, None, to_jsonable(fa),

@@ -27,7 +27,7 @@ import numpy as np
 
 from .calculus import ConfParams, Tolerance, _gl
 from .errors import ConvergenceError, DomainError
-from .expr import pow_real
+from .expr import elementwise, pow_real
 from .funcs import CallableFn
 from .vecspace import VecValue, _mnorm, as_vecvalue, to_jsonable
 
@@ -42,7 +42,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class IvpProblem:
-    """Right-hand side, order parameters, initial state, final time."""
+    """Right-hand side, order parameters, initial state, final time.
+
+    ``F(t, x)`` receives t as a float and the state as a fresh
+    :class:`VecValue`; it may return a VecValue, an array or a number of
+    the state's shape.  The return is copied, so F may reuse one output
+    buffer, and its shape and finiteness are checked on every call.
+    """
 
     F: object
     p: ConfParams
@@ -59,16 +65,33 @@ class IvpProblem:
             )
 
     def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Evaluate F and normalize to the state's array shape."""
-        out = as_vecvalue(self.F(t, VecValue(x))).data
+        """Evaluate F and copy its value into an array of the state's shape."""
+        out = self.F(t, VecValue(x))
+        out = np.array(out.data if isinstance(out, VecValue) else out, dtype=float)
         if out.shape != self.x0.data.shape:
             raise DomainError(
                 f"rhs shape {out.shape} does not match state shape "
                 f"{self.x0.data.shape} at t = {t}"
             )
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DomainError(f"rhs is not finite at t = {t}")
         return out
+
+
+def _tau(p: ConfParams, ts: np.ndarray) -> np.ndarray:
+    """tau = (t-a)^alpha / alpha at each of the 1-d array ``ts``."""
+    return elementwise(pow_real, ts - p.a, p.alpha) / p.alpha
+
+
+def _t_of(p: ConfParams, taus: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_tau`: t = a + (alpha*tau)^(1/alpha)."""
+    return p.a + elementwise(pow_real, p.alpha * taus, 1.0 / p.alpha)
+
+
+def _hermite(u):
+    """Cubic Hermite basis (h00, h10, h01, h11) at u in [0, 1]."""
+    return ((1.0 + 2.0 * u) * (1.0 - u) ** 2, u * (1.0 - u) ** 2,
+            u * u * (3.0 - 2.0 * u), u * u * (u - 1.0))
 
 
 @dataclass(frozen=True)
@@ -98,8 +121,8 @@ class Trajectory:
         """
         if self.tau_slopes is None:
             raise ValueError("trajectory carries no slope data")
-        alpha, a = self.alpha, self.a
-        taus = np.array([pow_real(t - a, alpha) / alpha for t in self.nodes])
+        p = ConfParams(self.alpha, self.a)
+        taus = _tau(p, self.nodes)
         xs = self.state_array()
         ss = self.tau_slopes
         n = len(taus) - 1
@@ -107,14 +130,10 @@ class Trajectory:
         def at(t: float):
             if t < self.nodes[0] or t > self.nodes[-1]:
                 raise DomainError(f"t = {t} outside the trajectory range")
-            tau = pow_real(t - a, alpha) / alpha
+            tau = _tau(p, np.array([t]))[0]
             j = int(np.clip(np.searchsorted(taus, tau) - 1, 0, n - 1))
             w = taus[j + 1] - taus[j]
-            u = (tau - taus[j]) / w
-            h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
-            h10 = u * (1.0 - u) ** 2
-            h01 = u * u * (3.0 - 2.0 * u)
-            h11 = u * u * (u - 1.0)
+            h00, h10, h01, h11 = _hermite((tau - taus[j]) / w)
             val = (h00 * xs[j] + h01 * xs[j + 1]
                    + w * (h10 * ss[j] + h11 * ss[j + 1]))
             return val if val.ndim else float(val)
@@ -146,13 +165,16 @@ class Trajectory:
 
 def _grid(p: ConfParams, t_end: float, n: int):
     """Uniform tau grid and its t-axis image; t[0] lands exactly on a."""
-    tau_end = pow_real(t_end - p.a, p.alpha) / p.alpha
-    h = tau_end / n
-    inv = 1.0 / p.alpha
-    taus = [j * h for j in range(n + 1)]
-    ts = [p.a + pow_real(p.alpha * tau, inv) for tau in taus]
+    h = float(_tau(p, np.array([t_end]))[0]) / n
+    taus = np.arange(n + 1) * h
+    ts = _t_of(p, taus)
     ts[-1] = t_end
     return h, taus, ts
+
+
+def _rhs_at(prob: IvpProblem, ts: list, xs: np.ndarray) -> np.ndarray:
+    """F at each (t, x) pair, called in order, stacked along axis 0."""
+    return np.array([prob.rhs(t, x) for t, x in zip(ts, xs)])
 
 
 def solve_tau(prob: IvpProblem, n_steps: int) -> Trajectory:
@@ -160,35 +182,30 @@ def solve_tau(prob: IvpProblem, n_steps: int) -> Trajectory:
     n = int(n_steps)
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    p = prob.p
-    h, taus, ts = _grid(p, prob.t_end, n)
-    inv = 1.0 / p.alpha
-    x = prob.x0.data.copy()
-    states = [VecValue(x)]
-    slopes = np.empty((n + 1,) + x.shape)
-    evals = 0
+    h, taus, ts = _grid(prob.p, prob.t_end, n)
+    tmid = _t_of(prob.p, taus[:-1] + 0.5 * h).tolist()
+    t = ts.tolist()
+    x = prob.x0.data
+    xs = np.empty((n + 1,) + x.shape)
+    slopes = np.empty_like(xs)
+    xs[0] = x
     for j in range(n):
-        tj = ts[j]
-        tmid = p.a + pow_real(p.alpha * (taus[j] + 0.5 * h), inv)
-        tnext = ts[j + 1]
-        k1 = prob.rhs(tj, x)
-        k2 = prob.rhs(tmid, x + (0.5 * h) * k1)
-        k3 = prob.rhs(tmid, x + (0.5 * h) * k2)
-        k4 = prob.rhs(tnext, x + h * k3)
+        k1 = prob.rhs(t[j], x)
+        k2 = prob.rhs(tmid[j], x + (0.5 * h) * k1)
+        k3 = prob.rhs(tmid[j], x + (0.5 * h) * k2)
+        k4 = prob.rhs(t[j + 1], x + h * k3)
         slopes[j] = k1
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        evals += 4
-        states.append(VecValue(x))
-    slopes[n] = prob.rhs(ts[n], x)
-    evals += 1
+        xs[j + 1] = x
+    slopes[n] = prob.rhs(t[n], x)
     return Trajectory(
-        nodes=np.asarray(ts),
-        states=tuple(states),
+        nodes=ts,
+        states=tuple(VecValue(s) for s in xs),
         method="rk4-tau",
-        stats={"n_steps": n, "rhs_evals": evals},
+        stats={"n_steps": n, "rhs_evals": 4 * n + 1},
         tau_slopes=slopes,
-        alpha=p.alpha,
-        a=p.a,
+        alpha=prob.p.alpha,
+        a=prob.p.a,
     )
 
 
@@ -215,40 +232,32 @@ def solve_volterra(
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    p = prob.p
-    h, taus, ts = _grid(p, prob.t_end, n)
-    inv = 1.0 / p.alpha
-    shape = prob.x0.data.shape
+    h, taus, ts = _grid(prob.p, prob.t_end, n)
+    t = ts.tolist()
     x0 = prob.x0.data
+    shape = x0.shape
     xs = np.stack([x0] * (n + 1))
-    # Gauss nodes mapped into each tau panel, with their t images
+    # Gauss nodes of every tau panel in (panel, node) order, their t
+    # images, and the Hermite basis and weights shaped to broadcast over
+    # (panel, node, *state)
     gl_off = 0.5 * h * (_GL5_X + 1.0)
-    gl_taus = np.array([[taus[j] + o for o in gl_off] for j in range(n)])
-    gl_ts = np.array([[p.a + pow_real(p.alpha * gt, inv) for gt in row]
-                      for row in gl_taus])
-    gl_u = gl_off / h
+    gl_t = _t_of(prob.p, (taus[:-1, None] + gl_off).ravel()).tolist()
+    cols = (1, 5) + (1,) * len(shape)
+    h00, h10, h01, h11 = (c.reshape(cols) for c in _hermite(gl_off / h))
+    weights = _GL5_W.reshape(cols)
 
-    h00 = (1.0 + 2.0 * gl_u) * (1.0 - gl_u) ** 2
-    h10 = gl_u * (1.0 - gl_u) ** 2
-    h01 = gl_u * gl_u * (3.0 - 2.0 * gl_u)
-    h11 = gl_u * gl_u * (gl_u - 1.0)
-
-    slopes = np.empty((n + 1,) + shape)
     deltas = []
     for sweep in range(1, max_iter + 1):
-        for j in range(n + 1):
-            slopes[j] = prob.rhs(ts[j], xs[j])
-        new = np.empty_like(xs)
-        new[0] = x0
-        acc = x0.astype(float).copy()
-        for j in range(n):
-            panel = np.zeros(shape)
-            for q in range(5):
-                xq = (h00[q] * xs[j] + h01[q] * xs[j + 1]
-                      + h * (h10[q] * slopes[j] + h11[q] * slopes[j + 1]))
-                panel = panel + _GL5_W[q] * prob.rhs(gl_ts[j][q], xq)
-            acc = acc + (0.5 * h) * panel
-            new[j + 1] = acc
+        slopes = _rhs_at(prob, t, xs)
+        xq = (h00 * xs[:-1, None] + h01 * xs[1:, None]
+              + h * (h10 * slopes[:-1, None] + h11 * slopes[1:, None]))
+        fq = _rhs_at(prob, gl_t, xq.reshape((5 * n,) + shape))
+        # each panel sums its nodes in order from zero, then the running
+        # sum from x0 gives the new iterate at every node
+        terms = np.zeros((n, 6) + shape)
+        terms[:, 1:] = weights * fq.reshape(xq.shape)
+        panel = np.add.accumulate(terms, axis=1)[:, -1]
+        new = np.add.accumulate(np.concatenate([x0[None], (0.5 * h) * panel]))
         delta = float(np.max(np.abs(new - xs)))
         xs = new
         deltas.append(delta)
@@ -266,20 +275,18 @@ def solve_volterra(
             f"Picard iteration did not converge in {max_iter} sweeps "
             f"(last delta {deltas[-1]:.3g})"
         )
-    for j in range(n + 1):
-        slopes[j] = prob.rhs(ts[j], xs[j])
     return Trajectory(
-        nodes=np.asarray(ts),
-        states=tuple(VecValue(xs[j]) for j in range(n + 1)),
+        nodes=ts,
+        states=tuple(VecValue(s) for s in xs),
         method="picard-volterra",
         stats={
             "n_steps": n,
             "iterations": len(deltas),
             "last_delta": deltas[-1],
         },
-        tau_slopes=slopes.copy(),
-        alpha=p.alpha,
-        a=p.a,
+        tau_slopes=_rhs_at(prob, t, xs),
+        alpha=prob.p.alpha,
+        a=prob.p.a,
     )
 
 
@@ -289,7 +296,4 @@ def cross_validate(prob: IvpProblem, n_steps: int, tol: Tolerance | None = None)
     tol = tol if tol is not None else Tolerance(rel=1e-9, abs=1e-9)
     tr_tau = solve_tau(prob, n_steps)
     tr_vol = solve_volterra(prob, tol=tol, n_steps=n_steps)
-    dev = 0.0
-    for u, v in zip(tr_tau.states, tr_vol.states):
-        dev = max(dev, _mnorm((u - v).data))
-    return dev
+    return _mnorm(tr_tau.state_array() - tr_vol.state_array())

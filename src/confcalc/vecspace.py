@@ -196,8 +196,6 @@ def from_jsonable(obj) -> VecValue:
     if isinstance(obj, (int, float)):
         return VecValue.scalar(obj)
     arr = np.asarray(obj, dtype=float)
-    if arr.ndim == 1:
-        return VecValue(arr)
-    if arr.ndim == 2:
+    if arr.ndim in (1, 2):
         return VecValue(arr)
     raise ShapeError(f"cannot build a value from JSON payload of shape {arr.shape}")

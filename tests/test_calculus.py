@@ -295,6 +295,19 @@ class TestOneSidedLimit:
         with pytest.raises(DomainError):
             one_sided_limit(f, 0.0, direction="left")
 
+    @pytest.mark.parametrize("direction,domain,d0", [
+        ("right", (-10.0, 10.0), 0.1 * 3.0),
+        ("right", (-10.0, 3.2), 0.5 * (3.2 - 3.0)),
+        ("left", (-10.0, 10.0), -0.1 * 3.0),
+        ("left", (2.5, 10.0), -0.5 * (3.0 - 2.5)),
+    ])
+    def test_first_step_of_schedule(self, direction, domain, d0):
+        # t_k = at + d0*2^-k, d0 = min(0.1*max(1, |at|), room/2) signed
+        seen = []
+        f = CallableFn(lambda s: seen.append(s) or 1.0, domain=domain)
+        one_sided_limit(f, 3.0, direction=direction)
+        assert seen[:2] == [3.0 + d0, 3.0 + d0 * 0.5]
+
 
 class TestConfIntegral:
     def test_below_terminal_rejected(self):

@@ -26,6 +26,28 @@ def _linear(lam):
     return lambda t, x: VecValue(lam * x.data)
 
 
+_SOLVERS = {
+    "tau": lambda prob: solve_tau(prob, 32),
+    "volterra": lambda prob: solve_volterra(prob, n_steps=32),
+}
+
+
+def _bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+class _Recorder:
+    """Wraps F and records every (t, x) it receives, bit for bit."""
+
+    def __init__(self, F):
+        self.F = F
+        self.calls = []
+
+    def __call__(self, t, x):
+        self.calls.append((type(t), t, x.data.shape, _bits(x.data)))
+        return self.F(t, x)
+
+
 class TestProblemValidation:
     def test_t_end_must_exceed_terminal(self):
         for bad in (0.0, -1.0, math.inf):
@@ -45,17 +67,41 @@ class TestProblemValidation:
         with pytest.raises(ValueError, match="max_iter"):
             solve_volterra(prob, max_iter=max_iter)
 
-    def test_rhs_shape_mismatch_rejected(self):
+    @pytest.mark.parametrize("solver", sorted(_SOLVERS))
+    def test_rhs_shape_mismatch_rejected(self, solver):
         bad = lambda t, x: VecValue(np.array([1.0, 2.0]))
         prob = _scalar_problem(bad, 0.5, 0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            solve_tau(prob, 4)
+        with pytest.raises(DomainError, match="shape"):
+            _SOLVERS[solver](prob)
 
-    def test_rhs_non_finite_rejected(self):
+    @pytest.mark.parametrize("solver", sorted(_SOLVERS))
+    def test_rhs_non_finite_rejected(self, solver):
         bad = lambda t, x: VecValue(np.asarray(math.inf))
         prob = _scalar_problem(bad, 0.5, 0.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            solve_tau(prob, 4)
+        with pytest.raises(DomainError, match="not finite"):
+            _SOLVERS[solver](prob)
+
+    def test_rhs_checked_at_gauss_nodes(self):
+        # the first sweep calls F at the 5 nodes, then at the Gauss nodes;
+        # only the value at the first Gauss node is infinite
+        calls = []
+
+        def bad(t, x):
+            calls.append(t)
+            return np.asarray(math.inf if len(calls) == 6 else 1.0)
+
+        prob = _scalar_problem(bad, 0.5, 0.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="not finite"):
+            solve_volterra(prob, n_steps=4)
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("solver", sorted(_SOLVERS))
+    def test_scalar_rhs_for_vector_state_rejected(self, solver):
+        # a number would broadcast against the state; it must not
+        prob = IvpProblem(F=lambda t, x: 1.0, p=ConfParams(0.5),
+                          x0=VecValue([1.0, 0.0]), t_end=1.0)
+        with pytest.raises(DomainError, match="shape"):
+            _SOLVERS[solver](prob)
 
 
 class TestTrivialProblems:
@@ -252,3 +298,105 @@ class TestVolterra:
         prob = _scalar_problem(_linear(1.0), 0.5, 0.0, 1.0, 1.0)
         with pytest.raises(ConvergenceError):
             solve_volterra(prob, max_iter=2)
+
+
+class TestRhsBoundary:
+    _ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    @pytest.mark.parametrize("solver", sorted(_SOLVERS))
+    def test_reused_output_buffer_is_copied(self, solver):
+        # F may fill and return one buffer; the solver keeps a copy of
+        # each value, so the result matches an F returning fresh arrays
+        buf = np.empty(2)
+
+        def reused(t, x):
+            np.matmul(self._ROT, x.data, out=buf)
+            return buf
+
+        def fresh(t, x):
+            return self._ROT @ x.data
+
+        runs = [
+            _SOLVERS[solver](IvpProblem(F=F, p=ConfParams(0.5),
+                                        x0=VecValue([0.3, -0.8]), t_end=2.0))
+            for F in (reused, fresh)
+        ]
+        assert _bits(runs[0].state_array()) == _bits(runs[1].state_array())
+        assert _bits(runs[0].tau_slopes) == _bits(runs[1].tau_slopes)
+        assert runs[0].stats == runs[1].stats
+
+
+def _picard_reference(F, p, x0, t_end, n, tol, max_iter=60):
+    """solve_volterra written as a plain loop over panels and Gauss nodes."""
+    from confcalc.expr import pow_real
+
+    alpha, a = p.alpha, p.a
+    inv = 1.0 / alpha
+    h = pow_real(t_end - a, alpha) / alpha / n
+    taus = [j * h for j in range(n + 1)]
+    ts = [a + pow_real(alpha * tau, inv) for tau in taus]
+    ts[-1] = t_end
+    gx, gw = np.polynomial.legendre.leggauss(5)
+    off = 0.5 * h * (gx + 1.0)
+    u = off / h
+    h00 = (1.0 + 2.0 * u) * (1.0 - u) ** 2
+    h10 = u * (1.0 - u) ** 2
+    h01 = u * u * (3.0 - 2.0 * u)
+    h11 = u * u * (u - 1.0)
+
+    def rhs(t, x):
+        return np.array(F(t, VecValue(x)).data, dtype=float)
+
+    xs = np.stack([x0] * (n + 1))
+    deltas = []
+    for _ in range(max_iter):
+        slopes = np.array([rhs(ts[j], xs[j]) for j in range(n + 1)])
+        new = np.empty_like(xs)
+        new[0] = x0
+        acc = x0.copy()
+        for j in range(n):
+            panel = np.zeros(x0.shape)
+            for q in range(5):
+                xq = (h00[q] * xs[j] + h01[q] * xs[j + 1]
+                      + h * (h10[q] * slopes[j] + h11[q] * slopes[j + 1]))
+                tq = a + pow_real(alpha * (taus[j] + off[q]), inv)
+                panel = panel + gw[q] * rhs(tq, xq)
+            acc = acc + (0.5 * h) * panel
+            new[j + 1] = acc
+        delta = float(np.max(np.abs(new - xs)))
+        xs = new
+        deltas.append(delta)
+        if delta <= tol.abs + tol.rel * float(np.max(np.abs(xs))):
+            break
+    else:
+        raise AssertionError("reference Picard loop did not converge")
+    slopes = np.array([rhs(ts[j], xs[j]) for j in range(n + 1)])
+    return xs, slopes, len(deltas)
+
+
+class TestPicardReference:
+    # the array-shaped sweep must reproduce the per-node loop operation
+    # for operation, and call F with the same arguments in the same order
+    _TRI = np.array([[-0.5, 1.0], [0.0, -1.0]])
+
+    @pytest.mark.parametrize("kind", ["driven-scalar", "matrix"])
+    def test_bit_for_bit_per_node_loop(self, kind):
+        if kind == "driven-scalar":
+            F = lambda t, x: VecValue(-x.data + math.sin(t))
+            x0 = VecValue(np.asarray(1.0))
+        else:
+            F = lambda t, x: VecValue(self._TRI @ x.data + t)
+            x0 = VecValue([[1.0, 0.5], [-0.25, 2.0]])
+        p, t_end, n = ConfParams(0.5), 2.0, 16
+        got_rec, ref_rec = _Recorder(F), _Recorder(F)
+        traj = solve_volterra(IvpProblem(F=got_rec, p=p, x0=x0, t_end=t_end),
+                              n_steps=n)
+        xs, slopes, iterations = _picard_reference(
+            ref_rec, p, x0.data.copy(), t_end, n,
+            Tolerance(rel=1e-10, abs=1e-12),
+        )
+        assert traj.stats["iterations"] == iterations > 2
+        assert _bits(traj.state_array()) == _bits(xs)
+        assert _bits(traj.tau_slopes) == _bits(slopes)
+        assert got_rec.calls == ref_rec.calls
+        assert all(c[0] is float for c in got_rec.calls)

@@ -103,6 +103,11 @@ def test_json_forms(value, expected):
     assert np.array_equal(back.data, value.data)
 
 
+def test_json_payload_of_other_shapes_rejected():
+    with pytest.raises(ShapeError):
+        from_jsonable([[[1.0, 2.0]]])
+
+
 def test_identity_like_shapes():
     assert float(identity_like(VecValue.scalar(7.0)).data) == 1.0
     m = identity_like(VecValue.matrix([[2, 1], [1, 2]]))
