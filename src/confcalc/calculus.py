@@ -83,6 +83,7 @@ _MAX_PANELS = 5000  # most panels one adaptive integral may refine
 _HALVES = np.array([0.5**k for k in range(_LEVELS)])  # the step schedule
 _BLOCK = 48  # extrapolation tableaux built at once: 16 points' three sides
 _SIDE_ORDERS = np.array([1, 1, 2])  # right, left and central quotients
+_SIDE_NAMES = ("right", "left", "two-sided")  # the sides those give
 
 
 def _rownorms(x: np.ndarray, lead: int = 1) -> np.ndarray:
@@ -103,7 +104,13 @@ def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative/absolute error target; threshold(ref) = abs + rel*ref."""
+    """Relative/absolute error target.
+
+    :meth:`threshold` is the one place a tolerance becomes a number:
+    ``abs + rel*ref``.  A derivative converges when its error is within
+    ``threshold(|value|)``; limits and identity comparisons use
+    ``threshold(1 + |ref|)``, which stays relative near a zero value.
+    """
 
     rel: float = 1e-8
     abs: float = 1e-10
@@ -208,13 +215,16 @@ def _neville(seq, orders):
     return tab[rows, k, j], errs[rows, k, j]
 
 
-def _err_floor(v) -> float:
-    return 8.0 * _EPS * (1.0 + _mnorm(v))
+def _err_floor(norm):
+    # the smallest error estimate a value of max norm ``norm`` (a number or
+    # an array of row norms) is given: a few rounding steps of its size
+    return 8.0 * _EPS * (1.0 + norm)
 
 
-def _err_floors(rows: np.ndarray) -> np.ndarray:
-    # _err_floor of every row
-    return 8.0 * _EPS * (1.0 + _rownorms(rows))
+def _first_step(at, room, frac):
+    # first step of a halving schedule away from ``at``: frac*max(1, |at|),
+    # at most half the signed ``room``, with room's sign
+    return math.copysign(min(frac * max(1.0, abs(at)), 0.5 * abs(room)), room)
 
 
 def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
@@ -277,62 +287,50 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
         grid[:, 0] = f0
     f0s, fr, fl = grid[:, :1], grid[:, 1:_LEVELS + 1], grid[:, _LEVELS + 1:]
     th = thetas.reshape(thetas.shape + (1,) * (vals.ndim - 1))
-    has_r, has_l = use[:, 0], use[:, 1]
-    both = has_r & has_l
 
     # right, left and central quotients of every point in one tableau
     # batch; a side without probes gives NaN rows, never reported
     est, errs = _richardson(np.concatenate(
         [(fr - f0s) / th, (f0s - fl) / th, (fr - fl) / (2.0 * th)]),
         np.repeat(_SIDE_ORDERS, n))
-    errs = np.fmax(errs, _err_floors(est))
-    right_v, left_v, cen_v = est.reshape((3, n) + est.shape[1:])
-    right_e, left_e, cen_e = errs.reshape(3, n)
-    thr = tol.threshold(_rownorms(cen_v))
+    norms = _rownorms(est)
+    errs = np.fmax(errs, _err_floor(norms))
+    # per side k (right, left, central): estimates, errors and thresholds
+    vals3 = est.reshape((3, n) + est.shape[1:])
+    right_v, left_v = vals3[0], vals3[1]
+    errs3 = errs.reshape(3, n)
+    thr = tol.threshold(norms).reshape(3, n)
+    conv3 = errs3 <= thr
     gap = _rownorms(right_v - left_v)
     # two one-sided estimates each within thr of a common limit may differ
     # by 2*thr; a genuine kink or jump shows up as a gap far beyond that,
     # not a few percent over
-    agree = gap <= np.maximum(2.0 * thr, 8.0 * (left_e + right_e))
-    cauchy = cen_e <= thr
-    cen_err = np.where(agree, cen_e, np.fmax(cen_e, 0.5 * gap))
-    if not both.all():
-        # one-sided results: the right side where there is one
-        one_v = np.where(_per_row(has_r, right_v), right_v, left_v)
-        one_e = np.where(has_r, right_e, left_e)
-        one_conv = one_e <= tol.threshold(_rownorms(one_v))
+    agree = gap <= np.maximum(2.0 * thr[2], 8.0 * (errs3[0] + errs3[1]))
+    # the central estimate also needs agreeing sides, and its error covers
+    # half their gap when they disagree
+    conv3[2] &= agree
+    errs3[2] = np.where(agree, errs3[2], np.fmax(errs3[2], 0.5 * gap))
 
     out = []
-    for i in range(n):
+    for i, (has_r, has_l) in enumerate(use.tolist()):
+        # the central estimate where both sides have probes, else the
+        # right side where it has them, else the left
+        k = 2 if has_r and has_l else (0 if has_r else 1)
         note = notes[i]
-        if both[i]:
-            if not agree[i]:
-                note.append(
-                    "one-sided estimates disagree; the two-sided limit does not exist numerically"
-                )
-            elif not cauchy[i]:
-                note.append("extrapolation not Cauchy within tolerance")
-            out.append(DerivResult(
-                VecValue(cen_v[i]),
-                float(cen_err[i]),
-                "two-sided",
-                bool(cauchy[i] and agree[i]),
-                evals[i],
-                left=VecValue(left_v[i]),
-                right=VecValue(right_v[i]),
-                detail="; ".join(note),
-            ))
-            continue
-        if not one_conv[i]:
+        if k == 2 and not agree[i]:
+            note.append(
+                "one-sided estimates disagree; the two-sided limit does not exist numerically"
+            )
+        elif not conv3[k, i]:
             note.append("extrapolation not Cauchy within tolerance")
         out.append(DerivResult(
-            VecValue(one_v[i]),
-            float(one_e[i]),
-            "right" if has_r[i] else "left",
-            bool(one_conv[i]),
+            VecValue(vals3[k, i]),
+            float(errs3[k, i]),
+            _SIDE_NAMES[k],
+            bool(conv3[k, i]),
             evals[i],
-            left=VecValue(left_v[i]) if has_l[i] else None,
-            right=VecValue(right_v[i]) if has_r[i] else None,
+            left=VecValue(left_v[i]) if has_l else None,
+            right=VecValue(right_v[i]) if has_r else None,
             detail="; ".join(note),
         ))
     return out
@@ -442,30 +440,30 @@ def conf_deriv_scaled(
             detail="scaled exact first derivative",
         )
 
-    s = pow_real(t - p.a, 1.0 - p.alpha)
+    # f' numerically, then one tail scales it and its error by s
     if isinstance(f, GridFn):
         dv, de = f.interp_deriv(t)
-        val = s * np.asarray(dv, dtype=float)
-        err = s * float(de) + _err_floor(val)
-        conv = bool(err <= tol.threshold(_mnorm(val)))
-        return DerivResult(
-            VecValue(val), float(err), "two-sided", conv, 1,
-            detail="scaled grid-interpolant derivative; error bound inflated",
-        )
-
-    r = classical_deriv(f, t, tol)
-    val = s * r.value.data
-    err = s * r.err_estimate + _err_floor(val)
-    conv = bool(r.converged and err <= tol.threshold(_mnorm(val)))
+        d, de, side, conv, steps, sides = (np.asarray(dv, dtype=float), float(de),
+                                           "two-sided", True, 1, (None, None))
+        how = "grid-interpolant derivative; error bound inflated"
+    else:
+        r = classical_deriv(f, t, tol)
+        d, de, side, conv, steps, sides = (r.value.data, r.err_estimate, r.side,
+                                           r.converged, r.steps_used, (r.left, r.right))
+        how = "classical difference derivative"
+    s = pow_real(t - p.a, 1.0 - p.alpha)
+    val = s * d
+    err = s * de + _err_floor(_mnorm(val))
+    left, right = (None if x is None else VecValue(s * x.data) for x in sides)
     return DerivResult(
         VecValue(val),
         float(err),
-        r.side,
-        conv,
-        r.steps_used,
-        left=VecValue(s * r.left.data) if r.left is not None else None,
-        right=VecValue(s * r.right.data) if r.right is not None else None,
-        detail=note + "scaled classical difference derivative",
+        side,
+        bool(conv and err <= tol.threshold(_mnorm(val))),
+        steps,
+        left=left,
+        right=right,
+        detail=note + "scaled " + how,
     )
 
 
@@ -507,7 +505,7 @@ def _scaled_exact(p: ConfParams, ts: np.ndarray, d: np.ndarray):
     # (t-a)^(1-alpha) * f'(t) for stacked exact derivatives d at the
     # points ts, and its error estimates
     vals = _per_row(elementwise(pow_real, ts - p.a, 1.0 - p.alpha), d) * d
-    return vals, _err_floors(vals).tolist()
+    return vals, _err_floor(_rownorms(vals)).tolist()
 
 
 def _stacked(results):
@@ -562,8 +560,6 @@ def _sequence_limit(vals):
     cur = vals
     est = cur[-1]
     for _ in range(3):
-        if len(cur) < 3:
-            break
         cur = _aitken_sweep(cur)
         if not cur:
             break
@@ -576,14 +572,17 @@ def _terminal_limit(sample, a, room, tol):
 
     ``room`` is the signed distance from a to the domain's end on the side
     approached (negative for a limit from the left); the first step is
-    d0 = min(0.1*max(1, |a|), |room|/2) with the sign of room.
+    ``_first_step(a, room, 0.1)``: d0 = min(0.1*max(1, |a|), |room|/2)
+    with the sign of room.
 
-    sample returns (value array, inner error, inner ok).  Converges when
-    two consecutive accelerated estimates move by at most
-    tol.abs + tol.rel*(1 + |estimate|).  Returns (value, err, converged,
-    points used, note).
+    sample(t) returns (value, ok), ok False when the value at t could not
+    be trusted.  The values are accelerated by up to three Aitken sweeps;
+    the limit converges when two consecutive moves of the accelerated
+    estimate are both within tol.threshold(1 + |estimate|).  The error
+    reported is the last move, at least the error floor.  Returns (value,
+    err, converged, points used, note).
     """
-    d0 = math.copysign(min(0.1 * max(1.0, abs(a)), 0.5 * abs(room)), room)
+    d0 = _first_step(a, room, 0.1)
     vals = []
     prev_est = None
     est = None
@@ -591,7 +590,7 @@ def _terminal_limit(sample, a, room, tol):
     delta = math.inf
     for k in range(_TERMINAL_POINTS):
         tk = a + d0 * 0.5**k
-        v, _e, ok = sample(tk)
+        v, ok = sample(tk)
         v = np.asarray(v, dtype=float)
         if not ok:
             note = f"interior evaluation did not converge at t = {tk:.6g}"
@@ -608,11 +607,10 @@ def _terminal_limit(sample, a, room, tol):
         est = _sequence_limit(vals)
         if prev_est is not None:
             delta = _mnorm(est - prev_est)
-            thr = tol.abs + tol.rel * (1.0 + _mnorm(est))
-            if delta <= thr:
+            if delta <= tol.threshold(1.0 + _mnorm(est)):
                 streak += 1
                 if streak >= 2:
-                    err = max(delta, 8.0 * _EPS * (1.0 + _mnorm(est)))
+                    err = max(delta, _err_floor(_mnorm(est)))
                     return est, err, True, k + 1, ""
             else:
                 streak = 0
@@ -644,7 +642,7 @@ def lower_terminal_deriv(
 
     def sample(tk):
         r = conf_deriv(f, p, tk, side="two-sided", tol=inner)
-        return r.value.data, r.err_estimate, r.converged
+        return r.value.data, r.converged
 
     value, err, conv, used, note = _terminal_limit(sample, p.a, hi - p.a, tol)
     return DerivResult(
@@ -675,7 +673,7 @@ def one_sided_limit(
         raise DomainError(f"no domain room to the {direction} of {at}")
 
     def sample(tk):
-        return f(tk), 0.0, True
+        return f(tk), True
 
     signed = room if direction == "right" else -room
     value, err, conv, _used, _note = _terminal_limit(sample, at, signed, tol)
@@ -747,19 +745,21 @@ def _refine(g, lo, hi, budget, noise, depth, state):
     return vl + vr
 
 
-def _quad_adaptive(g, lo, hi, tol, noise=None, grade=False):
+def _quad_adaptive(g, lo, hi, tol, noise=0.0, grade=False):
     """Adaptive composite Gauss-Legendre on [lo, hi].
 
     10-point panels with an embedded 7-point error estimate, budgets split
     evenly on bisection.  ``grade`` prepends a geometric partition packed
     toward ``lo`` for integrands with an algebraic endpoint feature.
-    ``noise`` is a callable returning the current absolute sample noise;
-    panels are accepted once their estimate falls under the noise floor,
-    which keeps inexact (estimated) integrands from forcing endless
-    refinement.  Returns (value, error sum, eval count).
+    ``noise`` is the absolute sample noise, a number or a zero-argument
+    callable re-read at each panel; panels are accepted once their
+    estimate falls under the noise floor, which keeps inexact (estimated)
+    integrands from forcing endless refinement.  Returns (value, error
+    sum, eval count).
     """
-    if noise is None:
-        noise = lambda: 0.0
+    if not callable(noise):
+        level = float(noise)
+        noise = lambda: level
     width = hi - lo
     if grade:
         sigma, levels = 0.25, 24
@@ -774,7 +774,7 @@ def _quad_adaptive(g, lo, hi, tol, noise=None, grade=False):
 
     [(pieces, _)] = _panels(g, pts[:-1], pts[1:], 10)
     coarse = np.add.accumulate(pieces, axis=0)[-1]
-    budget_total = tol.abs + tol.rel * _mnorm(coarse)
+    budget_total = tol.threshold(_mnorm(coarse))
 
     state = {"err": 0.0, "evals": 10 * (len(pts) - 1), "wtot": width,
              "gmax": 0.0, "panels": 0}
@@ -845,9 +845,8 @@ def conf_integral_info(
 
     # budget in the substituted variable: the final value carries 1/alpha
     sub_tol = Tolerance(rel=tol.rel, abs=tol.abs * p.alpha)
-    noise_fn = noise if callable(noise) else (lambda: float(noise))
     val, err, evals = _quad_adaptive(
-        g, 0.0, upper, sub_tol, noise=noise_fn, grade=(p.alpha < 1.0)
+        g, 0.0, upper, sub_tol, noise=noise, grade=(p.alpha < 1.0)
     )
     return VecValue(inv_alpha * val), inv_alpha * err, evals
 
@@ -906,7 +905,6 @@ def deriv_of_integral(
     p: ConfParams,
     t: float,
     tol: Tolerance | None = None,
-    side: str = "two-sided",
 ) -> DerivResult:
     """Order-alpha derivative at t of the running integral of f.
 
@@ -935,7 +933,7 @@ def deriv_of_integral(
     zero = 0.0 * f(t)
     (r,) = _deriv_core(
         g_inc, np.array([t]), np.array([s]), np.array([t - p.a]), lo, hi,
-        side, tol,
+        "two-sided", tol,
         detail="derivative of the running integral via local increments",
         f0=zero[None],
     )
@@ -954,12 +952,12 @@ def avg_recover(f: AbstractFn, t: float, tol: Tolerance | None = None) -> VecVal
     f._check_domain(t)
     lo, hi = f.domain
     if hi - t > 0.0:
-        sign, room = 1.0, hi - t
+        room = hi - t
     elif t - lo > 0.0:
-        sign, room = -1.0, t - lo
+        room = lo - t
     else:
         raise DomainError(f"no domain room on either side of t = {t}")
-    h0 = sign * min(0.01 * max(1.0, abs(t)), 0.5 * room)
+    h0 = _first_step(t, room, 0.01)
     if t + h0 == t:
         raise DomainError(f"averaging interval underflows at t = {t}")
 
@@ -967,7 +965,7 @@ def avg_recover(f: AbstractFn, t: float, tol: Tolerance | None = None) -> VecVal
     [(sums, _)] = _panels(f.eval_many, t, t + hs, 10)
     vals, errs = _richardson((sums / _per_row(hs, sums))[None], np.ones(1, int))
     val = vals[0]
-    err = max(float(errs[0]), _err_floor(val))
+    err = max(float(errs[0]), _err_floor(_mnorm(val)))
     thr = tol.threshold(_mnorm(val))
     if err > thr:
         raise ConvergenceError(

@@ -63,17 +63,16 @@ def _env_tol():
 
 
 def _tolerance(args) -> Tolerance | None:
-    """Flags beat the environment; both unset means kernel defaults."""
+    """Flags beat the environment's pair, which beats ``Tolerance()``;
+    with no flag set, the environment's pair or None (kernel defaults)."""
     base = _env_tol()
     rel = getattr(args, "tol_rel", None)
     ab = getattr(args, "tol_abs", None)
     if rel is None and ab is None:
         return base
-    if rel is None:
-        rel = base.rel if base else 1e-8
-    if ab is None:
-        ab = base.abs if base else 1e-10
-    return Tolerance(rel=rel, abs=ab)
+    fill = base or Tolerance()
+    return Tolerance(rel=fill.rel if rel is None else rel,
+                     abs=fill.abs if ab is None else ab)
 
 
 def _load_source(args):

@@ -374,32 +374,23 @@ class GridFn(AbstractFn):
 
     def _node_slopes(self) -> np.ndarray:
         # Three-point finite differences, exact for quadratic data even on
-        # non-uniform grids; one-sided variants at the two ends.
+        # non-uniform grids: node i differentiates the quadratic through
+        # nodes j, j+1, j+2 with j = clip(i-1, 0, m-3), so the two end
+        # nodes use one-sided stencils.
         ts, vs = self.nodes_t, self.values
         m = ts.size
-        out = np.empty_like(vs)
         if m == 2:  # no quadratic available, fall back to the chord
             slope = (vs[1] - vs[0]) / (ts[1] - ts[0])
-            out[0] = slope
-            out[1] = slope
-            return out
-        for i in range(m):
-            if i == 0:
-                j = 0
-            elif i == m - 1:
-                j = m - 3
-            else:
-                j = i - 1
-            t0, t1, t2 = ts[j], ts[j + 1], ts[j + 2]
-            v0, v1, v2 = vs[j], vs[j + 1], vs[j + 2]
-            t = ts[i]
-            # derivative of the quadratic through the three points
-            out[i] = (
-                v0 * (2.0 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+            return np.stack([slope, slope])
+        j = np.clip(np.arange(m) - 1, 0, m - 3)
+        # node times as columns that broadcast over the value axes
+        col = (slice(None),) + (None,) * (vs.ndim - 1)
+        t = ts[col]
+        t0, t1, t2 = (ts[j + k][col] for k in range(3))
+        v0, v1, v2 = (vs[j + k] for k in range(3))
+        return (v0 * (2.0 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
                 + v1 * (2.0 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
-                + v2 * (2.0 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
-            )
-        return out
+                + v2 * (2.0 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))
 
     def _locate(self, t):
         i = np.searchsorted(self.nodes_t, t, side="right") - 1

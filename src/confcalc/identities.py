@@ -33,6 +33,7 @@ from .calculus import (
     _EPS,
     ConfParams,
     Tolerance,
+    _first_step,
     _stacked,
     _terminal_limit,
     conf_deriv,
@@ -195,11 +196,11 @@ def _result(identity_id, subject, inputs, lhs, rhs, residual, threshold, diagnos
 def _compare(identity_id, subject, inputs, lhs, rhs, tol, slack=0.0, ref=None,
              diagnostics=""):
     # the one comparison rule: norm(lhs - rhs) against
-    # tol.abs + tol.rel*(1 + norm(ref)) + slack, where ref is rhs unless given
+    # tol.threshold(1 + norm(ref)) + slack, where ref is rhs unless given
     lhs, rhs = as_vecvalue(lhs), as_vecvalue(rhs)
     ref = rhs if ref is None else as_vecvalue(ref)
     residual = _mnorm(lhs.data - rhs.data)
-    threshold = tol.abs + tol.rel * (1.0 + _mnorm(ref.data)) + slack
+    threshold = tol.threshold(1.0 + _mnorm(ref.data)) + slack
     return _result(
         identity_id, subject, inputs, to_jsonable(lhs), to_jsonable(rhs),
         residual, threshold, diagnostics,
@@ -248,18 +249,19 @@ class _BatchFn(AbstractFn):
 def _decay_to_zero(f, t, sign, levels, thr):
     """Does norm(f(t + sign*h) - f(t)) fall below thr as h halves?
 
-    h starts at min(0.01*max(1, |t|), half the domain room on that side);
-    a side with no room passes with a residual of 0.
+    h starts at ``_first_step(t, room, 0.01)``: min(0.01*max(1, |t|), half
+    the domain room on that side); a side with no room passes with a
+    residual of 0.
     """
     lo, hi = f.domain
     room = (hi - t) if sign > 0 else (t - lo)
     if room <= 0.0:
         return True, 0.0
-    h0 = min(0.01 * max(1.0, abs(t)), 0.5 * room)
+    h0 = _first_step(t, sign * room, 0.01)
     f0 = f(t)
     last = math.inf
     for k in range(levels):
-        h = sign * h0 * 0.5**k
+        h = h0 * 0.5**k
         last = _mnorm(f(t + h) - f0)
         if last <= thr:
             return True, last
@@ -475,7 +477,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
     if t > p.a:
         tol = tol if tol is not None else _SUITE_TOL
         ft = f(t)
-        thr_cont = 1e-6 * (1.0 + _mnorm(ft)) + 1e-10
+        thr_cont = Tolerance(rel=1e-6, abs=1e-10).threshold(1.0 + _mnorm(ft))
         # both sides are probed, also when the first one fails
         if not all([_decay_to_zero(f, t, sign, 24, thr_cont)[0]
                     for sign in (1.0, -1.0)]):
@@ -504,7 +506,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
 
     def sample(tk):
         r = deriv_of_integral(f, p, tk)
-        return r.value.data, r.err_estimate, r.converged
+        return r.value.data, r.converged
 
     value, _err, conv, _used, note = _terminal_limit(sample, p.a, hi - p.a, tol)
     if not conv:
@@ -520,7 +522,7 @@ def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
     """Terminal derivative at a lower order vanishes.
 
     Hypothesis: the terminal derivative at order alpha converges; then the
-    order-beta one (beta < alpha) must be zero within tol.abs + tol.rel.
+    order-beta one (beta < alpha) must be zero within tol.threshold(1).
     """
     tol = tol if tol is not None else _TERMINAL_TOL
     if not beta < alpha:
@@ -540,7 +542,7 @@ def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
         return CaseResult(
             "LOWER_VANISH_4_3", subject, inputs,
             to_jsonable(r_lo.value), to_jsonable(zero),
-            None, float(tol.abs + tol.rel), "failed",
+            None, float(tol.threshold(1.0)), "failed",
             f"terminal derivative at the lower order did not settle: {r_lo.detail}",
         )
     return _compare("LOWER_VANISH_4_3", subject, inputs, r_lo.value, zero, tol)

@@ -258,11 +258,10 @@ def solve_volterra(
         terms[:, 1:] = weights * fq.reshape(xq.shape)
         panel = np.add.accumulate(terms, axis=1)[:, -1]
         new = np.add.accumulate(np.concatenate([x0[None], (0.5 * h) * panel]))
-        delta = float(np.max(np.abs(new - xs)))
+        delta = _mnorm(new - xs)
         xs = new
         deltas.append(delta)
-        scale = float(np.max(np.abs(xs)))
-        if delta <= tol.abs + tol.rel * scale:
+        if delta <= tol.threshold(_mnorm(xs)):
             break
         if not np.isfinite(delta) or (len(deltas) >= 8 and delta > 2.0 * deltas[0]):
             raise ConvergenceError(

@@ -141,6 +141,86 @@ class TestConfDeriv:
             )
 
 
+_DISAGREE = ("one-sided estimates disagree; the two-sided limit does not "
+             "exist numerically")
+_NOT_CAUCHY = "extrapolation not Cauchy within tolerance"
+
+
+def _hole_deriv(t):
+    # an exact derivative that is undefined inside (0.3, 0.4)
+    if 0.3 < t < 0.4:
+        raise DomainError(f"no exact derivative at {t}")
+    return math.cos(t)
+
+
+def _sin_grid(lo=0.0):
+    ts = np.linspace(0.0, 2.0, 9)
+    return GridFn(ts + lo, np.sin(ts))
+
+
+class TestDerivResultFields:
+    # side, converged, steps_used, detail and which one-sided estimates
+    # are present; one row per way _deriv_core can pick its result
+    @pytest.mark.parametrize("f,t,side,tol,want", [
+        (builtin("exp"), 1.0, "two-sided", None,
+         ("two-sided", True, 17, "", True, True)),
+        (parse_expr("abs(t-1)"), 1.0, "two-sided", None,
+         ("two-sided", False, 17, _DISAGREE, True, True)),
+        (builtin("exp"), 5.0, "two-sided", Tolerance(rel=1e-12, abs=1e-300),
+         ("two-sided", False, 17, _NOT_CAUCHY, True, True)),
+        (builtin("exp"), 1.0, "right", Tolerance(rel=1e-15),
+         ("right", True, 9, "", False, True)),
+        (builtin("exp"), 1.0, "right", Tolerance(rel=1e-15, abs=1e-300),
+         ("right", False, 9, _NOT_CAUCHY, False, True)),
+        (builtin("exp"), 1.0, "left", Tolerance(rel=1e-15),
+         ("left", True, 9, "", True, False)),
+        (_sin_grid(0.5), 0.5, "two-sided", None,
+         ("right", True, 9,
+          "left probes unavailable at the domain edge; one-sided result",
+          False, True)),
+        (_sin_grid(), 2.0, "two-sided", None,
+         ("left", True, 9,
+          "right probes unavailable at the domain edge; one-sided result",
+          True, False)),
+    ], ids=["smooth", "kink", "not-cauchy", "right", "right-not-cauchy",
+            "left", "grid-low-edge", "grid-high-edge"])
+    def test_conf_deriv(self, f, t, side, tol, want):
+        r = conf_deriv(f, ConfParams(alpha=0.5), t, side=side, tol=tol)
+        got = (r.side, r.converged, r.steps_used, r.detail,
+               r.left is not None, r.right is not None)
+        assert got == want
+
+    @pytest.mark.parametrize("f,t,want", [
+        (_sin_grid(), 0.7,
+         ("two-sided", False, 1,
+          "scaled grid-interpolant derivative; error bound inflated",
+          False, False)),
+        (CallableFn(math.exp, domain=(-10.0, 10.0)), 1.0,
+         ("two-sided", True, 17, "scaled classical difference derivative",
+          True, True)),
+        (CallableFn(math.sin, deriv=_hole_deriv), 0.35,
+         ("two-sided", True, 17,
+          "exact derivative undefined at t; numeric fallback; "
+          "scaled classical difference derivative", True, True)),
+        (builtin("exp"), 1.0,
+         ("two-sided", True, 0, "scaled exact first derivative", False, False)),
+    ], ids=["grid", "callable", "hole-in-derivative", "exact"])
+    def test_conf_deriv_scaled(self, f, t, want):
+        r = conf_deriv_scaled(f, ConfParams(alpha=0.5), t)
+        got = (r.side, r.converged, r.steps_used, r.detail,
+               r.left is not None, r.right is not None)
+        assert got == want
+
+    def test_scaled_sides_are_scaled_classical_sides(self):
+        f = CallableFn(math.exp, domain=(-10.0, 10.0))
+        p = ConfParams(alpha=0.5)
+        s = 4.0**0.5
+        r = conf_deriv_scaled(f, p, 4.0)
+        c = classical_deriv(f, 4.0)
+        assert float(r.left.data) == s * float(c.left.data)
+        assert float(r.right.data) == s * float(c.right.data)
+
+
 class TestClassicalDeriv:
     def test_smooth_value(self):
         r = classical_deriv(builtin("exp"), 1.0)
@@ -427,6 +507,25 @@ class TestInverseRoutes:
         f = CallableFn(chatter, domain=(-1.0, 1.0))
         with pytest.raises(ConvergenceError):
             avg_recover(f, 0.0, tol=Tolerance(rel=1e-13, abs=1e-13))
+
+
+class TestAverageSchedule:
+    @pytest.mark.parametrize("domain,t,h0", [
+        ((-10.0, 10.0), 3.0, 0.01 * 3.0),
+        ((-10.0, 3.04), 3.0, 0.5 * (3.04 - 3.0)),
+        ((-10.0, 3.0), 3.0, -0.01 * 3.0),
+        ((2.99, 3.0), 3.0, -0.5 * (3.0 - 2.99)),
+        ((-5.0, 5.0), 0.5, 0.01),
+    ])
+    def test_first_panel(self, domain, t, h0):
+        # the first average runs over [t, t + h0], h0 = +-min(0.01*max(1,
+        # |t|), room/2): right of t, or left of it at the right domain edge
+        seen = []
+        f = CallableFn(lambda s: seen.append(s) or math.sin(s), domain=domain)
+        avg_recover(f, t)
+        x, _w = np.polynomial.legendre.leggauss(10)
+        c, m = 0.5 * ((t + h0) - t), 0.5 * ((t + h0) + t)
+        assert seen[:10] == (m + c * x).tolist()
 
 
 class TestNoiseAwareIntegration:

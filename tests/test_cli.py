@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from confcalc import Tolerance
 from confcalc.cli import run
 
 
@@ -354,6 +355,17 @@ class TestEnvironmentTolerance:
         assert rec["inputs"]["tol_rel"] == 1e-9
         # unset abs falls back to the environment pair
         assert rec["inputs"]["tol_abs"] == pytest.approx(1e-7)
+
+    @pytest.mark.parametrize("flag,value,other", [
+        ("--tol-rel", 1e-9, "tol_abs"), ("--tol-abs", 1e-12, "tol_rel"),
+    ])
+    def test_one_flag_fills_the_other_from_defaults(self, capsys, flag, value,
+                                                    other):
+        run(["deriv", "--builtin", "exp", "--alpha", "0.5", "--t", "1.0",
+             flag, str(value)])
+        (rec,) = _json_records(capsys)
+        assert rec["inputs"][flag[2:].replace("-", "_")] == value
+        assert rec["inputs"][other] == getattr(Tolerance(), other[4:])
 
     def test_defaults_when_unset(self, capsys):
         run(["deriv", "--builtin", "exp", "--alpha", "0.5", "--t", "1.0"])

@@ -110,6 +110,38 @@ class TestGridFn:
         v, err = g.interp_deriv(1.4)
         assert float(np.asarray(v)) == pytest.approx(2.8, abs=1e-12)
 
+    @staticmethod
+    def _loop_slopes(ts, vs):
+        # the node slopes one node at a time: the chord for two nodes, else
+        # the quadratic through three nodes, one-sided at the two ends
+        m = ts.size
+        out = np.empty_like(vs)
+        if m == 2:
+            out[0] = out[1] = (vs[1] - vs[0]) / (ts[1] - ts[0])
+            return out
+        for i in range(m):
+            j = 0 if i == 0 else (m - 3 if i == m - 1 else i - 1)
+            t0, t1, t2 = ts[j], ts[j + 1], ts[j + 2]
+            v0, v1, v2 = vs[j], vs[j + 1], vs[j + 2]
+            t = ts[i]
+            out[i] = (
+                v0 * (2.0 * t - t1 - t2) / ((t0 - t1) * (t0 - t2))
+                + v1 * (2.0 * t - t0 - t2) / ((t1 - t0) * (t1 - t2))
+                + v2 * (2.0 * t - t0 - t1) / ((t2 - t0) * (t2 - t1))
+            )
+        return out
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 7, 30])
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    def test_node_slopes_match_the_node_loop(self, rng, m, shape):
+        for _ in range(20):
+            ts = np.cumsum(rng.uniform(0.01, 2.0, m)) - 5.0
+            vs = rng.normal(size=(m,) + shape) * 10.0 ** rng.uniform(-3, 3)
+            got = GridFn(ts, vs)._slopes
+            want = self._loop_slopes(ts, vs)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
     def test_cubic_interpolation_error_smooth(self):
         ts = np.linspace(0, math.pi, 81)
         g = GridFn(ts, np.sin(ts))

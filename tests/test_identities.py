@@ -66,6 +66,22 @@ class TestSingleCheckers:
         r = check_continuity(builtin("exp"), ConfParams(0.5), 1.0)
         assert r.status == "passed"
 
+    @pytest.mark.parametrize("domain,right,left", [
+        ((-10.0, 3.2), 0.01 * 3.0, -0.01 * 3.0),
+        ((-10.0, 3.04), 0.5 * (3.04 - 3.0), -0.01 * 3.0),
+        ((2.98, 10.0), 0.01 * 3.0, -0.5 * (3.0 - 2.98)),
+    ])
+    def test_continuity_probe_schedule(self, domain, right, left):
+        # after the 17 derivative probes, each side's probes run
+        # t + h0*2^-k, h0 = +-min(0.01*max(1, |t|), room/2)
+        seen = []
+        f = CallableFn(lambda s: seen.append(s) or math.sin(s), domain=domain)
+        r = check_continuity(f, ConfParams(0.5), 3.0)
+        assert r.diagnostics == "checked side(s): right, left"
+        probes = seen[17:]
+        assert [s for s in probes if s > 3.0][:2] == [3.0 + right, 3.0 + right * 0.5]
+        assert [s for s in probes if s < 3.0][:2] == [3.0 + left, 3.0 + left * 0.5]
+
     def test_equivalence_smooth(self):
         r = check_equivalence(builtin("sin"), ConfParams(0.5), 1.5)
         assert r.status == "passed"
