@@ -410,6 +410,41 @@ def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> De
     return r
 
 
+def _scaled_source(f: AbstractFn, p: ConfParams, t: float, tol: Tolerance):
+    # f'(t) and its error from the first source that has it, after the
+    # checks of t: the closed form, the grid interpolant, else classical
+    # differencing.  Returns (f', error, side, converged, steps, (left,
+    # right) one-sided f' or None, detail).
+    _require_interior(p, t)
+    f._check_domain(t)
+    note = ""
+    try:
+        d = f.exact_deriv(t)
+    except DomainError:
+        d, note = None, "exact derivative undefined at t; numeric fallback; "
+    if d is not None:
+        return (np.asarray(d, dtype=float), 0.0, "two-sided", True, 0,
+                (None, None), "scaled exact first derivative")
+    if isinstance(f, GridFn):
+        d, de = f.interp_deriv(t)
+        return (np.asarray(d, dtype=float), float(de), "two-sided", True, 1, (None, None),
+                note + "scaled grid-interpolant derivative; error bound inflated")
+    r = classical_deriv(f, t, tol)
+    return (r.value.data, r.err_estimate, r.side, r.converged, r.steps_used,
+            (r.left, r.right), note + "scaled classical difference derivative")
+
+
+def _scaled(p: ConfParams, ts: np.ndarray, d: np.ndarray, de=None):
+    # the scaled route's values s*f'(t), s = (t-a)^(1-alpha), at the points
+    # ts from the stacked first derivatives d, and their error estimates
+    # s*de + the error floor (de None: exact derivatives); returns (values,
+    # estimates, s)
+    s = elementwise(pow_real, ts - p.a, 1.0 - p.alpha)
+    vals = _per_row(s, d) * d
+    errs = _err_floor(_rownorms(vals))
+    return vals, (errs if de is None else s * de + errs), s
+
+
 def conf_deriv_scaled(
     f: AbstractFn, p: ConfParams, t: float, tol: Tolerance | None = None
 ) -> DerivResult:
@@ -417,43 +452,16 @@ def conf_deriv_scaled(
 
     f' comes from the exact derivative when the function carries one, from
     the interpolant (with an inflated error bound) for grid data, and from
-    classical differencing otherwise.  Never evaluates the limit quotient,
-    so it can cross-check :func:`conf_deriv`.  :func:`conf_deriv_scaled_many`
+    classical differencing otherwise.  Whatever the source, ``converged``
+    needs the source's own flag and an error within
+    ``tol.threshold(|value|)``.  Never evaluates the limit quotient, so it
+    can cross-check :func:`conf_deriv`.  :func:`conf_deriv_scaled_many`
     gives its values and error estimates at a batch of points.
     """
     tol = tol if tol is not None else Tolerance()
     t = float(t)
-    _require_interior(p, t)
-    f._check_domain(t)
-
-    note = ""
-    d = None
-    try:
-        d = f.exact_deriv(t)
-    except DomainError:
-        note = "exact derivative undefined at t; numeric fallback; "
-    if d is not None:
-        (val,), (err,) = _scaled_exact(
-            p, np.array([t]), np.asarray(d, dtype=float)[None])
-        return DerivResult(
-            VecValue(val), err, "two-sided", True, 0,
-            detail="scaled exact first derivative",
-        )
-
-    # f' numerically, then one tail scales it and its error by s
-    if isinstance(f, GridFn):
-        dv, de = f.interp_deriv(t)
-        d, de, side, conv, steps, sides = (np.asarray(dv, dtype=float), float(de),
-                                           "two-sided", True, 1, (None, None))
-        how = "grid-interpolant derivative; error bound inflated"
-    else:
-        r = classical_deriv(f, t, tol)
-        d, de, side, conv, steps, sides = (r.value.data, r.err_estimate, r.side,
-                                           r.converged, r.steps_used, (r.left, r.right))
-        how = "classical difference derivative"
-    s = pow_real(t - p.a, 1.0 - p.alpha)
-    val = s * d
-    err = s * de + _err_floor(_mnorm(val))
+    d, de, side, conv, steps, sides, detail = _scaled_source(f, p, t, tol)
+    (val,), (err,), (s,) = _scaled(p, np.array([t]), d[None], np.array([de]))
     left, right = (None if x is None else VecValue(s * x.data) for x in sides)
     return DerivResult(
         VecValue(val),
@@ -463,7 +471,7 @@ def conf_deriv_scaled(
         steps,
         left=left,
         right=right,
-        detail=note + "scaled " + how,
+        detail=detail,
     )
 
 
@@ -477,35 +485,29 @@ def conf_deriv_scaled_many(
     their ``err_estimate``; row i and entry i equal those fields of
     ``conf_deriv_scaled(f, p, ts[i], tol)`` bit for bit, and an error is
     the one the first failing point raises.  The other fields are left
-    out: a quadrature integrand needs only these two, and building a
-    :class:`DerivResult` per node costs more than the derivative.  When
-    ``f`` has a closed-form derivative (expressions, builtins and their
-    composites), the exact derivatives of the whole batch come from one
+    out: a quadrature integrand needs only these two.  When ``f`` has a
+    closed-form derivative (expressions, builtins and their composites),
+    the exact derivatives of the whole batch come from one
     :meth:`~confcalc.funcs.AbstractFn.exact_deriv_many` call.  If that
     derivative is unavailable or undefined at some point, and for every
-    other kind of function, the points run one at a time through
-    :func:`conf_deriv_scaled`, in order, so a
-    :class:`~confcalc.funcs.CallableFn`'s derivative is called once per
-    point.
+    other kind of function, f' and its error come from the points' sources
+    one at a time, in order, so a :class:`~confcalc.funcs.CallableFn`'s
+    derivative is called once per point; one scaling pass serves them all.
     """
     tol = tol if tol is not None else Tolerance()
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    d = None
+    d = de = None
     if f._derivs is not None and (ts > p.a).all():
         try:
             d = f.exact_deriv_many(ts)
         except DomainError:
             pass
     if d is None:
-        return _stacked([conf_deriv_scaled(f, p, t, tol) for t in ts.tolist()])
-    return _scaled_exact(p, ts, d)
-
-
-def _scaled_exact(p: ConfParams, ts: np.ndarray, d: np.ndarray):
-    # (t-a)^(1-alpha) * f'(t) for stacked exact derivatives d at the
-    # points ts, and its error estimates
-    vals = _per_row(elementwise(pow_real, ts - p.a, 1.0 - p.alpha), d) * d
-    return vals, _err_floor(_rownorms(vals)).tolist()
+        src = [_scaled_source(f, p, t, tol)[:2] for t in ts.tolist()]
+        d = np.array([x for x, _ in src])
+        de = np.array([e for _, e in src])
+    vals, errs, _s = _scaled(p, ts, d, de)
+    return vals, errs.tolist()
 
 
 def _stacked(results):

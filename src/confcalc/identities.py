@@ -381,9 +381,25 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
             use_scaled = f.exact_deriv(t) is not None
         except DomainError:
             use_scaled = False
-    err_seen = [0.0]
     inner = Tolerance()
-    lo_f, hi_f = f.domain
+    # the route picks the kernel and the floor: a node within it of the
+    # terminal takes the terminal value (scaled: a + u^(1/alpha) rounded to
+    # a; quotient: no differencing room, and that sliver's mass is O(floor))
+    if use_scaled:
+        notes.append("integrand from the scaled derivative route")
+        floor = 0.0
+
+        def interior(ss):
+            return conf_deriv_scaled_many(f, p, ss, tol=inner)
+
+    else:
+        notes.append("integrand from the limit-quotient route")
+        floor = 4096.0 * _EPS * max(1.0, abs(p.a))
+
+        def interior(ss):
+            return _stacked(conf_deriv_many(f, p, ss, tol=inner))
+
+    err_seen = [0.0]
     term_cache = []
 
     def terminal():
@@ -391,30 +407,8 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
             term_cache.append(lower_terminal_deriv(f, p).value.data)
         return term_cache[0]
 
-    if use_scaled:
-        notes.append("integrand from the scaled derivative route")
-
-        def interior(ss):
-            return conf_deriv_scaled_many(f, p, ss, tol=inner)
-
-        def at_terminal(ss):
-            # a + u^(1/alpha) rounded to the terminal itself
-            return ss <= p.a
-
-    else:
-        notes.append("integrand from the limit-quotient route")
-        s_floor = 4096.0 * _EPS * max(1.0, abs(p.a))
-
-        def interior(ss):
-            return _stacked(conf_deriv_many(f, p, ss, tol=inner))
-
-        def at_terminal(ss):
-            # below differencing resolution: use the terminal value, whose
-            # weighted mass on this sliver is O(s_floor)
-            return ss - p.a <= s_floor
-
     def tf(ss):
-        near = at_terminal(ss)
+        near = ss - p.a <= floor
         if near.all():
             return np.repeat(terminal()[None], ss.size, axis=0)
         vals, errs = interior(ss[~near])
@@ -426,7 +420,7 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
         out[near] = terminal()
         return out
 
-    tf_fn = _BatchFn(tf, domain=(p.a, hi_f), label=f"T[{subject}]")
+    tf_fn = _BatchFn(tf, domain=(p.a, f.domain[1]), label=f"T[{subject}]")
     integral, q_err, _evals = conf_integral_info(
         tf_fn, p, t, tol=Tolerance(rel=1e-9, abs=1e-9),
         noise=lambda: err_seen[0],

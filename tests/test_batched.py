@@ -518,6 +518,26 @@ def _scaled_or_error(f, p, t):
         return exc
 
 
+def _counted_hole_deriv(seen):
+    def deriv(t):
+        seen.append(t)
+        if t == 1.0:
+            raise DomainError("no exact derivative at 1")
+        return math.cos(t)
+
+    return deriv
+
+
+class _CountedGrid(GridFn):
+    def __init__(self, seen, nodes, values):
+        super().__init__(nodes, values)
+        self.seen = seen
+
+    def interp_deriv(self, t):
+        self.seen.append(t)
+        return super().interp_deriv(t)
+
+
 class TestConfDerivScaledMany:
     @pytest.mark.parametrize("f", [
         builtin("exp"),
@@ -559,17 +579,31 @@ class TestConfDerivScaledMany:
 
     def test_callable_derivative_called_once_per_point_in_order(self):
         seen = []
-
-        def deriv(t):
-            seen.append(t)
-            if t == 1.0:
-                raise DomainError("no exact derivative at 1")
-            return math.cos(t)
-
         ts = [0.5, 2.0, 1.0, 1.5]
-        conf_deriv_scaled_many(CallableFn(math.sin, deriv=deriv),
+        conf_deriv_scaled_many(CallableFn(math.sin, deriv=_counted_hole_deriv(seen)),
                                ConfParams(0.5), ts)
         assert seen == ts
+
+    @pytest.mark.parametrize("make,asked", [
+        (lambda seen: _CountedGrid(seen, np.linspace(0.0, 4.0, 9),
+                                   np.sin(np.linspace(0.0, 4.0, 9))),
+         [0.5, 2.0, 1.0, 1.5]),
+        # the patched point has no exact derivative and asks no inner one;
+        # the holed point falls back to differencing
+        (lambda seen: PointPatchedFn(CallableFn(math.sin, deriv=_counted_hole_deriv(seen)),
+                                     at=2.0, value=0.5),
+         [0.5, 1.0, 1.5]),
+    ], ids=["grid", "patched-holed-callable"])
+    def test_derivative_called_once_per_point_in_order(self, make, asked):
+        seen = []
+        f = make(seen)
+        p, ts = ConfParams(0.5), [0.5, 2.0, 1.0, 1.5]
+        vals, errs = conf_deriv_scaled_many(f, p, ts)
+        assert seen == asked
+        for t, v, e in zip(ts, vals, errs):
+            r = conf_deriv_scaled(f, p, t)
+            assert _bits_equal(v, r.value.data)
+            assert _bits_equal(e, r.err_estimate)
 
 
 # The one-point integrands the batch integrands replace.  Each copy below
@@ -695,6 +729,8 @@ class TestIntegrandsMatchTheOnePointCode:
         (parse_expr("t^0.5 + sin(t)"), 0.5, 0.0, 1.0, "auto"),
         # s = a + u^(1/alpha) rounds to the terminal a = 1
         (power_fn(0.5, shift=1.0), 0.5, 1.0, 2.0, "scaled"),
+        # the quotient route's floor scales with |a|
+        (builtin("exp"), 0.5, -2.0, -1.0, "theta"),
         # a bounded jump at the terminal
         (PointPatchedFn(power_fn(0.5), at=0.0, value=2.0), 0.5, 0.0, 1.5, "scaled"),
         # no exact derivative: the interpolant's, point by point

@@ -264,6 +264,21 @@ class TestScaledRoute:
         with pytest.raises(LowerTerminalError):
             conf_deriv_scaled(builtin("exp"), ConfParams(alpha=0.5, a=2.0), 2.0)
 
+    @pytest.mark.parametrize("f", [
+        builtin("exp"),
+        CallableFn(math.exp, deriv=math.exp),
+    ], ids=["closed-form", "callable-derivative"])
+    def test_exact_source_tests_the_tolerance(self, f):
+        # the error floor of s*f'(2) is 2.03e-14, far over the threshold
+        # 1.04e-16 of rel 1e-17: not converged, error unchanged
+        tol = Tolerance(rel=1e-17, abs=1e-300)
+        r = conf_deriv_scaled(f, ConfParams(alpha=0.5), 2.0, tol)
+        assert r.err_estimate == 2.0338758851756042e-14
+        assert r.err_estimate > tol.threshold(_norm(r.value))
+        assert not r.converged
+        assert r.steps_used == 0
+        assert conf_deriv_scaled(f, ConfParams(alpha=0.5), 2.0).converged
+
     @pytest.mark.parametrize("interp", ["cubic", "linear"])
     def test_replicated_grid_follows_scalar_grid(self, interp):
         # the interpolant's error bound is a max norm, so copies of one
