@@ -537,20 +537,23 @@ def convert_order(Ta, alpha: float, beta: float, a: float, t0: float) -> VecValu
 
 
 def _aitken_sweep(seq):
-    # one sweep of x2 + rho/(1-rho)*(x2-x1), rho fit by least squares over
-    # components; passes entries through unless the deltas are genuinely
-    # contracting (|rho| < 1), since extrapolating a growing geometric
-    # sequence manufactures a limit that does not exist
+    # one sweep of x2 + rho/(1-rho)*(x2-x1), rho = d2*d1/(d1*d1) on the
+    # component with the largest |d1| (the first on ties), so replicated
+    # components give the scalar run's rho bit for bit; passes entries
+    # through unless the deltas are genuinely contracting (|rho| < 1),
+    # since extrapolating a growing geometric sequence manufactures a
+    # limit that does not exist
     out = []
     for i in range(len(seq) - 2):
         x1, x2 = seq[i + 1], seq[i + 2]
         d1 = x1 - seq[i]
         d2 = x2 - x1
-        den = float(np.vdot(d1, d1))
+        k = np.argmax(np.abs(d1))
+        den = float(d1.flat[k] * d1.flat[k])
         if den == 0.0:
             out.append(x2)
             continue
-        rho = float(np.vdot(d2, d1)) / den
+        rho = float(d2.flat[k] * d1.flat[k]) / den
         if not math.isfinite(rho) or abs(rho) > 0.99:
             out.append(x2)
             continue

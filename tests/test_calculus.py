@@ -17,6 +17,7 @@ from confcalc import (
     conf_integral_info,
     convert_order,
     deriv_of_integral,
+    diag_fn,
     lower_terminal_deriv,
     one_sided_limit,
     parse_expr,
@@ -402,6 +403,28 @@ class TestOneSidedLimit:
         f = CallableFn(lambda s: seen.append(s) or 1.0, domain=domain)
         one_sided_limit(f, 3.0, direction=direction)
         assert seen[:2] == [3.0 + d0, 3.0 + d0 * 0.5]
+
+
+@pytest.mark.parametrize("run", [
+    lambda f: lower_terminal_deriv(f, ConfParams(alpha=0.5)),
+    lambda f: one_sided_limit(f, 0.0, "right"),
+    lambda f: one_sided_limit(f, 1.0, "left"),
+], ids=["terminal-deriv", "limit-right", "limit-left"])
+def test_replicated_terminal_limits_follow_the_scalar_run(run):
+    # the Aitken ratio comes from one component, so copies of exp reproduce
+    # the scalar value, error and verdict bit for bit
+    def fields(r):
+        if isinstance(r, tuple):
+            v, err, conv = r
+            return v.data, err, conv, None
+        return r.value.data, r.err_estimate, r.converged, r.steps_used
+
+    want_v, *want = fields(run(builtin("exp")))
+    for f, comps in ((vector_fn([builtin("exp")] * 3), np.s_[:]),
+                     (diag_fn([builtin("exp")] * 2), np.diag_indices(2))):
+        v, *got = fields(run(f))
+        assert got == want
+        assert np.array_equal(v[comps], np.full(v[comps].shape, want_v))
 
 
 class TestConfIntegral:
