@@ -218,6 +218,19 @@ def _label(f: AbstractFn) -> str:
     return f.label or type(f).__name__
 
 
+def _undefined(f: AbstractFn, t: float, start: float | None = None) -> str:
+    # why f is not defined where an identity needs it, "" when it is: at t
+    # for a pointwise identity, on all of [start, t] for a terminal or
+    # integral one (start = a); checked before any kernel runs
+    lo, hi = f.domain
+    start = t if start is None else start
+    if lo <= start and t <= hi:
+        return ""
+    if start == t:
+        return f"{_label(f)} is undefined at t = {t}: its domain is [{lo}, {hi}]"
+    return f"{_label(f)}'s domain [{lo}, {hi}] does not cover [{start}, {t}]"
+
+
 def _rowwise(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # op on two stacks of values, row by row: the value shapes broadcast
     # against each other as they do for one point
@@ -276,6 +289,9 @@ def check_continuity(f, p, t, tol=None) -> CaseResult:
     """
     tol = tol if tol is not None else _SUITE_TOL
     inputs = {"alpha": p.alpha, "a": p.a, "t": t}
+    why = _undefined(f, t)
+    if why:
+        return _na("CONTINUITY_3_1", _label(f), inputs, why)
     sides = []
     r2 = conf_deriv(f, p, t)
     if r2.converged:
@@ -308,6 +324,9 @@ def check_equivalence(f, p, t, tol=None) -> CaseResult:
     """Limit-quotient derivative against the scaled-first-derivative route."""
     tol = tol if tol is not None else _SUITE_TOL
     inputs = {"alpha": p.alpha, "a": p.a, "t": t}
+    why = _undefined(f, t)
+    if why:
+        return _na("EQUIV_3_4", _label(f), inputs, why)
     r_theta = conf_deriv(f, p, t)
     r_scaled = conf_deriv_scaled(f, p, t)
     if not (r_theta.converged and r_scaled.converged):
@@ -330,6 +349,9 @@ def check_order_relation(f, alpha, beta, a, t, tol=None) -> CaseResult:
     """
     tol = tol if tol is not None else _SUITE_TOL
     inputs = {"alpha": alpha, "beta": beta, "a": a, "t": t}
+    why = _undefined(f, t)
+    if why:
+        return _na("ORDER_REL_3_3", _label(f), inputs, why)
     ra = conf_deriv(f, ConfParams(alpha, a), t)
     rb = conf_deriv(f, ConfParams(beta, a), t)
     if not (ra.converged and rb.converged):
@@ -357,6 +379,9 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
         raise ValueError(f"route must be auto, theta, or scaled, not {route!r}")
     inputs = {"alpha": p.alpha, "a": p.a, "t": t, "route": route}
     subject = _label(f)
+    why = _undefined(f, t, p.a)
+    if why:
+        return _na("LEFT_INV_3_5", subject, inputs, why)
 
     fa, _fa_err, fa_ok = one_sided_limit(f, p.a, "right")
     if not fa_ok:
@@ -463,8 +488,10 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
     subject = _label(f)
     hi = f.domain[1]
     span = min(1.0, max(hi - p.a, 0.0)) or 1.0
-    ok, _worst, why = _bounded_near_terminal(f, p.a, span)
-    if not ok:
+    why = _undefined(f, t, p.a)
+    if not why:
+        _ok, _worst, why = _bounded_near_terminal(f, p.a, span)
+    if why:
         return _na("RIGHT_INV_3_7" if t > p.a else "RIGHT_INV_AT_A_3_8",
                    subject, inputs, why)
 
@@ -523,6 +550,9 @@ def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
         raise ValueError(f"need beta < alpha, got beta = {beta}, alpha = {alpha}")
     inputs = {"alpha": alpha, "beta": beta, "a": a}
     subject = _label(f)
+    why = _undefined(f, a)
+    if why:
+        return _na("LOWER_VANISH_4_3", subject, inputs, why)
     r_hi = lower_terminal_deriv(f, ConfParams(alpha, a))
     if not r_hi.converged:
         return _na(
@@ -547,6 +577,9 @@ def check_avg_recovery(f, t, tol=None) -> CaseResult:
     tol = tol if tol is not None else _SUITE_TOL
     inputs = {"t": t}
     subject = _label(f)
+    why = _undefined(f, t)
+    if why:
+        return _na("AVG_2_10", subject, inputs, why)
     try:
         avg = avg_recover(f, t, tol=Tolerance(rel=max(tol.rel, 1e-9), abs=tol.abs))
     except ConfcalcError as exc:
@@ -565,7 +598,13 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
     tol = tol if tol is not None else _SUITE_TOL
     inner = Tolerance()
     base_inputs = {"alpha": p.alpha, "a": p.a, "t": t}
+    lin_inputs = dict(base_inputs, c=c, d=d)
     subject = f"{_label(f)}, {_label(g)}"
+    why = _undefined(f, t) or _undefined(g, t)
+    if why:
+        return [_na(iid, subject, inputs, why) for iid, inputs in (
+            ("LINEARITY_i", lin_inputs), ("CONST_ii", base_inputs),
+            ("PRODUCT_iii", base_inputs), ("QUOTIENT_iv", base_inputs))]
     lo = max(f.domain[0], g.domain[0])
     hi = min(f.domain[1], g.domain[1])
     results = []
@@ -592,7 +631,7 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
 
     # (i) linearity with the supplied coefficients
     results.append(rule(
-        "LINEARITY_i", dict(base_inputs, c=c, d=d),
+        "LINEARITY_i", lin_inputs,
         lambda ss: _rowwise(lambda u, v: c * u + d * v,
                             f.eval_many(ss), g.eval_many(ss)),
         f"{c:g}*f + {d:g}*g",
@@ -671,12 +710,15 @@ def check_class_equivalence(f, orders, a, ts) -> list[CaseResult]:
     for i, alpha in enumerate(orders):
         for beta in orders[i + 1:]:
             for t in ts:
+                inputs = {"alpha": alpha, "beta": beta, "a": a, "t": t}
+                why = _undefined(f, t)
+                if why:
+                    results.append(_na("CLASS_EQ_4_5", subject, inputs, why))
+                    continue
                 ca, cb = conv(alpha, t), conv(beta, t)
                 same = ca == cb
                 results.append(CaseResult(
-                    "CLASS_EQ_4_5", subject,
-                    {"alpha": alpha, "beta": beta, "a": a, "t": t},
-                    ca, cb, 0.0 if same else 1.0, 0.5,
+                    "CLASS_EQ_4_5", subject, inputs, ca, cb, 0.0 if same else 1.0, 0.5,
                     "passed" if same else "failed",
                     "convergence status at the two orders"
                     + (" matches" if same else " differs"),
@@ -794,8 +836,11 @@ class IdentityReport:
 
 
 def _partner_like(f: AbstractFn, t_probe: float) -> AbstractFn:
-    """A smooth nonvanishing companion with f's shape, for the algebra rules."""
-    v = f.eval(t_probe)
+    """A smooth nonvanishing companion with f's shape, for the algebra rules.
+
+    The shape is read at t_probe moved into f's domain.
+    """
+    v = f.eval(min(max(t_probe, f.domain[0]), f.domain[1]))
     if v.kind == "scalar":
         return ExprFn("2 + sin(t)")
     if v.kind == "vector":

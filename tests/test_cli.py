@@ -282,6 +282,26 @@ class TestCheck:
     def test_bad_grid_value(self, capsys):
         assert run(["check", "--alphas", "0.5,zebra"]) == 2
 
+    def test_terminal_below_a_members_domain(self, tmp_path):
+        # the default corpus at a = -1 holds pow:0.5, defined on [0, inf):
+        # its cases where t < 0 or [a, t] leaves the domain are not
+        # applicable, and the full default grid still reports 960 cases
+        out = tmp_path / "check.json"
+        assert run(["check", "--a", "-1", "--output", str(out)]) in (0, 1)
+        doc = json.loads(out.read_text())
+        assert doc["summary"]["total"] == len(doc["cases"]) == 960
+        assert doc["config"]["a_values"] == [-1.0]
+        outside = [c for c in doc["cases"] if c["subject"].startswith("pow:0.5")
+                   and not c["subject"].startswith("pow:0.5:")
+                   and (c["inputs"].get("t", -1.0) < 0.0
+                        or c["identity_id"] in ("LEFT_INV_3_5", "RIGHT_INV_3_7"))]
+        # at t = -0.5: 4 EQUIV, 4 CONTINUITY, 16 algebra, 6 ORDER_REL,
+        # 6 CLASS_EQ and 1 AVG; needing [-1, t]: 8 LEFT_INV, 8 RIGHT_INV,
+        # 4 RIGHT_INV_AT_A and 2 LOWER_VANISH
+        assert len(outside) == 59
+        assert all(c["status"] == "not_applicable" and "pow:0.5" in c["diagnostics"]
+                   for c in outside)
+
 
 class TestIvp:
     def test_linear_growth_value(self, capsys):

@@ -276,6 +276,60 @@ _SMALL_GRID = SuiteGrid(alphas=(0.5, 1.0), betas=(0.5,), a_values=(0.0,),
                         t_offsets=(1.0,))
 
 
+_HALF = power_fn(0.5)  # defined on [0, inf) only
+_AT = "pow:0.5 is undefined at t = -0.5: its domain is [0.0, inf]"
+
+
+class TestOutsideTheDomain:
+    # a case whose function is undefined where the identity needs it is
+    # not applicable, decided before any kernel runs
+    @pytest.mark.parametrize("run,why", [
+        (lambda: check_continuity(_HALF, ConfParams(0.5, -1.0), -0.5), _AT),
+        (lambda: check_equivalence(_HALF, ConfParams(0.5, -1.0), -0.5), _AT),
+        (lambda: check_order_relation(_HALF, 0.5, 1.0, -1.0, -0.5), _AT),
+        (lambda: check_avg_recovery(_HALF, -0.5), _AT),
+        (lambda: check_class_equivalence(_HALF, (0.5, 1.0), -1.0, (-0.5,))[0], _AT),
+        (lambda: check_left_inverse(_HALF, ConfParams(0.5, -1.0), 1.0),
+         "pow:0.5's domain [0.0, inf] does not cover [-1.0, 1.0]"),
+        (lambda: check_right_inverse(_HALF, ConfParams(0.5, -1.0), 1.0),
+         "pow:0.5's domain [0.0, inf] does not cover [-1.0, 1.0]"),
+        (lambda: check_right_inverse(_HALF, ConfParams(0.5, -1.0), -1.0),
+         "pow:0.5 is undefined at t = -1.0: its domain is [0.0, inf]"),
+        (lambda: check_lower_vanishing(_HALF, 1.0, 0.5, -1.0),
+         "pow:0.5 is undefined at t = -1.0: its domain is [0.0, inf]"),
+    ], ids=["continuity", "equivalence", "order", "average", "class",
+            "left-inverse", "right-inverse", "right-inverse-at-a", "lower-vanish"])
+    def test_not_applicable_with_the_reason(self, run, why):
+        r = run()
+        assert r.status == "not_applicable"
+        assert r.diagnostics == why
+
+    @pytest.mark.parametrize("f,g", [
+        (_HALF, builtin("exp")),
+        (builtin("exp"), _HALF),
+    ], ids=["f", "g"])
+    def test_algebra_rules_need_both_functions(self, f, g):
+        four = check_algebra_rules(f, g, 2.0, -3.0, ConfParams(0.5, -1.0), -0.5)
+        assert [r.identity_id for r in four] == [
+            "LINEARITY_i", "CONST_ii", "PRODUCT_iii", "QUOTIENT_iv"]
+        assert all(r.status == "not_applicable" and r.diagnostics == _AT
+                   for r in four)
+        assert four[0].inputs == {"alpha": 0.5, "a": -1.0, "t": -0.5, "c": 2.0, "d": -3.0}
+
+    def test_a_kernel_failure_inside_the_domain_still_raises(self):
+        def hole(s):
+            if s == 1.0:
+                raise identities.DomainError("undefined at 1")
+            return math.sin(s)
+
+        with pytest.raises(identities.DomainError):
+            check_equivalence(CallableFn(hole), ConfParams(0.5), 1.0)
+
+    def test_run_case_partner_for_a_point_outside(self):
+        case = IdentityCase("PRODUCT_iii", _HALF, ConfParams(0.5, -1.0), -0.5)
+        assert run_case(case).diagnostics == _AT
+
+
 class TestSuite:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
