@@ -149,6 +149,12 @@ class DerivResult:
     threshold and, for two-sided runs, the one-sided estimates agree; in
     that case ``err_estimate`` is at or below the threshold that was used.
     ``left``/``right`` carry the one-sided estimates when both were formed.
+    ``steps_used`` counts the kernel's own unit of work: f evaluations
+    for :func:`conf_deriv` and :func:`classical_deriv` (17, or 9 one-sided),
+    probe panels of 10 Gauss nodes for :func:`deriv_of_integral` (16),
+    terminal points for :func:`lower_terminal_deriv`, and for
+    :func:`conf_deriv_scaled` 0 (closed form), 1 (grid) or the classical
+    count.
     """
 
     value: VecValue
