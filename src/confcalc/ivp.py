@@ -8,10 +8,11 @@ Solves T_alpha x(t) = F(t, x(t)), x(a) = x0 two independent ways:
   classical Runge-Kutta.  The substitution removes the terminal
   singularity of the naive reduction x' = (t-a)^(alpha-1) F.
 * :func:`solve_volterra` solves the equivalent integral equation
-  x = x0 + I_alpha[F(., x(.))] by Picard fixed-point iteration on the
-  same grid, with panel quadrature in tau and cubic Hermite
-  reconstruction of the iterate between nodes (F values are exactly the
-  slopes dx/dtau there).
+  x = x0 + I_alpha[F(., x(.))] on the same grid by implicit
+  Hermite-Gauss collocation, marching panel by panel: cubic Hermite
+  reconstruction in tau between nodes (F values are exactly the slopes
+  dx/dtau there), 5-point Gauss quadrature on each panel, and a local
+  Picard iteration for each new node value.
 
 The two routes share nothing but the grid, so :func:`cross_validate` is a
 genuine independent check.  With alpha = 1 the substitution is the
@@ -64,8 +65,9 @@ class IvpProblem:
                 f"got {self.t_end}"
             )
 
-    def rhs(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Evaluate F and copy its value into an array of the state's shape."""
+    def rhs(self, t: float, x: np.ndarray, non_finite=DomainError) -> np.ndarray:
+        """Evaluate F and copy its value into an array of the state's shape;
+        a non-finite value raises ``non_finite``."""
         out = self.F(t, VecValue(x))
         out = np.array(out.data if isinstance(out, VecValue) else out, dtype=float)
         if out.shape != self.x0.data.shape:
@@ -74,7 +76,7 @@ class IvpProblem:
                 f"{self.x0.data.shape} at t = {t}"
             )
         if not np.isfinite(out).all():
-            raise DomainError(f"rhs is not finite at t = {t}")
+            raise non_finite(f"rhs is not finite at t = {t}")
         return out
 
 
@@ -172,11 +174,6 @@ def _grid(p: ConfParams, t_end: float, n: int):
     return h, taus, ts
 
 
-def _rhs_at(prob: IvpProblem, ts: list, xs: np.ndarray) -> np.ndarray:
-    """F at each (t, x) pair, called in order, stacked along axis 0."""
-    return np.array([prob.rhs(t, x) for t, x in zip(ts, xs)])
-
-
 def solve_tau(prob: IvpProblem, n_steps: int) -> Trajectory:
     """Classical 4-stage Runge-Kutta on the tau-substituted system."""
     n = int(n_steps)
@@ -218,13 +215,19 @@ def solve_volterra(
     max_iter: int = 60,
     n_steps: int = 256,
 ) -> Trajectory:
-    """Picard iteration on the integral form of the problem.
+    """Implicit Hermite-Gauss collocation of the integral form, marching
+    panel by panel.
 
-    Each sweep integrates F along the current iterate, reconstructed
-    between nodes by cubic Hermite in tau (slopes are the F values), with
-    5-point Gauss panels; the new iterate is the running sum.  Stops when
-    two sweeps agree in the sup norm, raises ConvergenceError if the
-    sweep deltas fail to contract within ``max_iter``.
+    Panel j's node value solves x_{j+1} = x_j + (h/2) sum_q w_q F_q with
+    5-point Gauss in tau, x at the Gauss nodes being the cubic Hermite
+    reconstruction from the two node values with their F values as
+    slopes.  A local Picard iteration from the two-step Adams-Bashforth
+    predictor (Euler on the first panel) stops when two iterates agree in
+    the sup norm, within ``max_iter`` iterations per panel.  A delta that
+    does not shrink, or a non-finite rhs after a panel's first iteration,
+    raises ConvergenceError at that panel's t.  ``stats`` records the
+    most local ``iterations`` on a panel, the largest accepted
+    ``last_delta`` and the F calls, ``rhs_evals``.
     """
     tol = tol if tol is not None else Tolerance(rel=1e-10, abs=1e-12)
     n = int(n_steps)
@@ -235,55 +238,52 @@ def solve_volterra(
     h, taus, ts = _grid(prob.p, prob.t_end, n)
     t = ts.tolist()
     x0 = prob.x0.data
-    shape = x0.shape
-    xs = np.stack([x0] * (n + 1))
-    # Gauss nodes of every tau panel in (panel, node) order, their t
-    # images, and the Hermite basis and weights shaped to broadcast over
-    # (panel, node, *state)
+    # each panel's Gauss nodes in t; the Hermite basis over (node, *state)
     gl_off = 0.5 * h * (_GL5_X + 1.0)
-    gl_t = _t_of(prob.p, (taus[:-1, None] + gl_off).ravel()).tolist()
-    cols = (1, 5) + (1,) * len(shape)
+    gl_t = _t_of(prob.p, (taus[:-1, None] + gl_off).ravel()).reshape(n, 5).tolist()
+    cols = (5,) + (1,) * x0.ndim
     h00, h10, h01, h11 = (c.reshape(cols) for c in _hermite(gl_off / h))
-    weights = _GL5_W.reshape(cols)
-
-    deltas = []
-    for sweep in range(1, max_iter + 1):
-        slopes = _rhs_at(prob, t, xs)
-        xq = (h00 * xs[:-1, None] + h01 * xs[1:, None]
-              + h * (h10 * slopes[:-1, None] + h11 * slopes[1:, None]))
-        fq = _rhs_at(prob, gl_t, xq.reshape((5 * n,) + shape))
-        # each panel sums its nodes in order from zero, then the running
-        # sum from x0 gives the new iterate at every node
-        terms = np.zeros((n, 6) + shape)
-        terms[:, 1:] = weights * fq.reshape(xq.shape)
-        panel = np.add.accumulate(terms, axis=1)[:, -1]
-        new = np.add.accumulate(np.concatenate([x0[None], (0.5 * h) * panel]))
-        delta = _mnorm(new - xs)
-        xs = new
-        deltas.append(delta)
-        if delta <= tol.threshold(_mnorm(xs)):
-            break
-        if not np.isfinite(delta) or (len(deltas) >= 8 and delta > 2.0 * deltas[0]):
-            raise ConvergenceError(
-                f"Picard sweeps are not contracting (delta {delta:.3g} after "
-                f"{sweep} sweeps); the right-hand side may not be Lipschitz "
-                "on this interval"
-            )
-    else:
-        raise ConvergenceError(
-            f"Picard iteration did not converge in {max_iter} sweeps "
-            f"(last delta {deltas[-1]:.3g})"
-        )
+    xs = np.empty((n + 1,) + x0.shape)
+    slopes = np.empty_like(xs)
+    xs[0] = x0
+    slopes[0] = prob.rhs(t[0], x0)
+    evals, iterations, last_delta = n + 1, 0, 0.0  # F at each node, 6 per iteration
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(n):
+            x, s = xs[j], slopes[j]
+            new = x + h * (s if j == 0 else 1.5 * s - 0.5 * slopes[j - 1])
+            delta = np.inf
+            for k in range(1, max_iter + 1):
+                non_finite = DomainError if k == 1 else ConvergenceError
+                s1 = prob.rhs(t[j + 1], new, non_finite)
+                xq = h00 * x + h01 * new + h * (h10 * s + h11 * s1)
+                acc = np.zeros(x0.shape)
+                for w, tq, xr in zip(_GL5_W, gl_t[j], xq):
+                    acc = acc + w * prob.rhs(tq, xr, non_finite)
+                evals += 6
+                old, new = new, x + (0.5 * h) * acc
+                prev, delta = delta, _mnorm(new - old)
+                shrank = delta < prev  # False for a nan or infinite delta
+                if shrank and delta <= tol.threshold(_mnorm(new)):
+                    break
+                if not shrank or k == max_iter:
+                    why = "did not converge" if shrank else "diverges"
+                    raise ConvergenceError(
+                        f"the local iteration {why} on the panel ending at "
+                        f"t = {t[j + 1]:.6g} (delta {delta:.3g} after {k} of "
+                        f"at most {max_iter} iterations)"
+                    )
+            xs[j + 1] = new
+            slopes[j + 1] = prob.rhs(t[j + 1], new)
+            iterations = max(iterations, k)
+            last_delta = max(last_delta, delta)
     return Trajectory(
         nodes=ts,
         states=tuple(VecValue(s) for s in xs),
         method="picard-volterra",
-        stats={
-            "n_steps": n,
-            "iterations": len(deltas),
-            "last_delta": deltas[-1],
-        },
-        tau_slopes=_rhs_at(prob, t, xs),
+        stats={"n_steps": n, "iterations": iterations,
+               "last_delta": last_delta, "rhs_evals": evals},
+        tau_slopes=slopes,
         alpha=prob.p.alpha,
         a=prob.p.a,
     )

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -82,18 +84,19 @@ class TestProblemValidation:
             _SOLVERS[solver](prob)
 
     def test_rhs_checked_at_gauss_nodes(self):
-        # the first sweep calls F at the 5 nodes, then at the Gauss nodes;
-        # only the value at the first Gauss node is infinite
+        # marching calls F at t_0, at t_1 for the predicted x_1, then at
+        # the first panel's Gauss nodes; only the value at the first Gauss
+        # node is infinite
         calls = []
 
         def bad(t, x):
             calls.append(t)
-            return np.asarray(math.inf if len(calls) == 6 else 1.0)
+            return np.asarray(math.inf if len(calls) == 3 else 1.0)
 
         prob = _scalar_problem(bad, 0.5, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError, match="not finite"):
             solve_volterra(prob, n_steps=4)
-        assert len(calls) == 6
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("solver", sorted(_SOLVERS))
     def test_scalar_rhs_for_vector_state_rejected(self, solver):
@@ -284,8 +287,23 @@ class TestVolterra:
         prob = _scalar_problem(_linear(1.0), 0.5, 0.0, 1.0, 1.0)
         traj = solve_volterra(prob)
         assert traj.method == "picard-volterra"
+        assert traj.stats["n_steps"] == 256
         assert traj.stats["iterations"] >= 2
         assert traj.stats["last_delta"] <= 1e-9
+
+    @pytest.mark.parametrize("alpha,t_end", [(0.5, 1.0), (1.0, 2.0)])
+    def test_rhs_evals_counts_every_call(self, alpha, t_end):
+        calls = []
+
+        def F(t, x):
+            calls.append(t)
+            return -x.data + math.sin(t)
+
+        traj = solve_volterra(_scalar_problem(F, alpha, 0.0, 1.0, t_end),
+                              n_steps=64)
+        assert traj.stats["rhs_evals"] == len(calls)
+        # F at every node plus 6 calls per local iteration
+        assert (len(calls) - 65) % 6 == 0
 
     def test_non_contracting_rhs_detected(self):
         # x' = x^2 blows up at tau = 1/x0; request integration past it
@@ -298,6 +316,77 @@ class TestVolterra:
         prob = _scalar_problem(_linear(1.0), 0.5, 0.0, 1.0, 1.0)
         with pytest.raises(ConvergenceError):
             solve_volterra(prob, max_iter=2)
+
+    def test_blow_up_named_at_its_time(self):
+        # x' = x^2, x(0) = 1 blows up at t = 1: the panel whose local
+        # iteration diverges is named, and no floating-point warning leaks
+        F = lambda t, x: VecValue(x.data * x.data)
+        prob = _scalar_problem(F, 1.0, 0.0, 1.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="diverges") as info:
+                solve_volterra(prob, max_iter=40)
+        named = re.search(r"t = ([-+.0-9e]+)", str(info.value))
+        assert 0.9 <= float(named.group(1)) <= 1.1
+
+    def test_growing_local_delta_is_divergence(self):
+        # x' = -20 x with h = 1/8: the local map expands, so the second
+        # delta exceeds the first and the first panel is refused at once
+        prob = _scalar_problem(_linear(-20.0), 1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(ConvergenceError,
+                           match=r"diverges on the panel ending at t = 0.125 "
+                                 r"\(delta [^ ]+ after 2 of"):
+            solve_volterra(prob, n_steps=8)
+
+    def test_overflowing_state_is_divergence_without_warning(self):
+        # every F value is finite, but their weighted sum overflows
+        prob = _scalar_problem(lambda t, x: 1e308, 1.0, 0.0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="diverges.*delta inf"):
+                solve_volterra(prob, n_steps=8)
+
+    def test_non_finite_rhs_after_first_iteration_is_divergence(self):
+        # the 8th call is the second local iteration's F at t_1
+        calls = []
+
+        def F(t, x):
+            calls.append(t)
+            return math.inf if len(calls) == 8 else x.data
+
+        prob = _scalar_problem(F, 0.5, 0.0, 1.0, 1.0)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            solve_volterra(prob)
+        assert len(calls) == 8 and calls[1] == calls[7]
+
+
+class TestLongHorizon:
+    # T^0.5 x = x, x(0) = 1: x(t) = exp(2 sqrt(t)); global Picard sweeps
+    # stopped contracting on these horizons, marching does not
+    @pytest.mark.parametrize("t_end,bound", [(8.0, 1e-8), (16.0, 2e-8)])
+    def test_relative_error(self, t_end, bound):
+        traj = solve_volterra(_scalar_problem(_linear(1.0), 0.5, 0.0, 1.0, t_end),
+                              n_steps=256)
+        exact = np.exp(2.0 * np.sqrt(traj.nodes))
+        assert np.max(np.abs(traj.state_array() - exact) / exact) <= bound
+
+    @pytest.mark.parametrize("t_end", [8.0, 16.0])
+    def test_replicated_components_follow_the_scalar_run(self, t_end):
+        p = ConfParams(0.5)
+        scalar = solve_volterra(_scalar_problem(_linear(1.0), 0.5, 0.0, 1.0, t_end))
+        xs, slopes = scalar.state_array(), scalar.tau_slopes
+        for x0 in (VecValue([1.0, 1.0, 1.0]), VecValue(np.eye(2))):
+            run = solve_volterra(IvpProblem(F=_linear(1.0), p=p, x0=x0, t_end=t_end))
+            assert run.stats == scalar.stats
+            got, got_slopes = run.state_array(), run.tau_slopes
+            if x0.data.ndim == 2:
+                assert not np.any(got[:, 0, 1]) and not np.any(got[:, 1, 0])
+                got = np.stack([got[:, 0, 0], got[:, 1, 1]], axis=-1)
+                got_slopes = np.stack([got_slopes[:, 0, 0], got_slopes[:, 1, 1]],
+                                      axis=-1)
+            for i in range(got.shape[-1]):
+                assert _bits(got[..., i]) == _bits(xs)
+                assert _bits(got_slopes[..., i]) == _bits(slopes)
 
 
 class TestRhsBoundary:
@@ -326,8 +415,9 @@ class TestRhsBoundary:
         assert runs[0].stats == runs[1].stats
 
 
-def _picard_reference(F, p, x0, t_end, n, tol, max_iter=60):
-    """solve_volterra written as a plain loop over panels and Gauss nodes."""
+def _marching_reference(F, p, x0, t_end, n, tol, max_iter=60):
+    """solve_volterra written as a plain loop over panels, local
+    iterations and Gauss nodes."""
     from confcalc.expr import pow_real
 
     alpha, a = p.alpha, p.a
@@ -347,36 +437,42 @@ def _picard_reference(F, p, x0, t_end, n, tol, max_iter=60):
     def rhs(t, x):
         return np.array(F(t, VecValue(x)).data, dtype=float)
 
-    xs = np.stack([x0] * (n + 1))
-    deltas = []
-    for _ in range(max_iter):
-        slopes = np.array([rhs(ts[j], xs[j]) for j in range(n + 1)])
-        new = np.empty_like(xs)
-        new[0] = x0
-        acc = x0.copy()
-        for j in range(n):
+    xs, slopes = [x0], [rhs(ts[0], x0)]
+    evals, iterations, last_delta = 1, 0, 0.0
+    for j in range(n):
+        x, s = xs[j], slopes[j]
+        if j == 0:
+            new = x + h * s
+        else:
+            new = x + h * (1.5 * s - 0.5 * slopes[j - 1])
+        for k in range(1, max_iter + 1):
+            s1 = rhs(ts[j + 1], new)
             panel = np.zeros(x0.shape)
             for q in range(5):
-                xq = (h00[q] * xs[j] + h01[q] * xs[j + 1]
-                      + h * (h10[q] * slopes[j] + h11[q] * slopes[j + 1]))
+                xq = (h00[q] * x + h01[q] * new
+                      + h * (h10[q] * s + h11[q] * s1))
                 tq = a + pow_real(alpha * (taus[j] + off[q]), inv)
                 panel = panel + gw[q] * rhs(tq, xq)
-            acc = acc + (0.5 * h) * panel
-            new[j + 1] = acc
-        delta = float(np.max(np.abs(new - xs)))
-        xs = new
-        deltas.append(delta)
-        if delta <= tol.abs + tol.rel * float(np.max(np.abs(xs))):
-            break
-    else:
-        raise AssertionError("reference Picard loop did not converge")
-    slopes = np.array([rhs(ts[j], xs[j]) for j in range(n + 1)])
-    return xs, slopes, len(deltas)
+            evals += 6
+            old, new = new, x + (0.5 * h) * panel
+            delta = float(np.max(np.abs(new - old)))
+            if delta <= tol.abs + tol.rel * float(np.max(np.abs(new))):
+                break
+        else:
+            raise AssertionError("reference local iteration did not converge")
+        xs.append(new)
+        slopes.append(rhs(ts[j + 1], new))
+        evals += 1
+        iterations = max(iterations, k)
+        last_delta = max(last_delta, delta)
+    stats = {"n_steps": n, "iterations": iterations,
+             "last_delta": last_delta, "rhs_evals": evals}
+    return np.array(xs), np.array(slopes), stats
 
 
-class TestPicardReference:
-    # the array-shaped sweep must reproduce the per-node loop operation
-    # for operation, and call F with the same arguments in the same order
+class TestMarchingReference:
+    # the solver must reproduce the per-node loop operation for operation,
+    # and call F with the same arguments in the same order
     _TRI = np.array([[-0.5, 1.0], [0.0, -1.0]])
 
     @pytest.mark.parametrize("kind", ["driven-scalar", "matrix"])
@@ -391,11 +487,12 @@ class TestPicardReference:
         got_rec, ref_rec = _Recorder(F), _Recorder(F)
         traj = solve_volterra(IvpProblem(F=got_rec, p=p, x0=x0, t_end=t_end),
                               n_steps=n)
-        xs, slopes, iterations = _picard_reference(
+        xs, slopes, stats = _marching_reference(
             ref_rec, p, x0.data.copy(), t_end, n,
             Tolerance(rel=1e-10, abs=1e-12),
         )
-        assert traj.stats["iterations"] == iterations > 2
+        assert stats["iterations"] > 2
+        assert traj.stats == stats
         assert _bits(traj.state_array()) == _bits(xs)
         assert _bits(traj.tau_slopes) == _bits(slopes)
         assert got_rec.calls == ref_rec.calls
