@@ -730,11 +730,9 @@ def _panels(g, lo, hi, *ns: int):
     return out
 
 
-def _refine(g, lo, hi, budget, noise, depth, state):
-    # both rules in one call: the 10 nodes, then the 7
-    (v10, s10), (v7, s7) = [(v[0], float(scale[0]))
-                            for v, scale in _panels(g, lo, hi, 10, 7)]
-    state["evals"] += 17
+def _refine(g, lo, hi, rules, i, budget, noise, depth, state):
+    # decide panel i of rules; counting here keeps the caps depth first
+    (v10, s10), (v7, s7) = [(v[i], float(scale[i])) for v, scale in rules]
     state["panels"] += 1
     if s10 > state["gmax"]:
         state["gmax"] = s10
@@ -751,8 +749,11 @@ def _refine(g, lo, hi, budget, noise, depth, state):
         state["err"] += err
         return v10
     mid = 0.5 * (lo + hi)
-    vl = _refine(g, lo, mid, 0.5 * budget, noise, depth + 1, state)
-    vr = _refine(g, mid, hi, 0.5 * budget, noise, depth + 1, state)
+    # both children in one call: the left's 10 + 7 nodes, then the right's
+    halves = _panels(g, [lo, mid], [mid, hi], 10, 7)
+    state["evals"] += 34
+    vl = _refine(g, lo, mid, halves, 0, 0.5 * budget, noise, depth + 1, state)
+    vr = _refine(g, mid, hi, halves, 1, 0.5 * budget, noise, depth + 1, state)
     return vl + vr
 
 
@@ -765,34 +766,33 @@ def _quad_adaptive(g, lo, hi, tol, noise=0.0, grade=False):
     ``noise`` is the absolute sample noise, a number or a zero-argument
     callable re-read at each panel; panels are accepted once their
     estimate falls under the noise floor, which keeps inexact (estimated)
-    integrands from forcing endless refinement.  Returns (value, error
-    sum, eval count).
+    integrands from forcing endless refinement.  All base panels are
+    evaluated in one call of ``g`` (their 10-point sums also set the
+    budget), both children of a split in one more, and panels are decided
+    depth first.  Returns (value, error sum, evaluations), 17 per panel.
     """
     if not callable(noise):
         level = float(noise)
         noise = lambda: level
     width = hi - lo
-    if grade:
-        sigma, levels = 0.25, 24
-        pts = [lo]
-        for j in range(levels, 0, -1):
-            c = lo + width * sigma**j
-            if c > pts[-1]:
-                pts.append(c)
-        pts.append(hi)
-    else:
-        pts = [lo, hi]
+    sigma, levels = 0.25, (24 if grade else 0)
+    pts = [lo]
+    for j in range(levels, 0, -1):
+        c = lo + width * sigma**j
+        if c > pts[-1]:
+            pts.append(c)
+    pts.append(hi)
 
-    [(pieces, _)] = _panels(g, pts[:-1], pts[1:], 10)
-    coarse = np.add.accumulate(pieces, axis=0)[-1]
+    rules = _panels(g, pts[:-1], pts[1:], 10, 7)
+    coarse = np.add.accumulate(rules[0][0], axis=0)[-1]
     budget_total = tol.threshold(_mnorm(coarse))
 
-    state = {"err": 0.0, "evals": 10 * (len(pts) - 1), "wtot": width,
+    state = {"err": 0.0, "evals": 17 * (len(pts) - 1), "wtot": width,
              "gmax": 0.0, "panels": 0}
     total = None
     for i in range(len(pts) - 1):
         share = budget_total * (pts[i + 1] - pts[i]) / width
-        v = _refine(g, pts[i], pts[i + 1], share, noise, 0, state)
+        v = _refine(g, pts[i], pts[i + 1], rules, i, share, noise, 0, state)
         total = v if total is None else total + v
     achieved = state["err"]
     # panels pinned at the width floor can hide a genuinely divergent
@@ -825,13 +825,13 @@ def conf_integral_info(
     tol: Tolerance | None = None,
     noise=0.0,
 ):
-    """conf_integral plus diagnostics: (value, error estimate, eval count).
+    """conf_integral plus diagnostics: (value, error estimate, evals).
 
-    ``noise`` declares the absolute uncertainty of individual f samples,
-    either as a number or as a zero-argument callable re-read at each
-    panel (for integrands whose own error estimate accumulates as they
-    are sampled); the adaptive engine will not chase structure below that
-    level.
+    ``evals`` is 17 per quadrature panel, 1 at t = a.  ``noise`` declares
+    the absolute uncertainty of individual f samples, either as a number
+    or as a zero-argument callable re-read at each panel (for integrands
+    whose own error estimate accumulates as they are sampled); the
+    adaptive engine will not chase structure below that level.
     """
     tol = tol if tol is not None else Tolerance()
     t = float(t)

@@ -800,10 +800,15 @@ class TestOneCallPerBatch:
         calls = _count_batches(monkeypatch)
         check_left_inverse(builtin("exp"), ConfParams(0.5), 1.0, route=route)
         nodes = [ts for label, _n, ts in calls if label == "T[exp]"]
-        # the graded coarse partition's 25 panels in one call, then one
-        # call of both Gauss rules (17 nodes) per refined panel
-        assert [ts.size for ts in nodes[:2]] == [250, 17]
-        assert {ts.size for ts in nodes[1:]} == {17}
+        # the graded base partition's 25 panels in one call of 425 nodes,
+        # left to right, each panel's 10 Gauss nodes then its 7 (s = u^2);
+        # every base panel is accepted, so no split adds a call of 34
+        pts = np.array([0.0] + [0.25**j for j in range(24, 0, -1)] + [1.0])
+        x = np.concatenate([np.polynomial.legendre.leggauss(n)[0] for n in (10, 7)])
+        c, m = 0.5 * (pts[1:] - pts[:-1]), 0.5 * (pts[1:] + pts[:-1])
+        us = (m[:, None] + c[:, None] * x).reshape(-1)
+        assert [ts.size for ts in nodes] == [25 * 17]
+        assert nodes[0].tolist() == [u * u for u in us.tolist()]
         if route == "theta":
             # one call of 17 probes per node for the nodes of each integrand
             # call that are not at the terminal (calls of one node are left
@@ -824,12 +829,15 @@ class TestOneCallPerBatch:
 
 
 def test_refine_calls_both_rules_in_node_order():
-    # a stateful integrand sees each refined panel's 10 Gauss nodes, then
-    # its 7, in one call
+    # a stateful integrand sees a panel's 10 Gauss nodes, then its 7: first
+    # the whole range's, then on its split the left half's and the right's
     seen = []
     f = CallableFn(lambda s: seen.append(s) or math.sqrt(s), domain=(0.0, 4.0))
     conf_integral_info(f, ConfParams(1.0), 4.0)
-    x10, x7 = (np.polynomial.legendre.leggauss(n)[0] for n in (10, 7))
-    lo, hi = 0.0, 4.0  # the first refined panel is the whole range
-    c, m = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    assert seen[10:27] == (m + c * np.concatenate([x10, x7])).tolist()
+    x = np.concatenate([np.polynomial.legendre.leggauss(n)[0] for n in (10, 7)])
+
+    def nodes(lo, hi):
+        return (0.5 * (hi + lo) + 0.5 * (hi - lo) * x).tolist()
+
+    assert seen[:17] == nodes(0.0, 4.0)
+    assert seen[17:51] == nodes(0.0, 2.0) + nodes(2.0, 4.0)

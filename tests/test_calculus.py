@@ -25,6 +25,15 @@ from confcalc import (
     vector_fn,
     weighted_integral,
 )
+from confcalc import calculus, check_left_inverse
+from confcalc.calculus import (
+    _EPS,
+    _MAX_DEPTH,
+    _MAX_PANELS,
+    _mnorm,
+    _panels,
+    _quad_adaptive,
+)
 from confcalc.errors import (
     ConvergenceError,
     DomainError,
@@ -35,6 +44,115 @@ from confcalc.errors import (
 
 def _norm(v) -> float:
     return float(np.max(np.abs(np.asarray(v.data, dtype=float))))
+
+
+def _bits(v):
+    return np.ascontiguousarray(v, dtype=float).tobytes()
+
+
+def _reference_refine(g, lo, hi, budget, noise, depth, state):
+    """_refine as a depth-first loop: one integrand call per panel, and a
+    panel counted when it is evaluated."""
+    # both rules in one call: the 10 nodes, then the 7
+    (v10, s10), (v7, s7) = [(v[0], float(scale[0]))
+                            for v, scale in _panels(g, lo, hi, 10, 7)]
+    state["evals"] += 17
+    state["panels"] += 1
+    if s10 > state["gmax"]:
+        state["gmax"] = s10
+    width = hi - lo
+    err = _mnorm(v10 - v7)
+    floor = width * (4.0 * noise() + 32.0 * _EPS * max(s10, s7))
+    exhausted = depth >= _MAX_DEPTH or state["panels"] >= _MAX_PANELS
+    if (err <= max(budget, floor) or width <= 1e-14 * state["wtot"]
+            or exhausted):
+        state["err"] += err
+        return v10
+    mid = 0.5 * (lo + hi)
+    vl = _reference_refine(g, lo, mid, 0.5 * budget, noise, depth + 1, state)
+    vr = _reference_refine(g, mid, hi, 0.5 * budget, noise, depth + 1, state)
+    return vl + vr
+
+
+def _reference_quad(g, lo, hi, tol, noise=0.0, grade=False):
+    """_quad_adaptive with a separate 10-point pass over the base panels
+    for the budget, then each base panel refined from scratch."""
+    if not callable(noise):
+        level = float(noise)
+        noise = lambda: level
+    width = hi - lo
+    if grade:
+        sigma, levels = 0.25, 24
+        pts = [lo]
+        for j in range(levels, 0, -1):
+            c = lo + width * sigma**j
+            if c > pts[-1]:
+                pts.append(c)
+        pts.append(hi)
+    else:
+        pts = [lo, hi]
+
+    [(pieces, _)] = _panels(g, pts[:-1], pts[1:], 10)
+    coarse = np.add.accumulate(pieces, axis=0)[-1]
+    budget_total = tol.threshold(_mnorm(coarse))
+
+    state = {"err": 0.0, "evals": 10 * (len(pts) - 1), "wtot": width,
+             "gmax": 0.0, "panels": 0}
+    total = None
+    for i in range(len(pts) - 1):
+        share = budget_total * (pts[i + 1] - pts[i]) / width
+        v = _reference_refine(g, pts[i], pts[i + 1], share, noise, 0, state)
+        total = v if total is None else total + v
+    achieved = state["err"]
+    cap = (32.0 * budget_total
+           + width * (64.0 * noise() + 4096.0 * _EPS * (1.0 + state["gmax"])))
+    if achieved > cap:
+        raise QuadratureError(
+            f"error estimate {achieved:.3g} exceeds the requested budget "
+            f"{budget_total:.3g} after full refinement; the integrand may "
+            "not be integrable on this interval",
+            achieved=achieved,
+        )
+    return total, achieved, state["evals"]
+
+
+def _quad_runs(monkeypatch, quad, call):
+    """call() with every adaptive integral done by ``quad``; returns its
+    result and, per integral, (value, error, evals, integrand batch sizes)."""
+    runs = []
+
+    def recorded(g, lo, hi, tol, noise=0.0, grade=False):
+        sizes = []
+
+        def counted(us):
+            sizes.append(len(us))
+            return g(us)
+
+        out = quad(counted, lo, hi, tol, noise=noise, grade=grade)
+        runs.append((*out, sizes))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(calculus, "_quad_adaptive", recorded)
+        result = call()
+    return result, runs
+
+
+def _assert_same_integrals(monkeypatch, call):
+    """The batched engine against the depth-first reference: the same
+    value and error bits, 10 fewer evaluations per base panel, all base
+    panels in one integrand call and both children of a split in one."""
+    got, runs = _quad_runs(monkeypatch, _quad_adaptive, call)
+    want, ref_runs = _quad_runs(monkeypatch, _reference_quad, call)
+    assert len(runs) == len(ref_runs) > 0
+    for (v, err, evals, sizes), (rv, rerr, revals, rsizes) in zip(runs, ref_runs):
+        n_base = rsizes[0] // 10
+        assert _bits(v) == _bits(rv)
+        assert err == rerr
+        assert evals == revals - 10 * n_base
+        assert sizes[0] == 17 * n_base and set(sizes[1:]) <= {34}
+        assert sum(sizes) == evals
+    return got, want
 
 
 class TestParams:
@@ -495,13 +613,30 @@ class TestConfIntegral:
         with pytest.raises(DomainError):
             conf_integral(f, ConfParams(alpha=0.5), 2.0)
 
-    def test_non_integrable_integrand_refused(self):
+    def test_non_integrable_integrand_refused(self, monkeypatch):
         # interior simple pole: the estimate cannot meet any budget and
         # the engine must say so instead of returning a number
-        pole = CallableFn(lambda s: 1.0 / (s - 0.6180339887), domain=(0.0, 1.0))
-        with pytest.raises(QuadratureError) as exc:
-            conf_integral(pole, ConfParams(alpha=1.0), 1.0)
-        assert exc.value.achieved > 1e-3
+        calls = []
+
+        def pole(s):
+            calls.append(s)
+            return 1.0 / (s - 0.6180339887)
+
+        f = CallableFn(pole, domain=(0.0, 1.0))
+
+        def achieved(quad):
+            with monkeypatch.context() as m:
+                m.setattr(calculus, "_quad_adaptive", quad)
+                with pytest.raises(QuadratureError) as exc:
+                    conf_integral(f, ConfParams(alpha=1.0), 1.0)
+            return exc.value.achieved
+
+        got = achieved(_quad_adaptive)
+        assert got > 1e-3
+        # refinement runs into the panel cap, which stops the same panels
+        # as in the depth-first reference
+        assert len(calls) // 17 > _MAX_PANELS
+        assert got == achieved(_reference_quad)
 
 
 class TestWeightedIntegral:
@@ -521,6 +656,71 @@ class TestWeightedIntegral:
         # integral of s^(-1/2) over [1, 4] = 2*(2 - 1) = 2
         v = weighted_integral(builtin("one"), ConfParams(alpha=0.5), 1.0, 4.0)
         assert abs(float(v.data) - 2.0) <= 1e-12
+
+
+class TestDepthFirstReference:
+    # the batched quadrature against _reference_quad: evaluation is batched,
+    # every decision is taken in the reference's order, and the bits agree
+    _FNS = {
+        "exp": builtin("exp"),
+        "sqrt": builtin("sqrt"),
+        "grid": GridFn([0.5 * i for i in range(17)],
+                       [[math.sin(0.5 * i), math.exp(-0.1 * i)] for i in range(17)]),
+        "vector": vector_fn([builtin("exp"), builtin("sin"), builtin("cube")]),
+        "diag": diag_fn([builtin("sin"), builtin("exp")]),
+    }
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 1.0])
+    @pytest.mark.parametrize("name", list(_FNS))
+    def test_conf_integral(self, monkeypatch, name, alpha):
+        f = self._FNS[name]
+        for t in (0.3, 2.0, 7.5):
+            (v, err, _), (rv, rerr, _) = _assert_same_integrals(
+                monkeypatch, lambda: conf_integral_info(f, ConfParams(alpha), t))
+            assert _bits(v.data) == _bits(rv.data) and err == rerr
+
+    @pytest.mark.parametrize("name", list(_FNS))
+    def test_weighted_integral(self, monkeypatch, name):
+        f = self._FNS[name]
+        for alpha, t1, t2 in ((0.1, 1.0, 7.5), (0.5, 0.3, 2.0), (0.9, 0.01, 0.3)):
+            got, want = _assert_same_integrals(
+                monkeypatch, lambda: weighted_integral(f, ConfParams(alpha), t1, t2))
+            assert _bits(got.data) == _bits(want.data)
+
+    # the benchmark's theta-route cases; their integrand declares a noise
+    # level that grows as it is sampled, so the batched engine reads it
+    # after more samples than the reference does at some decisions
+    _LEFT_INV = [
+        (builtin("exp"), 0.5),
+        (parse_expr("t^0.5 + sin(t)"), 0.5),
+        (vector_fn([builtin("exp"), builtin("sin"), builtin("cube")]), 0.9),
+        (diag_fn([builtin("sin"), builtin("exp")]), 0.1),
+    ]
+
+    @pytest.mark.parametrize("route", ["theta", "scaled"])
+    @pytest.mark.parametrize("case", range(len(_LEFT_INV)))
+    def test_left_inverse(self, monkeypatch, case, route):
+        f, alpha = self._LEFT_INV[case]
+        got, want = _assert_same_integrals(
+            monkeypatch,
+            lambda: check_left_inverse(f, ConfParams(alpha), 1.0, route=route))
+        assert got.status == want.status == "passed"
+        assert _bits(got.lhs) == _bits(want.lhs)
+        assert got.residual == want.residual
+        assert got.diagnostics == want.diagnostics
+
+    def test_panel_cap_hits_the_same_panels(self):
+        # a square wave of about 95 jumps refines into the panel cap, and
+        # the loose budget still takes the capped result
+        def g(us):
+            return np.floor(95.5 * us) % 2.0
+
+        tol = Tolerance(rel=1e-2)
+        v, err, evals = _quad_adaptive(g, 0.0, 1.0, tol)
+        rv, rerr, revals = _reference_quad(g, 0.0, 1.0, tol)
+        assert evals // 17 > _MAX_PANELS
+        assert _bits(v) == _bits(rv) and err == rerr
+        assert evals == revals - 10
 
 
 class TestInverseRoutes:
