@@ -52,7 +52,7 @@ from .errors import (
     LowerTerminalError,
     QuadratureError,
 )
-from .expr import elementwise, pow_real
+from .expr import pow_real
 from .funcs import AbstractFn, GridFn, run_batch
 from .vecspace import VecValue, _mnorm, as_vecvalue
 
@@ -395,7 +395,7 @@ def conf_deriv_many(
         for t in x.tolist():
             _require_interior(p, t)
         dist = x - p.a
-        ss = elementwise(pow_real, dist, 1.0 - p.alpha)
+        ss = pow_real(dist, 1.0 - p.alpha)
         return _deriv_core(f.eval_many, x, ss, dist, lo, hi, side, tol)
 
     ts = np.asarray(ts, dtype=float).reshape(-1)
@@ -445,7 +445,7 @@ def _scaled(p: ConfParams, ts: np.ndarray, d: np.ndarray, de=None):
     # ts from the stacked first derivatives d, and their error estimates
     # s*de + the error floor (de None: exact derivatives); returns (values,
     # estimates, s)
-    s = elementwise(pow_real, ts - p.a, 1.0 - p.alpha)
+    s = pow_real(ts - p.a, 1.0 - p.alpha)
     vals = _per_row(s, d) * d
     errs = _err_floor(_rownorms(vals))
     return vals, (errs if de is None else s * de + errs), s
@@ -851,7 +851,7 @@ def conf_integral_info(
     upper = pow_real(t - p.a, p.alpha)
 
     def g(us):
-        s_eval = p.a + elementwise(pow_real, us, inv_alpha)
+        s_eval = p.a + pow_real(us, inv_alpha)
         return f.eval_many(np.clip(s_eval, lo, hi))
 
     # budget in the substituted variable: the final value carries 1/alpha
@@ -878,7 +878,7 @@ def conf_integral(
 def _weighted(f: AbstractFn, p: ConfParams):
     # batch integrand (s-a)^(alpha-1) f(s) of the interior slices
     def g(ss):
-        weights = elementwise(pow_real, ss - p.a, p.alpha - 1.0)
+        weights = pow_real(ss - p.a, p.alpha - 1.0)
         vals = f.eval_many(ss)
         return _per_row(weights, vals) * vals
 

@@ -14,18 +14,17 @@ functions: sin, cos, exp, log, sqrt, abs.  Numbers are decimal floats.
 Errors carry the byte offset of the offending token.
 
 Evaluation walks the tree over a whole array of points at once
-(:func:`eval_array`); :func:`eval_node` is its one-point case.  The walk
-uses numpy only for operations IEEE 754 rounds exactly (+ - * /, negation,
-abs, sqrt) and maps the math-module functions element by element for the
-rest, so every point's value is the same double whatever batch it is in.
+(:func:`eval_array`); :func:`eval_node` is its one-point case, the same
+numpy calls on arrays of length 1.  Every operation is a numpy ufunc, and
+each element of a ufunc's result depends on that element's operands alone
+(pinned by the batch-invariance tests), so every point's value is the same
+double whatever batch it is in.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "parse_text",
     "eval_node",
     "eval_array",
-    "elementwise",
     "diff_node",
     "node_to_text",
     "pow_real",
@@ -75,58 +73,54 @@ class Binary:
 Node = Const | Var | Unary | Binary
 
 
-def pow_real(base: float, expo: float) -> float:
-    """Real power with explicit domain rules.
+def pow_real(base, expo):
+    """Real power ``base ** expo`` over an array of bases, with explicit
+    domain rules.  ``expo`` is a number or an array of the bases' shape;
+    numbers in give a float out.
 
-    Positive base: exp(expo * log(base)).  Zero base: 0 for positive
-    exponents, 1 for exponent 0, domain error otherwise.  Negative base:
-    only integer exponents are defined.
+    Positive base: numpy's power.  Zero base: 0 for positive exponents, 1
+    for exponent 0, a domain error otherwise.  Negative base: only integer
+    exponents are defined.  A result that overflows is a domain error
+    (after numpy's warning, unless the caller mutes it).  Errors name the
+    first offending pair in array order.
+
+    numpy picks its power kernel from the operands' memory layout, and
+    the kernels round differently, so the bases and an array exponent
+    are fresh unit-stride copies and a number exponent stays a number:
+    every layout and length meets one kernel.  (A view of length 1
+    counts as contiguous whatever its stride, and numpy reads a stride-0
+    exponent as a number.)  A number exponent of 2, 0.5 or -1 is an exact
+    square, square root or reciprocal; the same exponent as an array is
+    not, so the one-point case of an array exponent is a length-1 array.
     """
-    if base > 0.0:
-        try:
-            return math.pow(base, expo)
-        except OverflowError:
-            raise DomainError(f"overflow in {base}^{expo}") from None
-    if base == 0.0:
-        if expo > 0.0:
-            return 0.0
-        if expo == 0.0:
-            return 1.0
-        raise DomainError("zero raised to a negative power")
-    if expo == round(expo) and abs(expo) <= 2**31:
-        try:
-            return math.pow(base, expo)
-        except OverflowError:
-            raise DomainError(f"overflow in {base}^{expo}") from None
-    raise DomainError(f"negative base {base} with non-integer exponent {expo}")
+    # getattr and count_nonzero cost less than np.ndim and .all() on the
+    # few points of a derivative query or a quadrature panel
+    array_expo = getattr(expo, "ndim", 0) > 0
+    scalar = not array_expo and getattr(base, "ndim", 0) == 0
+    b = np.array(base, dtype=float, ndmin=1)
+    e = np.array(expo, dtype=float) if array_expo else expo
+    if np.count_nonzero(b > 0.0) == b.size:
+        out = np.power(b, e)
+    else:
+        zero = b == 0.0
+        whole = (e == np.round(e)) & (np.abs(e) <= 2**31)
+        bad = (zero & ~(e >= 0.0)) | ~(zero | (b > 0.0) | whole)
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            if b.flat[i] == 0.0:
+                raise DomainError("zero raised to a negative power")
+            raise DomainError(f"negative base {b.flat[i]} with non-integer "
+                              f"exponent {np.broadcast_to(e, b.shape).flat[i]}")
+        out = np.where(zero, np.where(e == 0.0, 1.0, 0.0), np.power(b, e))
+    if np.count_nonzero(np.isinf(out)):
+        i = np.flatnonzero(np.isinf(out))[0]
+        raise DomainError(f"overflow in {b.flat[i]}^"
+                          f"{np.broadcast_to(e, b.shape).flat[i]}")
+    return float(out[0]) if scalar else out
 
 
-def elementwise(fn, x: np.ndarray, *rest) -> np.ndarray:
-    """``fn`` over the elements of the 1-d array ``x``, in order, as floats.
-
-    Each of ``rest`` is an array of the same length or one fixed number.
-    numpy's own exp, log and power differ from the math module in the last
-    bit on a few percent of inputs; mapping the math-module function keeps
-    a batch bit-identical to one-point evaluation.
-    """
-    cols = [r.tolist() if isinstance(r, np.ndarray) else repeat(r) for r in rest]
-    return np.fromiter(map(fn, x.tolist(), *cols), float, x.size)
-
-
-def _exp(a: float) -> float:
-    try:
-        return math.exp(a)
-    except OverflowError:
-        raise DomainError(f"overflow in exp({a})") from None
-
-
-def _log(a: float) -> float:
-    if a <= 0.0:
-        raise DomainError(f"log of non-positive value {a}")
-    return math.log(a)
-
-
-_MAPPED = {"sin": math.sin, "cos": math.cos, "exp": _exp, "log": _log}
+_UFUNCS = {"abs": np.abs, "sqrt": np.sqrt, "log": np.log, "exp": np.exp,
+           "sin": np.sin, "cos": np.cos}
 
 
 def _walk(node: Node, env: dict[str, np.ndarray], n: int) -> np.ndarray:
@@ -139,17 +133,20 @@ def _walk(node: Node, env: dict[str, np.ndarray], n: int) -> np.ndarray:
         op = node.op
         if op == "neg":
             return -a
-        if op == "abs":
-            return np.abs(a)
-        if op == "sqrt":
-            bad = a < 0.0
-            if bad.any():
-                raise DomainError(f"sqrt of negative value {float(a[bad][0])}")
-            return np.sqrt(a)
-        if op in _MAPPED:
-            return elementwise(_MAPPED[op], a)
-        raise DomainError(f"unknown unary op {op!r}")
+        if op == "sqrt" and (a < 0.0).any():
+            raise DomainError(f"sqrt of negative value {float(a[a < 0.0][0])}")
+        if op == "log" and (a <= 0.0).any():
+            raise DomainError(f"log of non-positive value {float(a[a <= 0.0][0])}")
+        if op not in _UFUNCS:
+            raise DomainError(f"unknown unary op {op!r}")
+        out = _UFUNCS[op](a)
+        if op == "exp" and np.isinf(out).any():
+            raise DomainError(f"overflow in exp({float(a[np.isinf(out)][0])})")
+        return out
     l = _walk(node.lhs, env, n)
+    if node.op == "^" and isinstance(node.rhs, Const):
+        # a constant exponent is a number, as for pow_real's other callers
+        return pow_real(l, node.rhs.value)
     r = _walk(node.rhs, env, n)
     op = node.op
     if op == "+":
@@ -163,7 +160,7 @@ def _walk(node: Node, env: dict[str, np.ndarray], n: int) -> np.ndarray:
             raise DomainError("division by zero")
         return l / r
     if op == "^":
-        return elementwise(pow_real, l, r)
+        return pow_real(l, r)
     raise DomainError(f"unknown binary op {op!r}")
 
 
@@ -172,19 +169,21 @@ def eval_array(node: Node, env: dict[str, np.ndarray]) -> np.ndarray:
 
     A domain error names an offending operand (the first one in point
     order within the failing node); callers that must name the first bad
-    point re-run the batch one point at a time.
+    point re-run the batch one point at a time.  Overflow in arithmetic,
+    sin and cos of inf, and inf - inf give inf or nan for the caller's
+    finiteness check (with numpy's warning unless the caller mutes it).
     """
     n = len(next(iter(env.values()))) if env else 1
-    # overflow to inf or inf - inf is reported by the callers' finiteness
-    # checks, as it is for plain float arithmetic, not as a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _walk(node, env, n)
+    return _walk(node, env, n)
 
 
 def eval_node(node: Node, env: dict[str, float]) -> float:
     """Value of ``node`` at one point: the one-point case of :func:`eval_array`."""
     arrays = {k: np.array([v], dtype=float) for k, v in env.items()}
-    return float(eval_array(node, arrays)[0])
+    # overflow to inf or inf - inf is left to the caller's finiteness
+    # check, as it is for plain float arithmetic, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(eval_array(node, arrays)[0])
 
 
 # Smart constructors with light constant folding.  Folding keeps printed

@@ -13,13 +13,19 @@ builtins and their composites, a point loop for the other kinds), and
 ``exact_deriv`` is its one-point case.  Both return None where no exact
 derivative is known (grid data, say).
 
+Array evaluations are numpy ufunc calls over the batch and the one-point
+case is the same calls on a length-1 array, so a point gets the same bits
+in every batch.  Where a ufunc gives inf or nan, the per-batch finiteness
+check raises a DomainError naming the first bad point.
+
 Kinds:
 
 * :class:`ExprFn`: parsed expression text, differentiable symbolically.
 * :class:`GridFn`: tabulated nodes with linear or cubic Hermite
   interpolation, exact at the nodes.
 * :class:`BuiltinFn`: named analytic functions with hand-written
-  derivative closures, independent of the symbolic differentiator.
+  value and derivative closures over arrays, independent of the
+  symbolic differentiator.
 * :class:`CompositeFn`: vector or square-matrix assembly of scalar
   functions.
 * :class:`CallableFn`: adapter around an arbitrary callable, used for
@@ -33,14 +39,12 @@ All of these are immutable after construction.
 from __future__ import annotations
 
 import csv
-import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import expr as _e
 from .errors import DomainError, ShapeError
-from .expr import elementwise
 from .vecspace import VecValue, _mnorm
 
 __all__ = [
@@ -63,7 +67,7 @@ __all__ = [
     "load_grid_csv",
 ]
 
-_INF = math.inf
+_INF = np.inf
 
 
 class AbstractFn:
@@ -105,10 +109,13 @@ class AbstractFn:
 
     def exact_deriv(self, t: float):
         """Raw exact first derivative, or None when unavailable."""
+        d = self._exact(np.array([float(t)]))
+        return None if d is None else d[0]
+
+    def _exact(self, ts: np.ndarray):
         if self._derivs is None:
             return None
-        d = self._derivs(self._inside(np.array([float(t)])))
-        return None if d is None else d[0]
+        return _finite(self._derivs, self._inside(ts), "exact derivative")
 
     def exact_deriv_many(self, ts):
         """Exact first derivatives at the points ``ts``, shape (n, *value
@@ -119,13 +126,13 @@ class AbstractFn:
         first point whose derivative is unavailable or raises decides,
         None for the one and that point's own error for the other.
         Kinds with a closed form evaluate the batch as arrays after one
-        domain check, and when that batch meets None or an error they run
-        that loop; the other kinds always loop.
+        domain check, check it finite once, and run that loop when the
+        batch meets None or an error; the other kinds always loop.
         """
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        if self._derivs is not None and ts.size != 1:
+        if ts.size != 1:
             try:
-                d = self._derivs(self._inside(ts))
+                d = self._exact(ts)
             except Exception:
                 d = None
             if d is not None:
@@ -149,18 +156,28 @@ class AbstractFn:
         return run_batch(self._checked, np.asarray(ts, dtype=float).reshape(-1))
 
     def _checked(self, ts: np.ndarray) -> np.ndarray:
-        out = self._values(self._inside(ts))
-        finite = np.isfinite(out)
-        if not finite.all():
-            bad = ~finite.reshape(ts.size, -1).all(axis=1)
-            raise DomainError(f"non-finite value at t = {float(ts[bad][0])}")
-        return out
+        return _finite(self._values, self._inside(ts), "value")
 
     def eval(self, t: float) -> VecValue:
         return VecValue(self.eval_many((t,))[0])
 
     def __call__(self, t: float) -> np.ndarray:
         return self.eval_many((t,))[0]
+
+
+def _finite(fn, ts: np.ndarray, what: str):
+    """``fn(ts)``, rows stacked over the points ``ts``, or None if it gives
+    None.  A row with inf or nan raises a DomainError naming its point, so
+    numpy's warnings about them are muted."""
+    with np.errstate(all="ignore"):
+        out = fn(ts)
+    if out is None:
+        return None
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = ~finite.reshape(ts.size, -1).all(axis=1)
+        raise DomainError(f"non-finite {what} at t = {float(ts[bad][0])}")
+    return out
 
 
 def run_batch(run, ts: np.ndarray):
@@ -226,39 +243,25 @@ def parse_expr(text: str, domain=(-_INF, _INF)) -> ExprFn:
 
 
 class BuiltinFn(AbstractFn):
-    """Named analytic function with a hand-written derivative closure."""
+    """Named analytic function with a hand-written derivative closure.
+
+    ``fn`` and ``dfn`` map a 1-d array of in-domain points to the arrays
+    of values and of derivatives, element by element (numpy ufuncs).
+    """
 
     kind = "builtin"
 
     def __init__(
         self,
         name: str,
-        fn: Callable[[float], float],
-        dfn: Callable[[float], float],
+        fn: Callable[[np.ndarray], np.ndarray],
+        dfn: Callable[[np.ndarray], np.ndarray],
         domain=(-_INF, _INF),
     ):
         super().__init__(domain, name)
         self.name = name
-        self._fn = fn
-        self._dfn = dfn
-
-    def _one(self, t: float) -> float:
-        try:
-            return self._fn(t)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"{self.name}({t}): {exc}") from None
-
-    def _values(self, ts: np.ndarray) -> np.ndarray:
-        return elementwise(self._one, ts)
-
-    def _one_deriv(self, t: float) -> float:
-        try:
-            return self._dfn(t)
-        except (ValueError, OverflowError, ZeroDivisionError) as exc:
-            raise DomainError(f"{self.name}'({t}): {exc}") from None
-
-    def _derivs(self, ts: np.ndarray) -> np.ndarray:
-        return elementwise(self._one_deriv, ts)
+        self._values = fn
+        self._derivs = dfn
 
 
 def power_fn(p: float, shift: float = 0.0) -> BuiltinFn:
@@ -275,11 +278,11 @@ def power_fn(p: float, shift: float = 0.0) -> BuiltinFn:
     else:
         lo = shift
 
-    def fn(t: float) -> float:
-        return _e.pow_real(t - shift, p)
+    def fn(ts: np.ndarray) -> np.ndarray:
+        return _e.pow_real(ts - shift, p)
 
-    def dfn(t: float) -> float:
-        return p * _e.pow_real(t - shift, p - 1.0)
+    def dfn(ts: np.ndarray) -> np.ndarray:
+        return p * _e.pow_real(ts - shift, p - 1.0)
 
     name = f"pow:{p:g}" if shift == 0.0 else f"pow:{p:g}:{shift:g}"
     return BuiltinFn(name, fn, dfn, domain=(lo, _INF))
@@ -287,23 +290,23 @@ def power_fn(p: float, shift: float = 0.0) -> BuiltinFn:
 
 def _mk_builtins() -> dict[str, Callable[[], BuiltinFn]]:
     return {
-        "one": lambda: BuiltinFn("one", lambda t: 1.0, lambda t: 0.0),
-        "identity": lambda: BuiltinFn("identity", lambda t: t, lambda t: 1.0),
+        "one": lambda: BuiltinFn("one", np.ones_like, np.zeros_like),
+        "identity": lambda: BuiltinFn("identity", np.copy, np.ones_like),
         "square": lambda: BuiltinFn("square", lambda t: t * t, lambda t: 2.0 * t),
         "cube": lambda: BuiltinFn(
             "cube", lambda t: t * t * t, lambda t: 3.0 * t * t
         ),
         "sqrt": lambda: BuiltinFn(
-            "sqrt", math.sqrt, lambda t: 0.5 / math.sqrt(t), domain=(0.0, _INF)
+            "sqrt", np.sqrt, lambda t: 0.5 / np.sqrt(t), domain=(0.0, _INF)
         ),
-        "exp": lambda: BuiltinFn("exp", math.exp, math.exp),
-        "sin": lambda: BuiltinFn("sin", math.sin, math.cos),
-        "cos": lambda: BuiltinFn("cos", math.cos, lambda t: -math.sin(t)),
-        "log": lambda: BuiltinFn("log", math.log, lambda t: 1.0 / t, domain=(0.0, _INF)),
+        "exp": lambda: BuiltinFn("exp", np.exp, np.exp),
+        "sin": lambda: BuiltinFn("sin", np.sin, np.cos),
+        "cos": lambda: BuiltinFn("cos", np.cos, lambda t: -np.sin(t)),
+        "log": lambda: BuiltinFn("log", np.log, lambda t: 1.0 / t, domain=(0.0, _INF)),
         "t_sin": lambda: BuiltinFn(
             "t_sin",
-            lambda t: t * math.sin(t),
-            lambda t: math.sin(t) + t * math.cos(t),
+            lambda t: t * np.sin(t),
+            lambda t: np.sin(t) + t * np.cos(t),
         ),
     }
 
@@ -335,6 +338,13 @@ def builtin(spec: str) -> BuiltinFn:
     raise ValueError(
         f"unknown builtin {spec!r}; available: {', '.join(builtin_names())}"
     )
+
+
+def _hermite(u):
+    """Cubic Hermite basis (h00, h10, h01, h11) at u in [0, 1]."""
+    w = 1.0 - u
+    return ((1.0 + 2.0 * u) * (w * w), u * (w * w),
+            u * u * (3.0 - 2.0 * u), u * u * (u - 1.0))
 
 
 class GridFn(AbstractFn):
@@ -408,12 +418,7 @@ class GridFn(AbstractFn):
             out = v0 + (v1 - v0) * x[col]
         else:
             s0, s1 = self._slopes[i], self._slopes[i + 1]
-            # (1 - x)^2 through libm pow, as a scalar float ** 2 computes it
-            sq = elementwise(math.pow, 1.0 - x, 2.0)
-            h00 = (1.0 + 2.0 * x) * sq
-            h10 = x * sq
-            h01 = x * x * (3.0 - 2.0 * x)
-            h11 = x * x * (x - 1.0)
+            h00, h10, h01, h11 = _hermite(x)
             out = (h00[col] * v0 + (h10 * h)[col] * s0 + h01[col] * v1
                    + (h11 * h)[col] * s1)
         # stored values exactly at the nodes
@@ -504,7 +509,7 @@ def diag_fn(components: Sequence[AbstractFn], label: str = "") -> CompositeFn:
     """Square matrix function with the given diagonal and zeros elsewhere."""
     comps = list(components)
     n = len(comps)
-    zero = BuiltinFn("zero", lambda t: 0.0, lambda t: 0.0)
+    zero = BuiltinFn("zero", np.zeros_like, np.zeros_like)
     rows = [
         [comps[i] if i == j else zero for j in range(n)] for i in range(n)
     ]

@@ -28,8 +28,8 @@ import numpy as np
 
 from .calculus import ConfParams, Tolerance, _gl
 from .errors import ConvergenceError, DomainError
-from .expr import elementwise, pow_real
-from .funcs import CallableFn
+from .expr import pow_real
+from .funcs import CallableFn, _hermite
 from .vecspace import VecValue, _mnorm, as_vecvalue, to_jsonable
 
 __all__ = [
@@ -82,18 +82,12 @@ class IvpProblem:
 
 def _tau(p: ConfParams, ts: np.ndarray) -> np.ndarray:
     """tau = (t-a)^alpha / alpha at each of the 1-d array ``ts``."""
-    return elementwise(pow_real, ts - p.a, p.alpha) / p.alpha
+    return pow_real(ts - p.a, p.alpha) / p.alpha
 
 
 def _t_of(p: ConfParams, taus: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_tau`: t = a + (alpha*tau)^(1/alpha)."""
-    return p.a + elementwise(pow_real, p.alpha * taus, 1.0 / p.alpha)
-
-
-def _hermite(u):
-    """Cubic Hermite basis (h00, h10, h01, h11) at u in [0, 1]."""
-    return ((1.0 + 2.0 * u) * (1.0 - u) ** 2, u * (1.0 - u) ** 2,
-            u * u * (3.0 - 2.0 * u), u * u * (u - 1.0))
+    return p.a + pow_real(p.alpha * taus, 1.0 / p.alpha)
 
 
 @dataclass(frozen=True)

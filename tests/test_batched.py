@@ -47,6 +47,7 @@ from confcalc.calculus import (
     one_sided_limit,
 )
 from confcalc.errors import DomainError
+from confcalc.expr import pow_real
 from confcalc.vecspace import to_jsonable
 
 
@@ -62,34 +63,49 @@ def _points(rng, lo, hi, n=400):
     return np.sort(rng.uniform(lo, hi, n))
 
 
+def _at_one_point(ufunc, t, *numbers):
+    # a numpy ufunc evaluated at one point t, on an array of length 1
+    return float(ufunc(np.array([t]), *numbers)[0])
+
+
 class TestEvalManyBits:
-    def test_builtins_follow_libm(self, rng):
-        # inputs where numpy's vectorised exp rounds differently from
-        # math.exp on this machine come first, if there are any
+    def test_builtins_follow_numpy_at_one_point(self, rng):
+        # inputs where numpy's exp rounds differently from math.exp where
+        # the tests run come first, if there are any: the math module
+        # would fail there
         pool = rng.uniform(-20.0, 20.0, 5000)
         differ = pool[np.exp(pool) != np.array([math.exp(x) for x in pool])]
         ts = np.concatenate([differ[:200], pool[:200]])
-        got = _assert_bits(builtin("exp"), ts)
-        assert got.tolist() == [math.exp(t) for t in ts.tolist()]
-        for name in ("sin", "cos", "cube", "t_sin", "identity", "one"):
-            _assert_bits(builtin(name), ts)
         pos = np.abs(ts) + 0.01
-        for name in ("log", "sqrt"):
-            _assert_bits(builtin(name), pos)
+        for name, ufunc, xs in (("exp", np.exp, ts), ("sin", np.sin, ts),
+                                ("cos", np.cos, ts), ("log", np.log, pos),
+                                ("sqrt", np.sqrt, pos)):
+            f = builtin(name)
+            got = _assert_bits(f, xs)
+            assert got.tolist() == [_at_one_point(ufunc, t) for t in xs.tolist()]
+            assert _bits_equal(f.exact_deriv_many(xs),
+                               [f.exact_deriv(t) for t in xs.tolist()])
+        got = _assert_bits(builtin("t_sin"), ts)
+        assert got.tolist() == [t * _at_one_point(np.sin, t) for t in ts.tolist()]
+        for name in ("cube", "identity", "one"):
+            _assert_bits(builtin(name), ts)
         got = _assert_bits(power_fn(0.9), pos)
-        assert got.tolist() == [math.pow(t, 0.9) for t in pos.tolist()]
+        assert got.tolist() == [_at_one_point(np.power, t, 0.9) for t in pos.tolist()]
 
     def test_expression_with_every_operation(self, rng):
         f = parse_expr("exp(-t/3) * sin(t) + cos(2*t) - log(t + 1) "
                        "+ sqrt(abs(t - 2)) + t^0.9 - -t")
         ts = _points(rng, 0.0, 6.0)
         got = _assert_bits(f, ts)
-        # the same operations on Python floats, in the parser's order
-        assert got.tolist() == [
-            math.exp(-t / 3) * math.sin(t) + math.cos(2 * t) - math.log(t + 1)
-            + math.sqrt(abs(t - 2)) + math.pow(t, 0.9) - -t
-            for t in ts.tolist()
-        ]
+
+        # the same operations on length-1 numpy arrays, in the parser's order
+        def one(t):
+            x = np.array([t])
+            return float((np.exp(-x / 3) * np.sin(x) + np.cos(2 * x)
+                          - np.log(x + 1) + np.sqrt(np.abs(x - 2))
+                          + np.power(x, 0.9) - -x)[0])
+
+        assert got.tolist() == [one(t) for t in ts.tolist()]
 
     @pytest.mark.parametrize("interp", ["linear", "cubic"])
     @pytest.mark.parametrize("width", [0, 2])
@@ -99,7 +115,7 @@ class TestEvalManyBits:
             [np.sin(nodes), np.exp(-nodes)], axis=1)
         g = GridFn(nodes, vals, interp=interp)
         ts = np.concatenate([nodes, _points(rng, 0.0, 4.0),
-                             _pow_square_differs(g, rng)])
+                             _libm_square_differs(g, rng)])
         got = _assert_bits(g, ts)
         # stored values come back exactly at the nodes
         assert np.array_equal(got[:nodes.size], vals)
@@ -135,9 +151,10 @@ class TestEvalManyBits:
         assert seen[:3] == [3.0, 1.0, 2.0]
 
 
-def _pow_square_differs(g, rng):
-    # points whose (1 - x)^2 through libm pow, as float ** 2 computes it,
-    # differs from the product (1 - x)*(1 - x) (a few in ten thousand)
+def _libm_square_differs(g, rng):
+    # points whose (1 - x)^2 through libm pow differs from the product
+    # (1 - x)*(1 - x) the Hermite basis forms (a few in ten thousand): a
+    # basis squaring through libm would fail there
     ts = rng.uniform(g.nodes_t[0], g.nodes_t[-1], 40000)
     i = np.clip(np.searchsorted(g.nodes_t, ts, side="right") - 1, 0,
                 g.nodes_t.size - 2)
@@ -159,11 +176,95 @@ def _grid_reference(g, t):
     if g.interp == "linear":
         return v0 + (v1 - v0) * x
     s0, s1 = g._slopes[i], g._slopes[i + 1]
-    h00 = (1.0 + 2.0 * x) * (1.0 - x) ** 2
-    h10 = x * (1.0 - x) ** 2
+    w = 1.0 - x
+    h00 = (1.0 + 2.0 * x) * (w * w)
+    h10 = x * (w * w)
     h01 = x * x * (3.0 - 2.0 * x)
     h11 = x * x * (x - 1.0)
     return h00 * v0 + h10 * h * s0 + h01 * v1 + h11 * h * s1
+
+
+# Batch invariance of the ufuncs.  numpy chooses a kernel per call from the
+# operands' memory layout and the CPU, and its kernels round differently,
+# so that a batch element equals its one-point value is a property of the
+# environment the tests run in.  Every layout an evaluation meets is pinned
+# here, for every batch length from 1 to 64.  The scalar layout is the
+# one-point reference itself, and pow_real's number exponent.
+
+_LAYOUTS = ("unit", "slice", "broadcast")
+
+
+def _laid_out(x, layout):
+    """The 1-d array ``x`` as a fresh unit-stride array, as a strided slice
+    of a larger array, or (``broadcast``) its first element read through
+    a stride-0 view of the same length."""
+    if layout == "unit":
+        return x.copy()
+    if layout == "slice":
+        big = np.full(3 * x.size + 2, np.nan)
+        big[2::3] = x
+        return big[2::3]
+    return np.broadcast_to(x[:1], x.shape)
+
+
+_GRID_T = np.linspace(0.0, 6.5, 14)
+_INVARIANT_FNS = {
+    **{f"builtin {n}": builtin(n) for n in (
+        "one", "identity", "square", "cube", "sqrt", "exp", "sin", "cos",
+        "log", "t_sin")},
+    "pow:0.9": power_fn(0.9),
+    "pow:2.5:0.01": power_fn(2.5, shift=0.01),
+    "pow:-1.5": power_fn(-1.5),
+    **{f"expr {text}": parse_expr(text) for text in (
+        "sin(t)", "cos(t)", "exp(t)", "log(t)", "sqrt(t)", "abs(sin(3 * t))",
+        "t^0.9", "t^t", "2^t", "(-t)^3", "t + 1", "t - 1", "3 * t", "t / 3",
+        "-t")},
+    **{f"grid {interp} {width}": GridFn(
+        _GRID_T, np.sin(_GRID_T) if width == 1 else np.stack(
+            [np.sin(_GRID_T), np.exp(-_GRID_T)], axis=1), interp=interp)
+       for interp in ("linear", "cubic") for width in (1, 2)},
+}
+
+
+def _pow_one_point(b, e):
+    # the one-point case of an array exponent: arrays of length 1
+    return pow_real(np.array([b]), np.array([e]))[0]
+
+
+def _invariant_cases(ts, es, c):
+    # (name, batch function, point function, operands): the batch function
+    # takes the operands laid out, the point function one float of each
+    cases = [
+        ("pow_real, number exponent", lambda x: pow_real(x, c),
+         lambda b: pow_real(b, c), (ts,)),
+        ("pow_real, array exponent", pow_real, _pow_one_point, (ts, es)),
+        ("pow_real, negative base", pow_real, _pow_one_point,
+         (-ts, np.round(es))),
+    ]
+    for name, f in _INVARIANT_FNS.items():
+        cases.append((name, f.eval_many, lambda t, f=f: f.eval(t).data, (ts,)))
+        if f.exact_deriv(float(ts[0])) is not None:
+            cases.append((name + "'", f.exact_deriv_many, f.exact_deriv, (ts,)))
+    return cases
+
+
+# numpy special-cases the number exponents 2, 0.5 and -1
+_EXPONENTS = st.one_of(st.sampled_from([2.0, 0.5, -1.0]), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.floats(0.05, 6.0), min_size=64, max_size=64),
+       st.lists(_EXPONENTS, min_size=64, max_size=64), _EXPONENTS)
+def test_every_element_of_every_batch_layout_is_its_one_point_value(ts, es, c):
+    ts, es = np.array(ts), np.array(es)
+    for name, batch, point, ops in _invariant_cases(ts, es, c):
+        ref = np.array([point(*(float(o[i]) for o in ops))
+                        for i in range(ts.size)])
+        for n in range(1, ts.size + 1):
+            for layout in _LAYOUTS:
+                got = batch(*(_laid_out(o[:n], layout) for o in ops))
+                want = ref[:n] if layout != "broadcast" else ref[[0] * n]
+                assert _bits_equal(got, want), (name, n, layout)
 
 
 class TestEvalManyErrors:

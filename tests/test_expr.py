@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +95,26 @@ class TestPowReal:
         # the IVP order-1 reduction depends on it
         for x in (0.3, 1.0, 7.25, 1e-12, 123.456):
             assert pow_real(x, 1.0) == x
+
+    def test_numbers_in_float_out(self):
+        assert type(pow_real(2.0, 0.5)) is float
+        assert type(pow_real(np.float64(2.0), 3.0)) is float
+        got = pow_real(np.array([4.0, 0.0, -2.0, -0.0]), 2.0)
+        assert isinstance(got, np.ndarray) and got.tolist() == [16.0, 0.0, 4.0, 0.0]
+        # a zero base gives +0, whatever its sign
+        assert np.signbit(pow_real(np.array([-0.0]), 3.0)).tolist() == [False]
+
+    @pytest.mark.parametrize("base,expo,msg", [
+        ([1.0, -1.0, 0.0], 0.5, "negative base -1.0 with non-integer exponent 0.5"),
+        ([1.0, 0.0, -1.0], -0.5, "zero raised to a negative power"),
+        ([1.0, -1.0, 0.0], [2.0, 0.5, -1.0], "negative base -1.0 with non-integer exponent 0.5"),
+        ([2.0, 1e300, 1e301], 2.0, "overflow in 1e+300^2.0"),
+    ])
+    def test_array_errors_name_the_first_bad_pair(self, base, expo, msg):
+        expo = np.array(expo) if isinstance(expo, list) else expo
+        # numpy warns of the overflow unless the caller mutes it
+        with pytest.raises(DomainError, match=re.escape(msg)), np.errstate(over="ignore"):
+            pow_real(np.array(base), expo)
 
 
 @pytest.mark.parametrize(
