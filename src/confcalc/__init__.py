@@ -16,6 +16,7 @@ from .calculus import (
     conf_integral_info,
     convert_order,
     deriv_of_integral,
+    deriv_of_integral_many,
     lower_terminal_deriv,
     one_sided_limit,
     weighted_integral,
@@ -91,7 +92,7 @@ __all__ = [
     "conf_deriv_scaled_many", "classical_deriv", "convert_order",
     "lower_terminal_deriv", "one_sided_limit",
     "conf_integral", "conf_integral_info", "weighted_integral",
-    "deriv_of_integral", "avg_recover",
+    "deriv_of_integral", "deriv_of_integral_many", "avg_recover",
     # identities
     "IDENTITY_IDS", "STATEMENTS", "IdentityCase", "CaseResult",
     "IdentityReport", "SuiteGrid", "default_corpus", "run_suite", "run_case",

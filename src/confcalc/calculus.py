@@ -16,10 +16,14 @@ integrals with controlled error:
   (:func:`convert_order`);
 * values at the lower terminal itself as limits of interior derivatives
   along a geometric point sequence with Aitken acceleration
-  (:func:`lower_terminal_deriv`);
+  (:func:`lower_terminal_deriv`, and :func:`one_sided_limit` for f
+  itself);
 * the weighted integral via the substitution ``u = (s-a)**alpha``, which
   removes the endpoint singularity exactly for bounded integrands, then
   adaptive composite Gauss-Legendre (:func:`conf_integral`);
+* the derivative of the running integral from local panel increments
+  (:func:`deriv_of_integral`, and :func:`deriv_of_integral_many` for a
+  batch of points);
 * the shrinking-interval average ``(1/h) * integral_t^{t+h} f``
   (:func:`avg_recover`).
 
@@ -32,11 +36,16 @@ are safe.
 The kernels evaluate in batches: all difference probes of one derivative
 in one :meth:`~confcalc.funcs.AbstractFn.eval_many` call, or those of
 many points in one call (:func:`conf_deriv_many`, of which
-:func:`conf_deriv` is the one-point case), and both Gauss rules of a
-quadrature panel (or one rule on a row of panels) in another.  The
-extrapolation tableaux of all points are built column by column over
-stacked arrays, and panel sums run node by node, so every result is
-bit-identical to a point-by-point loop.
+:func:`conf_deriv` is the one-point case; likewise
+:func:`deriv_of_integral_many` and :func:`deriv_of_integral`), and both
+Gauss rules of a quadrature panel (or one rule on a row of panels) in
+another.  The extrapolation tableaux of all points are built column by
+column over stacked arrays, and panel sums run node by node, so every
+result is bit-identical to a point-by-point loop.  The point sequences
+toward a terminal are asked for in chunks of 4 points, and their
+stopping rule runs point by point, so up to 3 points past the stop are
+evaluated; ``steps_used`` does not count them, and an error at one of
+them never surfaces.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ __all__ = [
     "conf_integral_info",
     "weighted_integral",
     "deriv_of_integral",
+    "deriv_of_integral_many",
     "avg_recover",
     "one_sided_limit",
 ]
@@ -78,6 +88,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _LEVELS = 8  # fixed extrapolation depth: deterministic work and output
 _TERMINAL_POINTS = 40  # longest geometric point sequence toward a terminal
+_TERMINAL_CHUNK = 4  # points of a terminal sequence asked for per call
 _MAX_DEPTH = 60  # deepest bisection of one quadrature panel
 _MAX_PANELS = 5000  # most panels one adaptive integral may refine
 _HALVES = np.array([0.5**k for k in range(_LEVELS)])  # the step schedule
@@ -123,6 +134,12 @@ class Tolerance:
 
     def threshold(self, ref: float) -> float:
         return self.abs + self.rel * ref
+
+
+# the defaults of lower_terminal_deriv and one_sided_limit, looser than
+# the interior kernels': extrapolated limits lose about two digits
+_TERMINAL_DERIV_TOL = Tolerance(rel=1e-5, abs=1e-7)
+_LIMIT_TOL = Tolerance(rel=1e-7, abs=1e-9)
 
 
 @dataclass(frozen=True)
@@ -234,8 +251,9 @@ def _first_step(at, room, frac):
 
 
 def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
-    # One DerivResult per point t = ts[i].  evalf maps an array of points
-    # to their stacked values; ss[i] is the point's step scale
+    # One DerivResult per point t = ts[i].  evalf maps the probes, one row
+    # per point, and the mask of the probes in use to the stacked values
+    # at those, in row order; ss[i] is the point's step scale
     # (t-a)^(1-alpha), so its probe k sits at t +/- theta_k*s with
     # quotient denominator theta_k, and every probe stays below caps[i]/4
     # from t.  The probes of all points go into one evalf call, point by
@@ -285,7 +303,7 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
     used[:, 1:_LEVELS + 1] = use[:, :1]
     used[:, _LEVELS + 1:] = use[:, 1:]
     evals = used.sum(axis=1).tolist()
-    vals = evalf(probes[used])
+    vals = evalf(probes, used)
     # unused probes stay NaN; their rows' estimates are never reported
     grid = np.full(used.shape + vals.shape[1:], math.nan)
     grid[used] = vals
@@ -342,6 +360,11 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
     return out
 
 
+def _probes_of(f: AbstractFn):
+    # _deriv_core's evalf for f's own values
+    return lambda probes, used: f.eval_many(probes[used])
+
+
 def _require_interior(p: ConfParams, t: float):
     if not (t > p.a):
         raise LowerTerminalError(
@@ -396,7 +419,7 @@ def conf_deriv_many(
             _require_interior(p, t)
         dist = x - p.a
         ss = pow_real(dist, 1.0 - p.alpha)
-        return _deriv_core(f.eval_many, x, ss, dist, lo, hi, side, tol)
+        return _deriv_core(_probes_of(f), x, ss, dist, lo, hi, side, tol)
 
     ts = np.asarray(ts, dtype=float).reshape(-1)
     return run_batch(run, ts) if ts.size else []
@@ -411,7 +434,7 @@ def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> De
     """
     tol = tol if tol is not None else Tolerance()
     lo, hi = f.domain
-    (r,) = _deriv_core(f.eval_many, np.array([float(t)]), np.ones(1),
+    (r,) = _deriv_core(_probes_of(f), np.array([float(t)]), np.ones(1),
                        np.array([math.inf]), lo, hi, "two-sided", tol)
     return r
 
@@ -578,6 +601,25 @@ def _sequence_limit(vals):
     return est
 
 
+def _in_order(sample, pts, size):
+    """The results of ``sample`` at the points ``pts``, one by one in order.
+
+    ``sample`` maps an array of points to a sequence of per-point results;
+    it is asked for ``size`` points per call, and only as the caller
+    consumes them.  A call that raises is asked again one point at a
+    time, so an error surfaces only at a point the caller reaches, as the
+    error that point raises on its own.
+    """
+    for i in range(0, len(pts), size):
+        part = pts[i:i + size]
+        try:
+            got = sample(np.array(part))
+        except Exception:
+            got = None
+        for j, t in enumerate(part):
+            yield sample(np.array([t]))[0] if got is None else got[j]
+
+
 def _terminal_limit(sample, a, room, tol):
     """Limit of sample(t_k) along t_k = a + d0*2^-k.
 
@@ -586,22 +628,25 @@ def _terminal_limit(sample, a, room, tol):
     ``_first_step(a, room, 0.1)``: d0 = min(0.1*max(1, |a|), |room|/2)
     with the sign of room.
 
-    sample(t) returns (value, ok), ok False when the value at t could not
-    be trusted.  The values are accelerated by up to three Aitken sweeps;
-    the limit converges when two consecutive moves of the accelerated
-    estimate are both within tol.threshold(1 + |estimate|).  The error
-    reported is the last move, at least the error floor.  Returns (value,
-    err, converged, points used, note).
+    sample(ts) returns a (value, ok) pair per point, ok False when the
+    value at t could not be trusted.  It is asked for the points in chunks
+    of ``_TERMINAL_CHUNK`` (see :func:`_in_order`), and the rule below
+    runs point by point, in order, so up to 3 points past the stop are
+    sampled and never used.  The values are accelerated by up to three
+    Aitken sweeps; the limit converges when two consecutive moves of the
+    accelerated estimate are both within tol.threshold(1 + |estimate|).
+    The error reported is the last move, at least the error floor.
+    Returns (value, err, converged, points used, note).
     """
     d0 = _first_step(a, room, 0.1)
+    tks = [a + d0 * 0.5**k for k in range(_TERMINAL_POINTS)]
     vals = []
     prev_est = None
     est = None
     streak = 0
     delta = math.inf
-    for k in range(_TERMINAL_POINTS):
-        tk = a + d0 * 0.5**k
-        v, ok = sample(tk)
+    samples = _in_order(sample, tks, _TERMINAL_CHUNK)
+    for k, (tk, (v, ok)) in enumerate(zip(tks, samples)):
         v = np.asarray(v, dtype=float)
         if not ok:
             note = f"interior evaluation did not converge at t = {tk:.6g}"
@@ -639,9 +684,10 @@ def lower_terminal_deriv(
     d = 0.1*max(1, |a|).  The value of f exactly at a never enters, so a
     point defect at a does not disturb the result.  The default tolerance
     is looser than the interior kernels': extrapolated limits lose about
-    two digits.
+    two digits.  The interior derivatives come from :func:`conf_deriv_many`,
+    4 points per call.
     """
-    tol = tol if tol is not None else Tolerance(rel=1e-5, abs=1e-7)
+    tol = tol if tol is not None else _TERMINAL_DERIV_TOL
     lo, hi = f.domain
     if lo > p.a:
         raise DomainError(
@@ -651,9 +697,9 @@ def lower_terminal_deriv(
         raise DomainError(f"domain ends at {hi}, at or before the terminal {p.a}")
     inner = Tolerance()
 
-    def sample(tk):
-        r = conf_deriv(f, p, tk, side="two-sided", tol=inner)
-        return r.value.data, r.converged
+    def sample(ts):
+        return [(r.value.data, r.converged)
+                for r in conf_deriv_many(f, p, ts, tol=inner)]
 
     value, err, conv, used, note = _terminal_limit(sample, p.a, hi - p.a, tol)
     return DerivResult(
@@ -672,9 +718,10 @@ def one_sided_limit(
     """Numerical one-sided limit of f at a point.
 
     Returns (VecValue estimate, err, converged).  Uses the same geometric
-    schedule and acceleration as the terminal derivative.
+    schedule and acceleration as the terminal derivative, and evaluates f
+    4 points per :meth:`~confcalc.funcs.AbstractFn.eval_many` call.
     """
-    tol = tol if tol is not None else Tolerance(rel=1e-7, abs=1e-9)
+    tol = tol if tol is not None else _LIMIT_TOL
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be left or right, not {direction!r}")
     lo, hi = f.domain
@@ -683,8 +730,8 @@ def one_sided_limit(
     if room <= 0.0:
         raise DomainError(f"no domain room to the {direction} of {at}")
 
-    def sample(tk):
-        return f(tk), True
+    def sample(ts):
+        return [(v, True) for v in f.eval_many(ts)]
 
     signed = room if direction == "right" else -room
     value, err, conv, _used, _note = _terminal_limit(sample, at, signed, tol)
@@ -923,32 +970,57 @@ def deriv_of_integral(
     integral; that difference IS the integral over the tiny panel between
     the two points, so it is computed directly by one 10-point rule per
     probe.  Differencing two independently adaptive integrals would lose
-    six digits to cancellation; this loses none.
+    six digits to cancellation; this loses none.  The one-point case of
+    :func:`deriv_of_integral_many`.
+    """
+    (r,) = deriv_of_integral_many(f, p, (t,), tol)
+    return r
+
+
+def deriv_of_integral_many(
+    f: AbstractFn,
+    p: ConfParams,
+    ts,
+    tol: Tolerance | None = None,
+) -> list[DerivResult]:
+    """:func:`deriv_of_integral` at each of the points ``ts``, in one batch.
+
+    f at every point (for the zero of the increments) comes from one
+    :meth:`~confcalc.funcs.AbstractFn.eval_many` call, and the 16 probe
+    panels of every point, point by point, from one more: a single
+    10-point rule over all of them.  The tableaux of all points are built
+    together.  Result i equals ``deriv_of_integral(f, p, ts[i], tol)``
+    field for field, bit for bit.  On any error the points are re-run one
+    at a time, so the error raised is the one the first failing
+    ``deriv_of_integral`` raises.
     """
     tol = tol if tol is not None else Tolerance()
-    t = float(t)
-    _require_interior(p, t)
     lo, hi = f.domain
-    if p.a < lo or t > hi:
-        raise DomainError(
-            f"running integral needs [{p.a}, {t}] inside the domain [{lo}, {hi}]"
-        )
-
     wfun = _weighted(f, p)
 
-    def g_inc(us):
-        [(v, _)] = _panels(wfun, t, us, 10)
-        return v
+    def run(x):
+        for t in x.tolist():
+            _require_interior(p, t)
+            if p.a < lo or t > hi:
+                raise DomainError(
+                    f"running integral needs [{p.a}, {t}] inside the domain [{lo}, {hi}]"
+                )
 
-    s = pow_real(t - p.a, 1.0 - p.alpha)
-    zero = 0.0 * f(t)
-    (r,) = _deriv_core(
-        g_inc, np.array([t]), np.array([s]), np.array([t - p.a]), lo, hi,
-        "two-sided", tol,
-        detail="derivative of the running integral via local increments",
-        f0=zero[None],
-    )
-    return r
+        def increments(probes, used):
+            # each probe's increment: the panel from its own point to it
+            starts = np.broadcast_to(x[:, None], probes.shape)
+            [(v, _)] = _panels(wfun, starts[used], probes[used], 10)
+            return v
+
+        dist = x - p.a
+        return _deriv_core(
+            increments, x, pow_real(dist, 1.0 - p.alpha), dist, lo, hi, "two-sided",
+            tol, detail="derivative of the running integral via local increments",
+            f0=0.0 * f.eval_many(x),
+        )
+
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    return run_batch(run, ts) if ts.size else []
 
 
 def avg_recover(f: AbstractFn, t: float, tol: Tolerance | None = None) -> VecValue:

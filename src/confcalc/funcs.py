@@ -269,7 +269,8 @@ def power_fn(p: float, shift: float = 0.0) -> BuiltinFn:
 
     Domain starts at the shift for non-integer exponents.  The value at
     the left endpoint is 0 for p > 0; the derivative there is a domain
-    error when p < 1.
+    error when 0 < p < 1.  For p = 0 the function is 1 and its derivative
+    0 everywhere, the shift included.
     """
     p = float(p)
     shift = float(shift)
@@ -282,6 +283,8 @@ def power_fn(p: float, shift: float = 0.0) -> BuiltinFn:
         return _e.pow_real(ts - shift, p)
 
     def dfn(ts: np.ndarray) -> np.ndarray:
+        if p == 0.0:
+            return np.zeros_like(ts)
         return p * _e.pow_real(ts - shift, p - 1.0)
 
     name = f"pow:{p:g}" if shift == 0.0 else f"pow:{p:g}:{shift:g}"

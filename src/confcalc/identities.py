@@ -17,6 +17,14 @@ vector-valued case whose components replicate a scalar case reproduces
 the scalar residuals exactly.  Reports are deterministic: fixed iteration
 order, one fixed seed for the random linearity coefficients, no
 timestamps.
+
+Within one :func:`run_suite` the checkers share kernel results: the
+interior derivative, the one-sided limit and the terminal derivative of
+one function at one set of arguments are computed once and reused by
+every case that asks for them.  The kernels are pure and their results
+immutable, so the report is the one a run without sharing gives; only a
+stateful :class:`~confcalc.funcs.CallableFn` sees fewer calls.  Checkers
+called on their own share nothing.
 """
 
 from __future__ import annotations
@@ -25,15 +33,19 @@ import csv
 import io
 import json
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 from .calculus import (
     _EPS,
+    _LIMIT_TOL,
+    _TERMINAL_DERIV_TOL,
     ConfParams,
     Tolerance,
     _first_step,
+    _in_order,
     _stacked,
     _terminal_limit,
     conf_deriv,
@@ -43,6 +55,7 @@ from .calculus import (
     conf_integral_info,
     convert_order,
     deriv_of_integral,
+    deriv_of_integral_many,
     lower_terminal_deriv,
     one_sided_limit,
     avg_recover,
@@ -231,6 +244,35 @@ def _undefined(f: AbstractFn, t: float, start: float | None = None) -> str:
     return f"{_label(f)}'s domain [{lo}, {hi}] does not cover [{start}, {t}]"
 
 
+# the kernel results of the open run_suite, keyed by (kernel, f, args)
+# with f compared by identity (functions define no equality); None outside
+_MEMO: ContextVar[dict | None] = ContextVar("confcalc_suite_memo", default=None)
+
+
+def _shared(kernel, f, *args):
+    # kernel(f, *args), computed once per run_suite; args carry no None
+    # tolerance, so a default and the tolerance it stands for share a key
+    memo = _MEMO.get()
+    if memo is None:
+        return kernel(f, *args)
+    key = (kernel, f, args)
+    if key not in memo:
+        memo[key] = kernel(f, *args)
+    return memo[key]
+
+
+def _deriv(f, p, t, side="two-sided"):
+    return _shared(conf_deriv, f, p, t, side, Tolerance())
+
+
+def _right_limit(f, at):
+    return _shared(one_sided_limit, f, at, "right", _LIMIT_TOL)
+
+
+def _terminal_deriv(f, p):
+    return _shared(lower_terminal_deriv, f, p, _TERMINAL_DERIV_TOL)
+
+
 def _rowwise(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # op on two stacks of values, row by row: the value shapes broadcast
     # against each other as they do for one point
@@ -264,18 +306,23 @@ def _decay_to_zero(f, t, sign, levels, thr):
 
     h starts at ``_first_step(t, room, 0.01)``: min(0.01*max(1, |t|), half
     the domain room on that side); a side with no room passes with a
-    residual of 0.
+    residual of 0.  f at t and at all ``levels`` probes comes from one
+    ``eval_many`` call, and the probes are then read in order up to the
+    first under thr: the levels after it are evaluated and never used.
+    If that call raises, f is evaluated one point at a time in order, so
+    only an error at a point that is read surfaces.
     """
     lo, hi = f.domain
     room = (hi - t) if sign > 0 else (t - lo)
     if room <= 0.0:
         return True, 0.0
     h0 = _first_step(t, sign * room, 0.01)
-    f0 = f(t)
+    pts = [t] + [t + h0 * 0.5**k for k in range(levels)]
+    vals = _in_order(f.eval_many, pts, len(pts))
+    f0 = next(vals)
     last = math.inf
-    for k in range(levels):
-        h = h0 * 0.5**k
-        last = _mnorm(f(t + h) - f0)
+    for v in vals:
+        last = _mnorm(v - f0)
         if last <= thr:
             return True, last
     return False, last
@@ -293,13 +340,13 @@ def check_continuity(f, p, t, tol=None) -> CaseResult:
     if why:
         return _na("CONTINUITY_3_1", _label(f), inputs, why)
     sides = []
-    r2 = conf_deriv(f, p, t)
+    r2 = _deriv(f, p, t)
     if r2.converged:
         sides = [1.0, -1.0]
     else:
         for sign, name in ((1.0, "right"), (-1.0, "left")):
             try:
-                if conf_deriv(f, p, t, side=name).converged:
+                if _deriv(f, p, t, name).converged:
                     sides.append(sign)
             except DomainError:
                 pass
@@ -327,7 +374,7 @@ def check_equivalence(f, p, t, tol=None) -> CaseResult:
     why = _undefined(f, t)
     if why:
         return _na("EQUIV_3_4", _label(f), inputs, why)
-    r_theta = conf_deriv(f, p, t)
+    r_theta = _deriv(f, p, t)
     r_scaled = conf_deriv_scaled(f, p, t)
     if not (r_theta.converged and r_scaled.converged):
         which = "quotient" if not r_theta.converged else "scaled"
@@ -352,8 +399,8 @@ def check_order_relation(f, alpha, beta, a, t, tol=None) -> CaseResult:
     why = _undefined(f, t)
     if why:
         return _na("ORDER_REL_3_3", _label(f), inputs, why)
-    ra = conf_deriv(f, ConfParams(alpha, a), t)
-    rb = conf_deriv(f, ConfParams(beta, a), t)
+    ra = _deriv(f, ConfParams(alpha, a), t)
+    rb = _deriv(f, ConfParams(beta, a), t)
     if not (ra.converged and rb.converged):
         return _na(
             "ORDER_REL_3_3", _label(f), inputs,
@@ -383,7 +430,7 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
     if why:
         return _na("LEFT_INV_3_5", subject, inputs, why)
 
-    fa, _fa_err, fa_ok = one_sided_limit(f, p.a, "right")
+    fa, _fa_err, fa_ok = _right_limit(f, p.a)
     if not fa_ok:
         return _na(
             "LEFT_INV_3_5", subject, inputs,
@@ -429,7 +476,7 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
 
     def terminal():
         if not term_cache:
-            term_cache.append(lower_terminal_deriv(f, p).value.data)
+            term_cache.append(_terminal_deriv(f, p).value.data)
         return term_cache[0]
 
     def tf(ss):
@@ -457,11 +504,14 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
 
 
 def _bounded_near_terminal(f, a, span):
+    # f's largest norm at a + span*2^-j, j = 2, 6, ..., 38, from one
+    # eval_many call (the point loop of _in_order after an error)
+    pts = [a + span * 0.5**j for j in range(2, 42, 4)]
+    vals = _in_order(f.eval_many, pts, len(pts))
     worst = 0.0
-    for j in range(2, 42, 4):
-        s = a + span * 0.5**j
+    for s in pts:
         try:
-            worst = max(worst, _mnorm(f(s)))
+            worst = max(worst, _mnorm(next(vals)))
         except DomainError:
             return False, worst, f"f not evaluable at t = {s:.3g}"
         if not math.isfinite(worst):
@@ -517,7 +567,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
 
     # terminal instance
     tol = tol if tol is not None else _TERMINAL_TOL
-    fa, _fa_err, fa_ok = one_sided_limit(f, p.a, "right")
+    fa, _fa_err, fa_ok = _right_limit(f, p.a)
     if not fa_ok:
         return _na(
             "RIGHT_INV_AT_A_3_8", subject, inputs,
@@ -525,9 +575,9 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
             "the equality holds exactly when that limit exists",
         )
 
-    def sample(tk):
-        r = deriv_of_integral(f, p, tk)
-        return r.value.data, r.converged
+    def sample(ts):
+        return [(r.value.data, r.converged)
+                for r in deriv_of_integral_many(f, p, ts)]
 
     value, _err, conv, _used, note = _terminal_limit(sample, p.a, hi - p.a, tol)
     if not conv:
@@ -553,14 +603,14 @@ def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
     why = _undefined(f, a)
     if why:
         return _na("LOWER_VANISH_4_3", subject, inputs, why)
-    r_hi = lower_terminal_deriv(f, ConfParams(alpha, a))
+    r_hi = _terminal_deriv(f, ConfParams(alpha, a))
     if not r_hi.converged:
         return _na(
             "LOWER_VANISH_4_3", subject, inputs,
             "terminal derivative at the higher order did not converge; "
             "hypothesis fails",
         )
-    r_lo = lower_terminal_deriv(f, ConfParams(beta, a))
+    r_lo = _terminal_deriv(f, ConfParams(beta, a))
     zero = np.zeros_like(r_lo.value.data)
     if not r_lo.converged:
         return CaseResult(
@@ -609,7 +659,8 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
     hi = min(f.domain[1], g.domain[1])
     results = []
 
-    rf = conf_deriv(f, p, t, tol=inner)
+    rf = _deriv(f, p, t)
+    # run_suite asks for g's derivative once per point: nothing to share
     rg = conf_deriv(g, p, t, tol=inner)
     fv = f(t)
     gv = g(t)
@@ -703,7 +754,7 @@ def check_class_equivalence(f, orders, a, ts) -> list[CaseResult]:
 
     def conv(order, t):
         if (order, t) not in converged:
-            converged[order, t] = conf_deriv(f, ConfParams(order, a), t).converged
+            converged[order, t] = _deriv(f, ConfParams(order, a), t).converged
         return converged[order, t]
 
     results = []
@@ -855,8 +906,18 @@ def run_suite(corpus=None, grid: SuiteGrid | None = None, tol: Tolerance | None 
 
     Iteration order, the seed for the linearity coefficients, and the
     report layout are all fixed, so identical configuration yields a
-    byte-identical JSON report.
+    byte-identical JSON report.  Kernel results repeated across cases
+    are computed once per run and shared (see the module docstring).
     """
+    token = _MEMO.set({})
+    try:
+        return _suite(corpus, grid, tol)
+    finally:
+        _MEMO.reset(token)
+
+
+def _suite(corpus, grid, tol) -> IdentityReport:
+    # run_suite's cases, in its order
     grid = grid if grid is not None else SuiteGrid()
     tol = tol if tol is not None else _SUITE_TOL
     if corpus is not None and len(corpus) == 0:

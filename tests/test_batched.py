@@ -1,6 +1,7 @@
 """The batched evaluation path: eval_many, exact_deriv_many, conf_deriv_many,
-conf_deriv_scaled_many, column Richardson, node-order panels and the batch integrands of the
-identity checks.
+conf_deriv_scaled_many, deriv_of_integral_many, column Richardson,
+node-order panels, the chunked terminal sequences and the batch integrands
+of the identity checks.
 
 Every batch must give, point for point, the bits that one-point
 evaluation gives, and raise what one-point evaluation raises at the first
@@ -30,13 +31,15 @@ from confcalc import (
     conf_deriv_many,
     conf_deriv_scaled,
     conf_deriv_scaled_many,
+    deriv_of_integral,
+    deriv_of_integral_many,
     diag_fn,
     matrix_fn,
     parse_expr,
     power_fn,
     vector_fn,
 )
-from confcalc import identities
+from confcalc import calculus, identities
 from confcalc.calculus import (
     _EPS,
     _mnorm,
@@ -913,10 +916,12 @@ class TestOneCallPerBatch:
         if route == "theta":
             # one call of 17 probes per node for the nodes of each integrand
             # call that are not at the terminal (calls of one node are left
-            # out: lower_terminal_deriv makes such calls too)
+            # out), then the terminal value: lower_terminal_deriv asks for
+            # its sequence 4 points of 17 probes per call, and its 9 points
+            # take three calls
             interior = [int((ts > 4096.0 * _EPS).sum()) for ts in nodes]
             probes = [n for label, n, _ts in calls if label == "exp" and n > 17]
-            assert probes == [17 * k for k in interior if k > 1]
+            assert probes == [17 * k for k in interior if k > 1] + [4 * 17] * 3
 
     def test_algebra_integrands(self, monkeypatch):
         calls = _count_batches(monkeypatch)
@@ -942,3 +947,203 @@ def test_refine_calls_both_rules_in_node_order():
 
     assert seen[:17] == nodes(0.0, 4.0)
     assert seen[17:51] == nodes(0.0, 2.0) + nodes(2.0, 4.0)
+
+
+# deriv_of_integral_many: the probe panels of every point in one rule call
+
+
+def _counting_exp(seen):
+    return CallableFn(lambda s: seen.append(s) or math.exp(s), label="counted exp")
+
+
+_DOI_FNS = {
+    "exp": lambda seen: builtin("exp"),
+    "[exp]x3": lambda seen: vector_fn([builtin("exp")] * 3),
+    "diag": lambda seen: diag_fn([builtin("sin"), builtin("square")]),
+    "cubic grid": lambda seen: GridFn(np.linspace(0.0, 3.0, 13),
+                                      np.sin(np.linspace(0.0, 3.0, 13)), interp="cubic"),
+    "counted callable": _counting_exp,
+}
+
+
+def _doi_or_error(f, p, t):
+    try:
+        return deriv_of_integral(f, p, t)
+    except Exception as exc:
+        return exc
+
+
+class TestDerivOfIntegralMany:
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0])
+    @pytest.mark.parametrize("name", sorted(_DOI_FNS))
+    def test_equals_the_point_loop(self, name, alpha, a):
+        seen_batch, seen_loop = [], []
+        p = ConfParams(alpha, a)
+        # the last point is the grid's right edge: left probes only
+        ts = [a + 0.3, a + 1.7, a + 1e-3, 3.0]
+        got = deriv_of_integral_many(_DOI_FNS[name](seen_batch), p, ts)
+        f = _DOI_FNS[name](seen_loop)
+        loop = [deriv_of_integral(f, p, t) for t in ts]
+        assert len(got) == len(loop)
+        for x, y in zip(got, loop):
+            _same_result(x, y)
+        # the same f evaluations, in a different order
+        assert sorted(seen_batch) == sorted(seen_loop)
+
+    def test_one_point_case_matches_the_increment_panels(self):
+        # deriv_of_integral as it read before the batch: each probe's
+        # increment a 10-point rule on the panel from t
+        f, p, t = builtin("exp"), ConfParams(0.5), 1.3
+        wfun = calculus._weighted(f, p)
+        s = pow_real(t - p.a, 1.0 - p.alpha)
+        (want,) = calculus._deriv_core(
+            lambda probes, used: _panels(wfun, t, probes[used], 10)[0][0],
+            np.array([t]), np.array([s]), np.array([t - p.a]), *f.domain,
+            "two-sided", Tolerance(),
+            detail="derivative of the running integral via local increments",
+            f0=(0.0 * f(t))[None])
+        _same_result(deriv_of_integral(f, p, t), want)
+        assert want.steps_used == 16
+
+    @pytest.mark.parametrize("f,ts", [
+        # a point at and one below the terminal
+        (builtin("exp"), [1.0, 0.0, -1.0]),
+        # a point past the grid's domain, then one below the terminal
+        (GridFn([0.0, 1.0, 2.0], [0.0, 1.0, 4.0]), [1.5, 3.0, -1.0]),
+        # f itself fails at the second point, before the third's terminal error
+        (CallableFn(lambda s: math.log(s - 1.0), domain=(0.0, 5.0)), [2.5, 1.0, 0.0]),
+        # a value that overflows in the probe panels of the second point
+        (builtin("exp"), [1.0, 709.78, 0.0]),
+    ], ids=["terminal", "grid-domain", "callable", "overflow"])
+    def test_raises_the_first_failing_points_error(self, f, ts):
+        p = ConfParams(0.5)
+        bad = next(r for r in (_doi_or_error(f, p, t) for t in ts)
+                   if isinstance(r, Exception))
+        with pytest.raises(Exception) as batch:
+            deriv_of_integral_many(f, p, ts)
+        assert type(batch.value) is type(bad)
+        assert str(batch.value) == str(bad)
+
+    def test_empty_batch(self):
+        assert deriv_of_integral_many(builtin("exp"), ConfParams(0.5), []) == []
+
+
+# the chunked terminal sequences against the point-by-point rule
+
+
+def _terminal_limit_reference(sample, a, room, tol):
+    # the rule as a loop asking for one point at a time, stopping as soon
+    # as it decides: sample(t) -> (value, ok)
+    d0 = calculus._first_step(a, room, 0.1)
+    vals, prev_est, est, streak, delta = [], None, None, 0, math.inf
+    for k in range(calculus._TERMINAL_POINTS):
+        tk = a + d0 * 0.5**k
+        v, ok = sample(tk)
+        v = np.asarray(v, dtype=float)
+        if not ok:
+            note = f"interior evaluation did not converge at t = {tk:.6g}"
+            return (est if est is not None else v), math.inf, False, k + 1, note
+        vals.append(v)
+        if k >= 8:
+            mags = [_mnorm(x) for x in vals[-4:]]
+            if (mags[-1] > 1e3 * (1.0 + _mnorm(vals[0]))
+                    and mags[0] < mags[1] < mags[2] < mags[3]):
+                note = "interior values grow without bound approaching the terminal"
+                return v, math.inf, False, k + 1, note
+        if len(vals) < 3:
+            continue
+        est = calculus._sequence_limit(vals)
+        if prev_est is not None:
+            delta = _mnorm(est - prev_est)
+            if delta <= tol.threshold(1.0 + _mnorm(est)):
+                streak += 1
+                if streak >= 2:
+                    return est, max(delta, calculus._err_floor(_mnorm(est))), True, k + 1, ""
+            else:
+                streak = 0
+        prev_est = est
+    note = "sequence of accelerated estimates is not Cauchy within tolerance"
+    return est, delta, False, calculus._TERMINAL_POINTS, note
+
+
+def _values_of(f):
+    # the samples of one_sided_limit: f's values, always trusted
+    return (lambda t: (f(t), True),
+            lambda ts: [(v, True) for v in f.eval_many(ts)])
+
+
+def _derivs_of(f, p):
+    # the samples of lower_terminal_deriv: interior derivatives
+    def one(t):
+        r = conf_deriv(f, p, t)
+        return r.value.data, r.converged
+
+    return one, lambda ts: [(r.value.data, r.converged) for r in conf_deriv_many(f, p, ts)]
+
+
+_TERMINAL_CASES = {
+    # (one-point sample, batch sample, a, room, tol, points the rule uses)
+    "derivative of exp": (*_derivs_of(builtin("exp"), ConfParams(0.5)),
+                          0.0, math.inf, Tolerance(rel=1e-5, abs=1e-7), 9),
+    "vector derivative": (*_derivs_of(vector_fn([builtin("sin"), builtin("exp")]),
+                                      ConfParams(0.9, 1.0)),
+                          1.0, 5.0, Tolerance(rel=1e-5, abs=1e-7), None),
+    "limit of a constant": (*_values_of(builtin("one")), 0.0, 1.0, Tolerance(), 5),
+    "limit of cos from the left": (*_values_of(builtin("cos")), 1.0, -3.0,
+                                   Tolerance(rel=1e-7, abs=1e-9), None),
+    # a kink met at the second point: that point's quotient is refused
+    "unconverged point": (*_derivs_of(parse_expr("abs(t - 0.05)"), ConfParams(0.5)),
+                          0.0, math.inf, Tolerance(rel=1e-5, abs=1e-7), 2),
+    "growth": (*_values_of(parse_expr("1/t")), 0.0, math.inf, Tolerance(), None),
+    "no limit": (*_values_of(parse_expr("sin(1/t)")), 0.0, math.inf, Tolerance(), 40),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TERMINAL_CASES))
+def test_chunked_terminal_limit_follows_the_point_loop(name):
+    one, many, a, room, tol, used = _TERMINAL_CASES[name]
+    got = calculus._terminal_limit(many, a, room, tol)
+    want = _terminal_limit_reference(one, a, room, tol)
+    assert _bits_equal(got[0], want[0])
+    assert _bits_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+    if used is not None:
+        assert got[3] == used
+    if got[3] < calculus._TERMINAL_POINTS:
+        # the sequences stop inside a chunk of 4, not at its end
+        assert got[3] % calculus._TERMINAL_CHUNK != 0 or name == "growth"
+
+
+def test_an_error_past_the_stop_never_surfaces():
+    # the limit of a constant stops at its 5th point (the first of the
+    # second chunk); the 7th point raises, inside that chunk
+    seen = []
+    tks = [0.1 * 0.5**k for k in range(8)]
+
+    def one(t):
+        seen.append(t)
+        if t == tks[6]:
+            raise DomainError(f"no value at {t}")
+        return 1.0
+
+    f = CallableFn(one, domain=(0.0, 1.0))
+    value, err, conv = one_sided_limit(f, 0.0)
+    assert (float(value.data), conv) == (1.0, True)
+    want = _terminal_limit_reference(lambda t: (1.0, True), 0.0, 1.0,
+                                     Tolerance(rel=1e-7, abs=1e-9))
+    assert want[3] == 5 and err == want[1]
+    # the failed chunk stops at the raising point, then its points are
+    # asked again one at a time, up to the stop
+    assert seen == tks[:7] + [tks[4]]
+
+
+def test_an_error_before_the_stop_is_the_points_own():
+    # a point the rule reads raises: the error is the one-point error
+    def one(t):
+        if t < 0.01:
+            raise DomainError(f"no value at {t}")
+        return math.sin(1.0 / t)
+
+    with pytest.raises(DomainError, match=f"no value at {0.1 * 0.5**4}"):
+        one_sided_limit(CallableFn(one, domain=(0.0, 1.0)), 0.0)

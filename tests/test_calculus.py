@@ -25,7 +25,7 @@ from confcalc import (
     vector_fn,
     weighted_integral,
 )
-from confcalc import calculus, check_left_inverse
+from confcalc import CaseResult, calculus, check_left_inverse, check_right_inverse
 from confcalc.calculus import (
     _EPS,
     _MAX_DEPTH,
@@ -383,6 +383,14 @@ class TestScaledRoute:
         with pytest.raises(LowerTerminalError):
             conf_deriv_scaled(builtin("exp"), ConfParams(alpha=0.5, a=2.0), 2.0)
 
+    def test_zero_power_uses_its_closed_form_at_the_shift(self):
+        # t^0 is 1 everywhere, so its derivative is 0 at t = 0 too, where
+        # t^(0-1) is undefined: the closed form, not a differencing fallback
+        r = conf_deriv_scaled(builtin("pow:0"), ConfParams(alpha=0.5, a=-1.0), 0.0)
+        assert r.steps_used == 0
+        assert float(r.value.data) == 0.0
+        assert r.converged and r.detail == "scaled exact first derivative"
+
     @pytest.mark.parametrize("f", [
         builtin("exp"),
         CallableFn(math.exp, deriv=math.exp),
@@ -527,7 +535,9 @@ class TestOneSidedLimit:
     lambda f: lower_terminal_deriv(f, ConfParams(alpha=0.5)),
     lambda f: one_sided_limit(f, 0.0, "right"),
     lambda f: one_sided_limit(f, 1.0, "left"),
-], ids=["terminal-deriv", "limit-right", "limit-left"])
+    # the terminal limit of deriv_of_integral_many's reconstructed values
+    lambda f: check_right_inverse(f, ConfParams(alpha=0.5), 0.0),
+], ids=["terminal-deriv", "limit-right", "limit-left", "right-inverse-at-a"])
 def test_replicated_terminal_limits_follow_the_scalar_run(run):
     # the Aitken ratio comes from one component, so copies of exp reproduce
     # the scalar value, error and verdict bit for bit
@@ -535,6 +545,9 @@ def test_replicated_terminal_limits_follow_the_scalar_run(run):
         if isinstance(r, tuple):
             v, err, conv = r
             return v.data, err, conv, None
+        if isinstance(r, CaseResult):
+            assert r.status == "passed"
+            return np.array(r.lhs), r.residual, r.threshold, r.diagnostics
         return r.value.data, r.err_estimate, r.converged, r.steps_used
 
     want_v, *want = fields(run(builtin("exp")))

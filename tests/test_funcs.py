@@ -71,6 +71,14 @@ class TestPowerFn:
         with pytest.raises(DomainError):
             evaluate(f, 1.5)
 
+    @pytest.mark.parametrize("shift", [0.0, 2.0])
+    def test_zero_power_has_derivative_zero_at_the_shift(self, shift):
+        f = power_fn(0.0, shift=shift)
+        ts = [shift - 1.0, shift, shift + 1.0]
+        assert f.eval_many(ts).tolist() == [1.0, 1.0, 1.0]
+        assert f.exact_deriv_many(ts).tolist() == [0.0, 0.0, 0.0]
+        assert float(exact_first_deriv(f, shift).data) == 0.0
+
     def test_builtin_spec_syntax(self):
         f = builtin("pow:0.5:2")
         assert float(evaluate(f, 2.25).data) == 0.5

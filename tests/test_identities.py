@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from confcalc import (
@@ -378,3 +379,113 @@ class TestSuite:
         members = default_corpus(0.0)
         kinds = {m.eval(1.0).kind for m in members}
         assert kinds == {"scalar", "vector", "matrix"}
+
+
+def _unshared_suite(corpus, grid):
+    # run_suite's loop over the public checkers, called on their own, so
+    # no kernel result is shared between cases
+    tol = identities._SUITE_TOL
+    rng = np.random.default_rng(812741)
+    cases = []
+    orders = tuple(sorted(set(grid.alphas) | set(grid.betas)))
+    for a in grid.a_values:
+        members = list(corpus) if corpus is not None else default_corpus(a)
+        for f in members:
+            g = None
+            for alpha in grid.alphas:
+                p = ConfParams(alpha, a)
+                for off in grid.t_offsets:
+                    t = a + off
+                    cases.append(check_equivalence(f, p, t, tol))
+                    cases.append(check_continuity(f, p, t, tol))
+                    if g is None:
+                        g = identities._partner_like(f, t)
+                    c = float(rng.uniform(-5.0, 5.0))
+                    d = float(rng.uniform(-5.0, 5.0))
+                    cases.extend(check_algebra_rules(f, g, c, d, p, t, tol))
+        for f in members:
+            for alpha in grid.alphas:
+                for beta in grid.betas:
+                    if beta != alpha:
+                        for off in grid.t_offsets:
+                            cases.append(check_order_relation(f, alpha, beta, a, a + off, tol))
+        ts = tuple(a + off for off in grid.t_offsets)
+        for f in members:
+            cases.extend(check_class_equivalence(f, orders, a, ts))
+        for f in members:
+            for alpha in grid.alphas:
+                for off in grid.t_offsets:
+                    cases.append(check_left_inverse(f, ConfParams(alpha, a), a + off, tol))
+                    cases.append(check_right_inverse(f, ConfParams(alpha, a), a + off, tol))
+        for f in members:
+            for alpha in grid.alphas:
+                cases.append(check_right_inverse(f, ConfParams(alpha, a), a))
+        for f in members:
+            for alpha in grid.alphas:
+                for beta in grid.betas:
+                    if beta < alpha:
+                        cases.append(check_lower_vanishing(f, alpha, beta, a))
+        for f in members:
+            for off in grid.t_offsets:
+                cases.append(check_avg_recovery(f, a + off, tol))
+    return IdentityReport(tuple(cases), grid, tol)
+
+
+class TestSharedKernelResults:
+    _GRID = SuiteGrid(alphas=(0.5, 1.0), betas=(0.5,), t_offsets=(0.5, 2.0))
+
+    def test_default_corpus_report_equals_the_unshared_loop(self):
+        grid = SuiteGrid(alphas=(0.5, 1.0), betas=(0.5,), t_offsets=(0.5,))
+        assert run_suite(grid=grid).to_json() == _unshared_suite(None, grid).to_json()
+
+    def test_a_callable_member_is_called_less(self):
+        seen = []
+        counted = CallableFn(lambda t: seen.append(t) or math.exp(t), label="counted exp")
+        corpus = [counted, builtin("sin")]
+        shared = run_suite(corpus=corpus, grid=self._GRID).to_json()
+        calls_shared = len(seen)
+        seen.clear()
+        assert shared == _unshared_suite(corpus, self._GRID).to_json()
+        assert 0 < calls_shared < len(seen)
+
+    def test_results_are_shared_only_inside_a_run(self):
+        assert identities._MEMO.get() is None
+        run_suite(corpus=[builtin("exp")], grid=self._GRID)
+        assert identities._MEMO.get() is None
+        with pytest.raises(ValueError):
+            run_suite(corpus=[])
+        assert identities._MEMO.get() is None
+
+        def fails_late(t):
+            if t > 1.0:
+                raise RuntimeError("callable failed")
+            return t
+
+        with pytest.raises(RuntimeError):
+            run_suite(corpus=[CallableFn(fails_late)], grid=self._GRID)
+        assert identities._MEMO.get() is None
+
+    def test_checkers_asking_with_and_without_a_tolerance_share(self, monkeypatch):
+        # check_equivalence and check_continuity ask for the derivative with
+        # no tolerance, check_algebra_rules with an explicit Tolerance():
+        # inside a run that is one kernel call on f
+        asked = []
+        kernel = identities.conf_deriv
+        monkeypatch.setattr(identities, "conf_deriv",
+                            lambda f, *args, **kw: asked.append(f) or kernel(f, *args, **kw))
+        f, g, p = builtin("exp"), builtin("cos"), ConfParams(0.5)
+        token = identities._MEMO.set({})
+        try:
+            check_equivalence(f, p, 1.0)
+            check_continuity(f, p, 1.0)
+            check_algebra_rules(f, g, 2.0, -3.0, p, 1.0)
+            check_order_relation(f, 0.5, 1.0, 0.0, 1.0)
+        finally:
+            identities._MEMO.reset(token)
+        assert asked.count(f) == 2  # alpha 0.5, then 1.0 for the order relation
+        assert asked.count(g) == 1
+        # on their own, each checker asks again
+        asked.clear()
+        check_equivalence(f, p, 1.0)
+        check_continuity(f, p, 1.0)
+        assert asked.count(f) == 2
