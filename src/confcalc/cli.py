@@ -31,7 +31,7 @@ from .errors import ConfcalcError
 from .expr import eval_node, parse_text
 from .funcs import builtin, load_grid_csv, parse_expr
 from .identities import SuiteGrid, run_suite
-from .ivp import IvpProblem, cross_validate, solve_tau
+from .ivp import IvpProblem, _deviation, solve_tau
 from .vecspace import to_jsonable
 
 _TOL_ENV = "CONFCALC_TOL"
@@ -282,7 +282,7 @@ def _cmd_ivp(args) -> int:
         traj = solve_tau(prob, args.n_steps)
         deviation = None
         if args.cross_validate:
-            deviation = cross_validate(prob, args.n_steps, tol=tol)
+            deviation = _deviation(prob, traj, tol=tol)
         rec = {
             "inputs": inputs,
             "trajectory": traj.to_jsonable(),

@@ -321,6 +321,27 @@ class TestIvp:
         (rec,) = _json_records(capsys)
         assert rec["cross_validation_deviation"] <= 1e-6
 
+    def test_cross_validation_solves_tau_once(self, capsys, monkeypatch):
+        # the printed trajectory is the one cross-validated
+        import confcalc.cli as cli_mod
+        import confcalc.ivp as ivp_mod
+
+        calls = []
+        solve_tau = ivp_mod.solve_tau
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_tau(*args, **kwargs)
+
+        monkeypatch.setattr(ivp_mod, "solve_tau", counted)
+        monkeypatch.setattr(cli_mod, "solve_tau", counted)
+        code = run(["ivp", "--rhs", "x", "--alpha", "0.5", "--x0", "1.0",
+                    "--t-end", "1.0", "--n-steps", "200", "--cross-validate"])
+        assert code == 0
+        assert len(calls) == 1
+        (rec,) = _json_records(capsys)
+        assert 0.0 < rec["cross_validation_deviation"] <= 1e-6
+
     def test_csv_trajectory(self, capsys):
         code = run(["ivp", "--rhs", "x", "--alpha", "0.5", "--x0", "2.0",
                     "--t-end", "1.0", "--n-steps", "4", "--format", "csv"])

@@ -415,6 +415,127 @@ class TestRhsBoundary:
         assert runs[0].stats == runs[1].stats
 
 
+class TestExactFiniteness:
+    # the check is exact: it refuses inf, -inf and nan at any position of
+    # any state shape, and passes every finite value, even where a plain
+    # sum of the components would overflow
+    _SHAPES = [(), (3,), (2, 2)]
+    _EDGES = [1e308, np.finfo(float).max, -0.0, 5e-324]
+
+    @staticmethod
+    def _problem(F, shape):
+        return IvpProblem(F=F, p=ConfParams(0.5), x0=VecValue(np.ones(shape)),
+                          t_end=1.0)
+
+    @pytest.mark.parametrize("solver", sorted(_SOLVERS))
+    @pytest.mark.parametrize("shape", _SHAPES, ids=str)
+    def test_non_finite_at_every_position_refused(self, solver, shape):
+        for pos in np.ndindex(*shape):
+            for bad in (math.inf, -math.inf, math.nan):
+                out = np.ones(shape)
+                out[pos] = bad
+                prob = self._problem(lambda t, x, out=out: out, shape)
+                with pytest.raises(DomainError, match="not finite"):
+                    _SOLVERS[solver](prob)
+
+    @pytest.mark.parametrize("shape", _SHAPES, ids=str)
+    def test_extreme_finite_values_pass(self, shape):
+        for v in self._EDGES:
+            for out in (np.full(shape, v), np.full(shape, -v)):
+                assert np.isfinite(out).all()
+                prob = self._problem(lambda t, x, out=out: out, shape)
+                got = prob.rhs(0.5, np.ones(shape))
+                assert _bits(got) == _bits(out)
+
+    def test_tau_stops_at_a_non_finite_k2(self):
+        # k1 is finite, k2 is not: F is not called for k3
+        calls = []
+
+        def F(t, x):
+            calls.append(t)
+            return math.nan if len(calls) == 2 else x.data
+
+        with pytest.raises(DomainError, match="not finite"):
+            solve_tau(_scalar_problem(F, 0.5, 0.0, 1.0, 1.0), 8)
+        assert len(calls) == 2
+
+
+class TestTauReference:
+    _TRI = np.array([[-0.5, 1.0], [0.0, -1.0]])
+
+    def test_bit_for_bit_plain_rk4_matrix_state(self):
+        # a 2x2 state at alpha = 0.5 and a != 0: the solver reproduces RK4
+        # on the substituted grid operation for operation, with the same
+        # F calls in the same order
+        from confcalc.expr import pow_real
+
+        F = lambda t, x: VecValue(self._TRI @ x.data + math.sin(t))
+        alpha, a, t_end, n = 0.5, 0.25, 2.0, 16
+        x0 = np.array([[1.0, 0.5], [-0.25, 2.0]])
+        got_rec, ref_rec = _Recorder(F), _Recorder(F)
+        traj = solve_tau(IvpProblem(F=got_rec, p=ConfParams(alpha, a),
+                                    x0=VecValue(x0), t_end=t_end), n)
+
+        def rhs(t, x):
+            return np.array(ref_rec(t, VecValue(x)).data, dtype=float)
+
+        inv = 1.0 / alpha
+        h = pow_real(t_end - a, alpha) / alpha / n
+        taus = [j * h for j in range(n + 1)]
+        ts = [a + pow_real(alpha * tau, inv) for tau in taus]
+        ts[-1] = t_end
+        x, xs, slopes = x0, [x0], []
+        for j in range(n):
+            tmid = a + pow_real(alpha * (taus[j] + 0.5 * h), inv)
+            k1 = rhs(ts[j], x)
+            k2 = rhs(tmid, x + (0.5 * h) * k1)
+            k3 = rhs(tmid, x + (0.5 * h) * k2)
+            k4 = rhs(ts[j + 1], x + h * k3)
+            slopes.append(k1)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            xs.append(x)
+        slopes.append(rhs(ts[n], x))
+
+        assert [float(t) for t in traj.nodes] == ts
+        assert _bits(traj.state_array()) == _bits(np.array(xs))
+        assert _bits(traj.tau_slopes) == _bits(np.array(slopes))
+        assert traj.stats == {"n_steps": n, "rhs_evals": 4 * n + 1}
+        assert got_rec.calls == ref_rec.calls
+        assert all(c[0] is float for c in got_rec.calls)
+
+
+class TestRhsArgument:
+    # F's argument is its own read-only copy of the state, never a view
+    # of a solver buffer
+
+    @pytest.mark.parametrize("solver", sorted(_SOLVERS))
+    def test_writing_the_state_raises(self, solver):
+        def F(t, x):
+            x.data[...] = 0.0
+            return x.data
+
+        prob = IvpProblem(F=F, p=ConfParams(0.5), x0=VecValue([1.0, 2.0]),
+                          t_end=1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            _SOLVERS[solver](prob)
+
+    @pytest.mark.parametrize("solver", sorted(_SOLVERS))
+    @pytest.mark.parametrize("x0", [1.0, [1.0, -2.0], [[1.0, 0.5], [0.0, 2.0]]],
+                             ids=["scalar", "vector", "matrix"])
+    def test_kept_states_are_unchanged_after_the_solve(self, solver, x0):
+        kept = []
+
+        def F(t, x):
+            kept.append((x, _bits(x.data)))
+            return -x.data + t
+
+        _SOLVERS[solver](IvpProblem(F=F, p=ConfParams(0.5), x0=VecValue(x0),
+                                    t_end=2.0))
+        assert len(kept) > 100
+        assert all(_bits(x.data) == b for x, b in kept)
+        assert len({id(x.data) for x, _ in kept}) == len(kept)
+
+
 def _marching_reference(F, p, x0, t_end, n, tol, max_iter=60):
     """solve_volterra written as a plain loop over panels, local
     iterations and Gauss nodes."""
@@ -497,3 +618,17 @@ class TestMarchingReference:
         assert _bits(traj.tau_slopes) == _bits(slopes)
         assert got_rec.calls == ref_rec.calls
         assert all(c[0] is float for c in got_rec.calls)
+
+    def test_signed_zeros_follow_the_per_node_loop(self):
+        # the Gauss sum starts from +0, so a rhs of -0 turns a -0 component
+        # into +0 after the first panel, as in the per-node loop
+        F = lambda t, x: np.full(x.data.shape, -0.0)
+        p, x0, n = ConfParams(0.5), VecValue([-0.0, 1.0]), 4
+        traj = solve_volterra(IvpProblem(F=F, p=p, x0=x0, t_end=1.0), n_steps=n)
+        xs, slopes, stats = _marching_reference(
+            F, p, x0.data.copy(), 1.0, n, Tolerance(rel=1e-10, abs=1e-12),
+        )
+        assert traj.stats == stats
+        assert _bits(traj.state_array()) == _bits(xs)
+        assert _bits(traj.tau_slopes) == _bits(slopes)
+        assert math.copysign(1.0, traj.states[1].data[0]) == 1.0

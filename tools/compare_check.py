@@ -3,6 +3,7 @@
 Usage, from the root of a git checkout:
 
     python3 tools/compare_check.py BASE_REV [CHECK_ARG ...]
+    python3 tools/compare_check.py BASE_REV ivp [IVP_ARG ...]
 
 BASE_REV is exported with `git archive` to a temporary directory.  Then
 `python -m confcalc check CHECK_ARG ...` runs once with that export's
@@ -11,6 +12,10 @@ the two reports are byte-identical.  If they are not, it prints how many
 cases moved and lists them: position, identity id, subject and inputs.
 A moved case is reported, not refused, so the exit status is 0 whenever
 both reports were produced.
+
+The second form runs `python -m confcalc ivp IVP_ARG ...` the same way.
+Its output has no cases to list, so only the sizes, the sha256 digests
+and byte identity are printed.
 """
 
 from __future__ import annotations
@@ -29,12 +34,12 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def _report(src: Path, args: list[str]) -> bytes:
     run = subprocess.run(
-        [sys.executable, "-m", "confcalc", "check", *args],
+        [sys.executable, "-m", "confcalc", *args],
         env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True, cwd=src.parent,
     )
     if not run.stdout:
-        sys.exit(f"check at {src} produced no report (exit {run.returncode}):\n"
+        sys.exit(f"{args[0]} at {src} produced no report (exit {run.returncode}):\n"
                  + run.stderr.decode(errors="replace"))
     return run.stdout
 
@@ -55,6 +60,8 @@ def main(argv: list[str]) -> int:
     if not argv:
         sys.exit(__doc__)
     rev, args = argv[0], argv[1:]
+    if args[:1] != ["ivp"]:
+        args = ["check", *args]
     with tempfile.TemporaryDirectory() as tmp:
         tar = Path(tmp) / "base.tar"
         subprocess.run(["git", "-C", str(ROOT), "archive", "-o", str(tar), rev, "src"],
@@ -67,7 +74,10 @@ def main(argv: list[str]) -> int:
     for name, out in (("base", base), ("head", head)):
         print(f"{name}: {len(out)} bytes, sha256 {hashlib.sha256(out).hexdigest()}")
     if base == head:
-        print("check reports are byte-identical")
+        print(f"{args[0]} reports are byte-identical")
+        return 0
+    if args[0] == "ivp":
+        print("ivp reports differ")
         return 0
     moved = _moved(json.loads(base), json.loads(head))
     print(f"check reports differ: {len(moved)} case(s) moved")
