@@ -40,12 +40,13 @@ many points in one call (:func:`conf_deriv_many`, of which
 :func:`deriv_of_integral_many` and :func:`deriv_of_integral`), and both
 Gauss rules of a quadrature panel (or one rule on a row of panels) in
 another.  The extrapolation tableaux of all points are built column by
-column over stacked arrays, and panel sums run node by node, so every
-result is bit-identical to a point-by-point loop.  The point sequences
-toward a terminal are asked for in chunks of 4 points, and their
-stopping rule runs point by point, so up to 3 points past the stop are
-evaluated; ``steps_used`` does not count them, and an error at one of
-them never surfaces.
+column in one value-major array (column, level, value component, row),
+rows innermost, and panel sums run node by node, so every result is
+bit-identical to a point-by-point loop.  The point sequences toward a
+terminal are asked for in chunks of 4 points, and their stopping rule
+runs point by point, so up to 3 points past the stop are evaluated;
+``steps_used`` does not count them, and an error at one of them never
+surfaces.
 """
 
 from __future__ import annotations
@@ -92,20 +93,19 @@ _TERMINAL_CHUNK = 4  # points of a terminal sequence asked for per call
 _MAX_DEPTH = 60  # deepest bisection of one quadrature panel
 _MAX_PANELS = 5000  # most panels one adaptive integral may refine
 _HALVES = np.array([0.5**k for k in range(_LEVELS)])  # the step schedule
-_BLOCK = 48  # extrapolation tableaux built at once: 16 points' three sides
+_BLOCK = 48  # tableau rows (the innermost axis) built at once: 16 points' three sides
 _SIDE_ORDERS = np.array([1, 1, 2])  # right, left and central quotients
 _SIDE_NAMES = ("right", "left", "two-sided")  # the sides those give
 
 
-def _rownorms(x: np.ndarray, lead: int = 1) -> np.ndarray:
-    # _mnorm over the value axes after the first ``lead`` (NaN stays NaN)
+def _rownorms(x: np.ndarray) -> np.ndarray:
+    # _mnorm of each row of x, shape (n, *value shape) (NaN stays NaN)
     a = np.abs(x)
-    if a.ndim == lead:
+    if a.ndim == 1:
         return a
     # value entries first, so the max runs over whole rows at a time
     # rather than over a few entries per row (it is exact in any order)
-    a = a.reshape(a.shape[:lead] + (-1,))
-    return np.ascontiguousarray(np.moveaxis(a, -1, 0)).max(axis=0)
+    return np.ascontiguousarray(a.reshape(len(a), -1).T).max(axis=0)
 
 
 def _per_row(v: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -197,45 +197,61 @@ def _richardson(seq, orders):
     entry with the smallest estimate, the first in (k, j) order on ties,
     which stays robust once rounding noise takes over; with no finite
     estimate it is (seq[0], inf).  Returns the picked values, shape
-    (n, *value shape), and their estimates, shape (n,).
+    (n, *value shape), and their estimates, shape (n,).  The row-major
+    face of :func:`_tableau`, which builds the tableaux value-major.
     """
     seq = np.asarray(seq, dtype=float)
-    # blocks of rows bound the size of the tableau temporaries
-    parts = [_neville(seq[i:i + _BLOCK], orders[i:i + _BLOCK])
-             for i in range(0, len(seq), _BLOCK)]
-    if len(parts) == 1:
-        return parts[0]
-    return (np.concatenate([v for v, _ in parts]),
-            np.concatenate([e for _, e in parts]))
-
-
-def _neville(seq, orders):
-    # _richardson on one block of rows
     n, levels = seq.shape[:2]
-    # tab[i, k, j] = T[k, j] of row i; NaN where j > k, so those entries'
-    # deltas are NaN
-    tab = np.full((n, levels, levels) + seq.shape[2:], math.nan)
-    tab[:, :, 0] = seq
-    # facs[:, j-1] = 2^(rj) - 1 of every row, shaped to broadcast over
-    # column j (exact: powers of two and small integers)
-    facs = np.ldexp(1.0, np.multiply.outer(orders, np.arange(1, levels))) - 1.0
-    facs = facs.reshape((n, levels - 1, 1) + (1,) * (seq.ndim - 2))
-    for j in range(1, levels):
-        row, prev = tab[:, j:, j - 1], tab[:, j - 1:-1, j - 1]
-        cand = tab[:, j:, j]
-        np.subtract(row, prev, out=cand)
-        np.divide(cand, facs[:, j - 1], out=cand)
-        np.add(row, cand, out=cand)
-    errs = np.full((n, levels, levels), math.inf)
-    errs[:, 1:, 0] = _rownorms(tab[:, 1:, 0] - tab[:, :-1, 0], 2)
-    own = _rownorms(tab[:, 1:, 1:] - tab[:, 1:, :-1], 3)
-    parent = _rownorms(tab[:, 1:, 1:] - tab[:, :-1, :-1], 3)
-    errs[:, 1:, 1:] = np.maximum(own, parent)
-    # no entry, or a NaN estimate: never picked
-    errs[np.isnan(errs)] = math.inf
-    k, j = np.divmod(errs.reshape(n, -1).argmin(axis=1), levels)
-    rows = np.arange(n)
-    return tab[rows, k, j], errs[rows, k, j]
+    est, errs = _tableau(seq.reshape(n, levels, -1).transpose(1, 2, 0), orders)
+    return est.T.reshape(seq.shape[:1] + seq.shape[2:]), errs
+
+
+def _tableau(col0, orders):
+    # _richardson on the first tableau column col0[k, c, i] (level k, value
+    # component c, row i): the picked values, shape (components, rows), and
+    # their estimates.  A block of rows is one array tab[j, k, c, i] =
+    # T[k, j], NaN where j > k; with the rows innermost every column step
+    # reads and writes whole contiguous blocks.
+    levels, comps, n = col0.shape
+    est, errs = np.empty((comps, n)), np.empty(n)
+    for lo in range(0, n, _BLOCK):
+        part = slice(lo, lo + _BLOCK)
+        m = len(errs[part])
+        tab = np.full((levels, levels, comps, m), math.nan)
+        tab[0] = col0[..., part]
+        # up[j][k-1] = T[k, j] and down[j][k-1] = T[k-1, j]
+        up, down = tab[:, 1:], tab[:, :-1]
+        # facs[j-1] = 2^(rj) - 1 of every row (exact: powers of two and
+        # small integers), broadcast over the rows axis
+        facs = np.ldexp(1.0, np.arange(1, levels)[:, None] * orders[part]) - 1.0
+        # column j from column j-1, every level at once: where k < j a
+        # NaN parent keeps T[k, j] NaN
+        for prev, below, cand, fac in zip(up[:-1], down[:-1], up[1:], facs):
+            np.subtract(prev, below, cand)
+            np.divide(cand, fac, cand)
+            np.add(prev, cand, cand)
+        # d[c, 0, j, k-1] = T[k, j] - T[k, j-1], d[c, 1, j, k-1] = T[k, j] -
+        # T[k-1, j-1] (both T[k, 0] - T[k-1, 0] at j = 0); the components
+        # lead, so their max norm reduces whole blocks, not a few entries
+        d = np.empty((comps, 2, levels, levels - 1, m))
+        up, down = up.transpose(2, 0, 1, 3), down.transpose(2, 0, 1, 3)
+        np.subtract(up[:, 0], down[:, 0], d[:, :, 0].swapaxes(0, 1))
+        np.subtract(up[:, 1:], up[:, :-1], d[:, 0, 1:])
+        np.subtract(up[:, 1:], down[:, :-1], d[:, 1, 1:])
+        # e[k, j]: the larger delta's max norm; inf at level 0, and where
+        # there is no entry or a NaN estimate, so those are never picked
+        e = np.empty((levels, levels, m))
+        e[0] = math.inf
+        np.maximum.reduce(np.abs(d, d).reshape(-1, levels, levels - 1, m), 0,
+                          None, e[1:].swapaxes(0, 1))
+        np.fmin(e, math.inf, e)
+        e = e.reshape(-1, m)
+        pick = e.argmin(axis=0)
+        k, j = np.divmod(pick, levels)
+        rows = np.arange(m)
+        est[:, part] = tab[j, k, :, rows].T
+        errs[part] = e[pick, rows]
+    return est, errs
 
 
 def _err_floor(norm):
@@ -262,10 +278,8 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
     want_l = side in ("left", "two-sided")
     want_r = side in ("right", "two-sided")
     n = len(ts)
-    d0s = np.empty(n)
-    use = np.empty((n, 2), dtype=bool)  # per point: right probes, left probes
-    notes = []
-    for i, (t, dist_cap) in enumerate(zip(ts.tolist(), caps.tolist())):
+    d0s, flags, notes = [], [], []
+    for t, dist_cap in zip(ts.tolist(), caps.tolist()):
         scale_t = max(1.0, abs(t))
         d0 = _EPS ** (1.0 / 3.0) * scale_t
         if math.isfinite(dist_cap):
@@ -290,71 +304,75 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
                 f"difference step underflows at t = {t}; "
                 "too close to the lower terminal or a domain edge"
             )
-        d0s[i] = d0
-        use[i] = use_r, use_l
+        d0s.append(d0)
+        # per point: the probe at t, the right probes, the left probes
+        flags.append((f0 is None, use_r, use_l))
         notes.append(note)
 
-    thetas = (d0s / ss)[:, None] * _HALVES
+    thetas = (np.array(d0s) / ss)[:, None] * _HALVES
     steps = thetas * ss[:, None]
     col = ts[:, None]
     probes = np.concatenate([col, col + steps, col - steps], axis=1)
-    used = np.empty(probes.shape, dtype=bool)
-    used[:, 0] = f0 is None
-    used[:, 1:_LEVELS + 1] = use[:, :1]
-    used[:, _LEVELS + 1:] = use[:, 1:]
-    evals = used.sum(axis=1).tolist()
+    used = np.repeat(np.array(flags), (1, _LEVELS, _LEVELS), axis=1)
     vals = evalf(probes, used)
-    # unused probes stay NaN; their rows' estimates are never reported
-    grid = np.full(used.shape + vals.shape[1:], math.nan)
-    grid[used] = vals
+    vshape = vals.shape[1:]
+    # value-major probe values grid[probe, component, point]; unused
+    # probes stay NaN, and their rows' estimates are never reported
+    grid = np.full((probes.shape[1], math.prod(vshape), n), math.nan)
+    grid.transpose(2, 0, 1)[used] = vals.reshape(len(vals), -1)
     if f0 is not None:
-        grid[:, 0] = f0
-    f0s, fr, fl = grid[:, :1], grid[:, 1:_LEVELS + 1], grid[:, _LEVELS + 1:]
-    th = thetas.reshape(thetas.shape + (1,) * (vals.ndim - 1))
+        grid[0] = f0.reshape(n, -1).T
+    f0s, fr, fl = grid[0], grid[1:_LEVELS + 1], grid[_LEVELS + 1:]
+    th = thetas.T[:, None]
 
-    # right, left and central quotients of every point in one tableau
-    # batch; a side without probes gives NaN rows, never reported
-    est, errs = _richardson(np.concatenate(
-        [(fr - f0s) / th, (f0s - fl) / th, (fr - fl) / (2.0 * th)]),
-        np.repeat(_SIDE_ORDERS, n))
-    norms = _rownorms(est)
+    # the first tableau column: the right, left and central quotients of
+    # every point, rows side by side; a side without probes gives NaN
+    # rows, never reported
+    quot = np.empty((_LEVELS, grid.shape[1], 3, n))
+    right, left, central = quot[:, :, 0], quot[:, :, 1], quot[:, :, 2]
+    np.divide(np.subtract(fr, f0s, right), th, right)
+    np.divide(np.subtract(f0s, fl, left), th, left)
+    np.divide(np.subtract(fr, fl, central), 2.0 * th, central)
+    est, errs = _tableau(quot.reshape(_LEVELS, -1, 3 * n), np.repeat(_SIDE_ORDERS, n))
+    norms = np.maximum.reduce(np.abs(est), 0)
     errs = np.fmax(errs, _err_floor(norms))
-    # per side k (right, left, central): estimates, errors and thresholds
-    vals3 = est.reshape((3, n) + est.shape[1:])
-    right_v, left_v = vals3[0], vals3[1]
-    errs3 = errs.reshape(3, n)
-    thr = tol.threshold(norms).reshape(3, n)
-    conv3 = errs3 <= thr
-    gap = _rownorms(right_v - left_v)
+    thr = tol.threshold(norms)
+    # per side k (right, left, central) and point i
+    est3 = est.reshape(-1, 3, n)
+    errs3, thr3, conv3 = errs.reshape(3, n), thr.reshape(3, n), (errs <= thr).reshape(3, n)
+    gap = np.maximum.reduce(np.abs(est3[:, 0] - est3[:, 1]), 0)
     # two one-sided estimates each within thr of a common limit may differ
     # by 2*thr; a genuine kink or jump shows up as a gap far beyond that,
     # not a few percent over
-    agree = gap <= np.maximum(2.0 * thr[2], 8.0 * (errs3[0] + errs3[1]))
+    agree = gap <= np.maximum(2.0 * thr3[2], 8.0 * (errs3[0] + errs3[1]))
     # the central estimate also needs agreeing sides, and its error covers
     # half their gap when they disagree
     conv3[2] &= agree
-    errs3[2] = np.where(agree, errs3[2], np.fmax(errs3[2], 0.5 * gap))
+    np.fmax(errs3[2], 0.5 * gap, out=errs3[2], where=~agree)
 
+    # each row's value, row-major: row[k, i] is side k of point i
+    row = est3.transpose(1, 2, 0).reshape((3, n) + vshape)
+    errs3, conv3 = errs3.tolist(), conv3.tolist()
     out = []
-    for i, (has_r, has_l) in enumerate(use.tolist()):
+    for i, (has_t, has_r, has_l), ok in zip(range(n), flags, agree.tolist()):
         # the central estimate where both sides have probes, else the
         # right side where it has them, else the left
         k = 2 if has_r and has_l else (0 if has_r else 1)
         note = notes[i]
-        if k == 2 and not agree[i]:
+        if k == 2 and not ok:
             note.append(
                 "one-sided estimates disagree; the two-sided limit does not exist numerically"
             )
-        elif not conv3[k, i]:
+        elif not conv3[k][i]:
             note.append("extrapolation not Cauchy within tolerance")
         out.append(DerivResult(
-            VecValue(vals3[k, i]),
-            float(errs3[k, i]),
+            VecValue(row[k, i]),
+            errs3[k][i],
             _SIDE_NAMES[k],
-            bool(conv3[k, i]),
-            evals[i],
-            left=VecValue(left_v[i]) if has_l else None,
-            right=VecValue(right_v[i]) if has_r else None,
+            conv3[k][i],
+            has_t + _LEVELS * (has_r + has_l),
+            left=VecValue(row[1, i]) if has_l else None,
+            right=VecValue(row[0, i]) if has_r else None,
             detail="; ".join(note),
         ))
     return out

@@ -7,13 +7,14 @@ or CSV (lossy convenience view); identical argv produces byte-identical
 output.
 
 Exit codes: 0 all records converged / suite passed, 1 any numeric
-failure or non-convergence, 2 usage error.
+failure or non-convergence, 2 usage error (a non-finite t among them).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -22,7 +23,7 @@ import numpy as np
 from .calculus import (
     ConfParams,
     Tolerance,
-    conf_deriv,
+    conf_deriv_many,
     conf_integral_info,
     convert_order,
     lower_terminal_deriv,
@@ -37,11 +38,18 @@ from .vecspace import to_jsonable
 _TOL_ENV = "CONFCALC_TOL"
 
 
+def _finite_t(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
+
+
 def _parse_t_range(text: str):
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("t-range must look like start:stop:count")
-    start, stop = float(parts[0]), float(parts[1])
+    start = _finite_t(float(parts[0]), "t-range start")
+    stop = _finite_t(float(parts[1]), "t-range stop")
     count = int(parts[2])
     if count < 1:
         raise ValueError("t-range count must be >= 1")
@@ -85,7 +93,7 @@ def _load_source(args):
 
 def _t_values(args):
     if args.t is not None:
-        return [args.t]
+        return [_finite_t(args.t, "t")]
     return _parse_t_range(args.t_range)
 
 
@@ -141,7 +149,7 @@ def _json_out(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _sweep(args, inputs: dict, compute, failed: dict) -> int:
+def _sweep(args, inputs: dict, compute, failed: dict, many=None) -> int:
     """One record per t point, written as JSON or CSV; returns the exit code.
 
     ``inputs`` holds the command's input fields in output order, with a
@@ -149,17 +157,27 @@ def _sweep(args, inputs: dict, compute, failed: dict) -> int:
     record, computed with t = None.  ``compute(f, p, t, tol)`` returns the
     result fields, ``converged`` among them; a ConfcalcError turns into a
     record with the ``failed`` fields and the error message.
+    ``many(f, p, ts, tol)``, where given, returns the fields of all the
+    points in one batch; if it raises a ConfcalcError, the points run one
+    at a time through ``compute``, so each keeps its own record.
     """
     f, src = _load_source(args)
     tol = _tolerance(args)
     p = ConfParams(args.alpha, args.a)
     template = dict(src, **inputs, **_tol_fields(tol))
+    ts = _t_values(args) if "t" in inputs else [None]
+    batch = None
+    if many is not None:
+        try:
+            batch = many(f, p, ts, tol)
+        except ConfcalcError:
+            pass
     records = []
     ok = True
-    for t in _t_values(args) if "t" in inputs else [None]:
+    for i, t in enumerate(ts):
         rec = {"inputs": template if t is None else dict(template, t=t)}
         try:
-            rec.update(compute(f, p, t, tol), error=None)
+            rec.update(compute(f, p, t, tol) if batch is None else batch[i], error=None)
         except ConfcalcError as exc:
             rec.update(failed, error=f"{type(exc).__name__}: {exc}")
         ok = ok and rec["converged"]
@@ -171,21 +189,21 @@ def _sweep(args, inputs: dict, compute, failed: dict) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    def compute(f, p, t, tol):
-        r = conf_deriv(f, p, t, side=args.side, tol=tol)
-        return {
+    def many(f, p, ts, tol):
+        return [{
             "value": to_jsonable(r.value),
             "err_estimate": r.err_estimate,
             "converged": r.converged,
             "side": r.side,
             "steps_used": r.steps_used,
-        }
+        } for r in conf_deriv_many(f, p, ts, side=args.side, tol=tol)]
 
     return _sweep(
         args, {"alpha": args.alpha, "a": args.a, "t": None, "side": args.side},
-        compute,
+        lambda f, p, t, tol: many(f, p, [t], tol)[0],
         {"value": None, "err_estimate": None, "converged": False,
          "side": args.side, "steps_used": 0},
+        many,
     )
 
 
@@ -206,22 +224,21 @@ def _cmd_integ(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    def compute(f, p, t, tol):
-        r = conf_deriv(f, p, t, tol=tol)
-        conv = convert_order(r.value, args.alpha, args.beta, args.a, t)
-        return {
-            "value": to_jsonable(conv),
+    def many(f, p, ts, tol):
+        return [{
+            "value": to_jsonable(convert_order(r.value, args.alpha, args.beta, args.a, t)),
             "source_value": to_jsonable(r.value),
             "err_estimate": r.err_estimate,
             "converged": r.converged,
-        }
+        } for t, r in zip(ts, conf_deriv_many(f, p, ts, tol=tol))]
 
     return _sweep(
         args,
         {"alpha": args.alpha, "beta": args.beta, "a": args.a, "t": None},
-        compute,
+        lambda f, p, t, tol: many(f, p, [t], tol)[0],
         {"value": None, "source_value": None, "err_estimate": None,
          "converged": False},
+        many,
     )
 
 

@@ -385,10 +385,13 @@ def test_column_richardson_matches_the_loop(case):
             assert np.shape(got_v[i]) == np.shape(want_v)
 
 
-def test_richardson_blocks_of_rows_match_the_loop():
+@pytest.mark.parametrize("levels", [8, 12])
+@pytest.mark.parametrize("shape", [(), (2,), (2, 2), (16,)], ids=str)
+def test_richardson_blocks_of_rows_match_the_loop(shape, levels):
     # more rows than one block of tableaux, with mixed orders
     rng = np.random.default_rng(11)
-    seqs = rng.standard_normal((130, 8, 2)) * 10.0 ** rng.integers(-8, 3, (130, 1, 1))
+    seqs = (rng.standard_normal((130, levels) + shape)
+            * 10.0 ** rng.integers(-8, 3, (130, 1) + (1,) * len(shape)))
     seqs[5] = 1.0
     seqs[77, 3] = math.inf
     orders = rng.integers(1, 3, 130)
@@ -545,6 +548,9 @@ _DERIV_FNS = {
     # a kink at t = 1: the one-sided estimates disagree there
     "kink": parse_expr("abs(t - 1)"),
     "patched": PointPatchedFn(builtin("sin"), at=1.0, value=5.0),
+    # a vector with a domain edge at t = 4
+    "vecgrid": GridFn(np.linspace(0.0, 4.0, 17),
+                      [[math.sin(t), math.cos(t)] for t in np.linspace(0.0, 4.0, 17)]),
 }
 _DERIV_T = st.one_of(
     st.floats(min_value=1e-3, max_value=4.0),
@@ -577,6 +583,9 @@ def _same_result(a, b):
 # underflowing step before a point below it
 @example("grid", 0.5, "two-sided", [1.0, 4.5, 0.0])
 @example("exp", 0.5, "right", [1.0, 1e-300, -1.0])
+# 18 points: 54 tableau rows, more than one block; the edge point t = 4
+# has NaN right and central rows, its central row in the second block
+@example("vecgrid", 0.5, "two-sided", [0.25 * k for k in range(1, 17)] + [1.3, 0.1])
 @given(st.sampled_from(sorted(_DERIV_FNS)), st.sampled_from([0.1, 0.5, 1.0]),
        st.sampled_from(["two-sided", "left", "right"]),
        st.lists(_DERIV_T, min_size=1, max_size=5))

@@ -54,6 +54,21 @@ class TestUsageErrors:
                     "--alpha", "0.5", "--t", "1.0"])
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["t", "start", "stop"])
+    @pytest.mark.parametrize("cmd", [
+        ["deriv", "--builtin", "exp", "--alpha", "0.5"],
+        ["integ", "--builtin", "exp", "--alpha", "0.5"],
+        ["convert", "--builtin", "exp", "--alpha", "0.5", "--beta", "1.0"],
+    ], ids=["deriv", "integ", "convert"])
+    def test_non_finite_t_refused(self, capsys, cmd, where, value):
+        axis = {"t": f"--t={value}", "start": f"--t-range={value}:1:3",
+                "stop": f"--t-range=0.5:{value}:3"}[where]
+        assert run(cmd + [axis]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "must be finite" in err
+
 
 class TestDeriv:
     def test_fractional_power_fixed_point(self, capsys):
@@ -138,6 +153,71 @@ class TestDeriv:
         run(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+def _counting_eval_many(monkeypatch):
+    from confcalc.funcs import AbstractFn
+
+    calls = []
+    eval_many = AbstractFn.eval_many
+
+    def counted(self, ts):
+        calls.append(len(np.ravel(ts)))
+        return eval_many(self, ts)
+
+    monkeypatch.setattr(AbstractFn, "eval_many", counted)
+    return calls
+
+
+def _point_by_point(capsys, argv, ts):
+    # the one-record documents of the sweep's points, run one at a time
+    out = {"json": [], "csv": []}
+    for t in ts:
+        assert run(argv + [f"--t={t!r}"]) in (0, 1)
+        out["json"] += _json_records(capsys)
+        assert run(argv + [f"--t={t!r}", "--format", "csv"]) in (0, 1)
+        out["csv"].append(capsys.readouterr().out.splitlines())
+    return out
+
+
+class TestBatchedSweeps:
+    # deriv and convert sweeps run as one conf_deriv_many batch and print
+    # what the point-by-point loop prints
+
+    @pytest.mark.parametrize("cmd", [
+        ["deriv", "--expr", "t^0.5 + sin(t)", "--alpha", "0.5"],
+        ["convert", "--expr", "t^0.5 + sin(t)", "--alpha", "0.5", "--beta", "0.9"],
+    ], ids=["deriv", "convert"])
+    def test_one_evaluation_call_per_sweep(self, capsys, monkeypatch, cmd):
+        ts = [float(v) for v in np.linspace(0.1, 5.0, 12)]
+        calls = _counting_eval_many(monkeypatch)
+        assert run(cmd + ["--t-range=0.1:5:12"]) == 0
+        recs = _json_records(capsys)
+        assert calls == [12 * 17]
+        calls.clear()
+        one = _point_by_point(capsys, cmd, ts)
+        assert calls == [17] * 24
+        assert recs == one["json"]
+        assert run(cmd + ["--t-range=0.1:5:12", "--format", "csv"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert [[header, row] for row in rows] == one["csv"]
+
+    @pytest.mark.parametrize("cmd", [
+        ["deriv", "--expr", "1/(t - 2)", "--alpha", "0.5"],
+        ["convert", "--expr", "1/(t - 2)", "--alpha", "0.5", "--beta", "1.0"],
+    ], ids=["deriv", "convert"])
+    def test_a_failing_point_mid_range_keeps_its_record(self, capsys, cmd):
+        # t = 2 is a pole: that point alone fails, its neighbours converge
+        assert run(cmd + ["--t-range=1:3:5"]) == 1
+        recs = _json_records(capsys)
+        assert [r["inputs"]["t"] for r in recs] == [1.0, 1.5, 2.0, 2.5, 3.0]
+        assert [r["error"] is None for r in recs] == [True, True, False, True, True]
+        assert "DomainError" in recs[2]["error"]
+        one = _point_by_point(capsys, cmd, [1.0, 1.5, 2.0, 2.5, 3.0])
+        assert recs == one["json"]
+        assert run(cmd + ["--t-range=1:3:5", "--format", "csv"]) == 1
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert [[header, row] for row in rows] == one["csv"]
 
 
 class TestInteg:

@@ -3,7 +3,7 @@
 Usage, from the root of a git checkout:
 
     python3 tools/compare_check.py BASE_REV [CHECK_ARG ...]
-    python3 tools/compare_check.py BASE_REV ivp [IVP_ARG ...]
+    python3 tools/compare_check.py BASE_REV SUBCOMMAND [ARG ...]
 
 BASE_REV is exported with `git archive` to a temporary directory.  Then
 `python -m confcalc check CHECK_ARG ...` runs once with that export's
@@ -13,9 +13,10 @@ cases moved and lists them: position, identity id, subject and inputs.
 A moved case is reported, not refused, so the exit status is 0 whenever
 both reports were produced.
 
-The second form runs `python -m confcalc ivp IVP_ARG ...` the same way.
-Its output has no cases to list, so only the sizes, the sha256 digests
-and byte identity are printed.
+The second form runs any other subcommand the same way, for example
+`ivp ...` or `deriv ... --t-range ...`.  Its output has no cases to
+list, so only the sizes, the sha256 digests and byte identity are
+printed.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ def main(argv: list[str]) -> int:
     if not argv:
         sys.exit(__doc__)
     rev, args = argv[0], argv[1:]
-    if args[:1] != ["ivp"]:
+    if not args or args[0].startswith("-"):
         args = ["check", *args]
     with tempfile.TemporaryDirectory() as tmp:
         tar = Path(tmp) / "base.tar"
@@ -76,8 +77,8 @@ def main(argv: list[str]) -> int:
     if base == head:
         print(f"{args[0]} reports are byte-identical")
         return 0
-    if args[0] == "ivp":
-        print("ivp reports differ")
+    if args[0] != "check":
+        print(f"{args[0]} reports differ")
         return 0
     moved = _moved(json.loads(base), json.loads(head))
     print(f"check reports differ: {len(moved)} case(s) moved")
