@@ -96,6 +96,7 @@ _HALVES = np.array([0.5**k for k in range(_LEVELS)])  # the step schedule
 _BLOCK = 48  # tableau rows (the innermost axis) built at once: 16 points' three sides
 _SIDE_ORDERS = np.array([1, 1, 2])  # right, left and central quotients
 _SIDE_NAMES = ("right", "left", "two-sided")  # the sides those give
+_INTEGRAL_DETAIL = "derivative of the running integral via local increments"
 
 
 def _rownorms(x: np.ndarray) -> np.ndarray:
@@ -1033,7 +1034,7 @@ def deriv_of_integral_many(
         dist = x - p.a
         return _deriv_core(
             increments, x, pow_real(dist, 1.0 - p.alpha), dist, lo, hi, "two-sided",
-            tol, detail="derivative of the running integral via local increments",
+            tol, detail=_INTEGRAL_DETAIL,
             f0=0.0 * f.eval_many(x),
         )
 

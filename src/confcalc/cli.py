@@ -266,7 +266,8 @@ def _cmd_check(args) -> int:
         alphas=_parse_floats(args.alphas),
         betas=_parse_floats(args.betas),
         a_values=(args.a,),
-        t_offsets=_parse_floats(args.t_offsets),
+        t_offsets=tuple(_finite_t(v, "--t-offsets entry")
+                        for v in _parse_floats(args.t_offsets)),
     )
     report = run_suite(grid=grid, tol=tol)
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
@@ -282,6 +283,7 @@ def _cmd_ivp(args) -> int:
             "confcalc ivp: expression right-hand sides are scalar-only; "
             "--x0 must be a single number"
         )
+    _finite_t(x0[0], "--x0")
 
     def F(t, xv):
         return eval_node(node, {"t": t, "x": float(xv.data)})

@@ -21,10 +21,17 @@ timestamps.
 Within one :func:`run_suite` the checkers share kernel results: the
 interior derivative, the one-sided limit and the terminal derivative of
 one function at one set of arguments are computed once and reused by
-every case that asks for them.  The kernels are pure and their results
-immutable, so the report is the one a run without sharing gives; only a
-stateful :class:`~confcalc.funcs.CallableFn` sees fewer calls.  Checkers
-called on their own share nothing.
+every case that asks for them.  Before a member's pointwise cases, the
+run computes the interior derivatives that they and its RIGHT_INV_3_7
+cases ask for (of f, of the algebra partner, of the four rule
+combinations and of the running integral), one batch per kind over all
+the member's (alpha, t) points; a batch that raises stores nothing, and
+its cases then run point by point as they do on their own.  The kernels
+are pure and their results immutable, so the report is the one a run
+without sharing gives.  Only a stateful
+:class:`~confcalc.funcs.CallableFn` can tell: it sees fewer calls, in
+batches, including probes at points whose cases end not applicable.
+Checkers called on their own share and batch nothing.
 """
 
 from __future__ import annotations
@@ -40,12 +47,17 @@ import numpy as np
 
 from .calculus import (
     _EPS,
+    _INTEGRAL_DETAIL,
     _LIMIT_TOL,
     _TERMINAL_DERIV_TOL,
     ConfParams,
     Tolerance,
+    _deriv_core,
     _first_step,
     _in_order,
+    _panels,
+    _per_row,
+    _probes_of,
     _stacked,
     _terminal_limit,
     conf_deriv,
@@ -61,9 +73,11 @@ from .calculus import (
     avg_recover,
 )
 from .errors import ConfcalcError, DomainError, LowerTerminalError
+from .expr import pow_real
 from .funcs import (
     AbstractFn,
     ExprFn,
+    _finite,
     builtin,
     diag_fn,
     power_fn,
@@ -244,33 +258,149 @@ def _undefined(f: AbstractFn, t: float, start: float | None = None) -> str:
     return f"{_label(f)}'s domain [{lo}, {hi}] does not cover [{start}, {t}]"
 
 
-# the kernel results of the open run_suite, keyed by (kernel, f, args)
-# with f compared by identity (functions define no equality); None outside
+# the kernel results of the open run_suite, keyed by what defines them,
+# functions compared by identity (they define no equality); None outside
 _MEMO: ContextVar[dict | None] = ContextVar("confcalc_suite_memo", default=None)
 
 
-def _shared(kernel, f, *args):
-    # kernel(f, *args), computed once per run_suite; args carry no None
-    # tolerance, so a default and the tolerance it stands for share a key
+def _shared(key, compute):
+    # compute(), once per run_suite under key; every time outside a run
     memo = _MEMO.get()
     if memo is None:
-        return kernel(f, *args)
-    key = (kernel, f, args)
+        return compute()
     if key not in memo:
-        memo[key] = kernel(f, *args)
+        memo[key] = compute()
     return memo[key]
 
 
 def _deriv(f, p, t, side="two-sided"):
-    return _shared(conf_deriv, f, p, t, side, Tolerance())
+    return _shared(("deriv", f, p, t, side),
+                   lambda: conf_deriv(f, p, t, side, Tolerance()))
 
 
 def _right_limit(f, at):
-    return _shared(one_sided_limit, f, at, "right", _LIMIT_TOL)
+    return _shared(("limit", f, at),
+                   lambda: one_sided_limit(f, at, "right", _LIMIT_TOL))
 
 
 def _terminal_deriv(f, p):
-    return _shared(lower_terminal_deriv, f, p, _TERMINAL_DERIV_TOL)
+    return _shared(("terminal", f, p),
+                   lambda: lower_terminal_deriv(f, p, _TERMINAL_DERIV_TOL))
+
+
+def _rule_key(iid, f, g, data, p, t):
+    # an algebra rule's combination derivative: data is the point's c and
+    # d or frozen f(t) (see _combination), compared by its bits
+    return ("rule", iid, f, g, None if data is None else data.tobytes(), p, t)
+
+
+def _rule_deriv(iid, f, g, data, p, t, label):
+    # conf_deriv at t of the combination iid of f and g with this point's
+    # data, on the domain f and g share
+    values = _combination(iid, f, g, None if data is None else data[None])
+    fn = _BatchFn(lambda ss: values(ss, np.zeros(ss.size, int)),
+                  domain=(max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])),
+                  label=label)
+    return _shared(_rule_key(iid, f, g, data, p, t),
+                   lambda: conf_deriv(fn, p, t, tol=Tolerance()))
+
+
+def _combination(iid, f, g, data):
+    # the algebra rule iid's combination of f and g as values(ss, rows):
+    # the stacked values at the points ss, point j in row rows[j] of data,
+    # one row per derivative point with its c and d (LINEARITY_i) or its
+    # frozen f(t) (CONST_ii); data is None for the product and quotient
+    def quotient(ss, rows):
+        den = g.eval_many(ss)
+        zero = den == 0.0
+        if zero.any():
+            raise DomainError(f"g vanishes at t = {float(ss[zero][0])}")
+        return f.eval_many(ss) / den
+
+    return {
+        "LINEARITY_i": lambda ss, rows: _rowwise(
+            lambda u, v: _per_row(data[rows, 0], u) * u + _per_row(data[rows, 1], v) * v,
+            f.eval_many(ss), g.eval_many(ss)),
+        "CONST_ii": lambda ss, rows: data[rows],
+        "PRODUCT_iii": lambda ss, rows: f.eval_many(ss) * g.eval_many(ss),
+        "QUOTIENT_iv": quotient,
+    }[iid]
+
+
+def _order_pow(base, orders, expo):
+    # pow_real(base, expo(alpha)), alpha each entry's order: one call per
+    # order with a number exponent, so an entry gets the bits a batch of
+    # its order alone gets (an array exponent rounds differently)
+    out = np.empty_like(base)
+    for alpha in set(orders.tolist()):
+        on = orders == alpha
+        out[on] = pow_real(base[on], expo(alpha))
+    return out
+
+
+def _prefetch(f, g, pts, coefs):
+    """File in the run's memo the interior derivatives member f's cases
+    ask for at the points pts, (p, t) pairs of one terminal, with partner
+    g and coefs[i] the c and d of point i: one _deriv_core call per kind
+    for all the orders (see the module docstring).  A call that raises
+    files nothing, whatever it raises: a batch also probes points whose
+    cases end not applicable first.
+    """
+    a = pts[0][0].a
+    # t > a as conf_deriv demands (a batch would not refuse it), and the
+    # checkers' own domain tests
+    keep = [i for i, (_p, t) in enumerate(pts)
+            if t > a and not (_undefined(f, t) or _undefined(g, t))]
+    if not keep:
+        return
+    pts, coefs = [pts[i] for i in keep], np.array([coefs[i] for i in keep])
+    ts = np.array([t for _p, t in pts])
+    orders = np.array([p.alpha for p, _t in pts])
+    try:
+        fv, gv = f.eval_many(ts), g.eval_many(ts)
+    except Exception:
+        return
+
+    def combined(values):
+        # _deriv_core's evalf for values(ss, rows), each probe in its point's row
+        return lambda probes, used: _finite(
+            lambda ss: values(ss, np.nonzero(used)[0]), probes[used], "value")
+
+    def increments(probes, used):
+        # deriv_of_integral_many's, each probe panel weighted at its point's
+        # order; a point whose [a, t] f does not cover is never asked for
+        nodes = np.repeat(orders[np.nonzero(used)[0]], 10)
+
+        def wfun(ss):
+            w = _order_pow(ss - a, nodes, lambda al: al - 1.0)
+            vals = f.eval_many(ss)
+            return _per_row(w, vals) * vals
+
+        starts = np.broadcast_to(ts[:, None], probes.shape)
+        [(v, _)] = _panels(wfun, starts[used], probes[used], 10)
+        return v
+
+    # (keys, domain, evalf, extra _deriv_core arguments) per kind
+    kinds = [([("deriv", h, p, t, "two-sided") for p, t in pts], h.domain, _probes_of(h), {})
+             for h in (f, g)]
+    kinds.append(([("integral", f, p, t) for p, t in pts], f.domain, increments,
+                  {"detail": _INTEGRAL_DETAIL, "f0": 0.0 * fv}))
+    rules = [("LINEARITY_i", coefs), ("CONST_ii", fv)]
+    if fv.ndim == gv.ndim == 1:  # the product and quotient of scalars only
+        rules += [("PRODUCT_iii", None), ("QUOTIENT_iv", None)]
+    for iid, data in rules:
+        keys = [_rule_key(iid, f, g, None if data is None else data[i], p, t)
+                for i, (p, t) in enumerate(pts)]
+        kinds.append((keys, (max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])),
+                      combined(_combination(iid, f, g, data)), {}))
+    dist = ts - a
+    ss = _order_pow(dist, orders, lambda al: 1.0 - al)
+    for keys, (lo, hi), evalf, extra in kinds:
+        try:
+            found = _deriv_core(evalf, ts, ss, dist, lo, hi, "two-sided", Tolerance(), **extra)
+        except Exception:
+            continue
+        _MEMO.get().update(zip(keys, found))
 
 
 def _rowwise(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -556,7 +686,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
                 "RIGHT_INV_3_7", subject, inputs,
                 "f is not continuous at t numerically; hypothesis fails",
             )
-        r = deriv_of_integral(f, p, t)
+        r = _shared(("integral", f, p, t), lambda: deriv_of_integral(f, p, t))
         if not r.converged:
             return CaseResult(
                 "RIGHT_INV_3_7", subject, inputs, None, None,
@@ -646,7 +776,6 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
     non-invertible g(t).
     """
     tol = tol if tol is not None else _SUITE_TOL
-    inner = Tolerance()
     base_inputs = {"alpha": p.alpha, "a": p.a, "t": t}
     lin_inputs = dict(base_inputs, c=c, d=d)
     subject = f"{_label(f)}, {_label(g)}"
@@ -655,24 +784,20 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
         return [_na(iid, subject, inputs, why) for iid, inputs in (
             ("LINEARITY_i", lin_inputs), ("CONST_ii", base_inputs),
             ("PRODUCT_iii", base_inputs), ("QUOTIENT_iv", base_inputs))]
-    lo = max(f.domain[0], g.domain[0])
-    hi = min(f.domain[1], g.domain[1])
     results = []
 
     rf = _deriv(f, p, t)
-    # run_suite asks for g's derivative once per point: nothing to share
-    rg = conf_deriv(g, p, t, tol=inner)
+    rg = _deriv(g, p, t)
     fv = f(t)
     gv = g(t)
     both = rf.converged and rg.converged
 
-    def rule(iid, inputs, values, label, rhs, spread, why, ready=True,
-             catch=()):
-        # derive the combination given by values; once every quotient
-        # converged, compare it with rhs() within 4*(spread + its error)
-        fn = _BatchFn(values, domain=(lo, hi), label=label)
+    def rule(iid, inputs, data, label, rhs, spread, why, ready=True, catch=()):
+        # derive the combination iid with this point's data (see
+        # _combination); once every quotient converged, compare it with
+        # rhs() within 4*(spread + its error)
         try:
-            r = conf_deriv(fn, p, t, tol=inner)
+            r = _rule_deriv(iid, f, g, data, p, t, label)
         except catch as exc:
             return _na(iid, subject, inputs, str(exc))
         if not (ready and r.converged):
@@ -682,21 +807,14 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
 
     # (i) linearity with the supplied coefficients
     results.append(rule(
-        "LINEARITY_i", lin_inputs,
-        lambda ss: _rowwise(lambda u, v: c * u + d * v,
-                            f.eval_many(ss), g.eval_many(ss)),
-        f"{c:g}*f + {d:g}*g",
+        "LINEARITY_i", lin_inputs, np.array([c, d]), f"{c:g}*f + {d:g}*g",
         lambda: c * rf.value.data + d * rg.value.data,
         abs(c) * rf.err_estimate + abs(d) * rg.err_estimate,
         "a derivative quotient did not converge at t", ready=both,
     ))
 
     # (ii) constants: freeze f's value at t into a constant function
-    const_fn = _BatchFn(
-        lambda ss: np.repeat(fv[None], ss.size, axis=0), domain=(lo, hi),
-        label="const f(t)",
-    )
-    r_const = conf_deriv(const_fn, p, t, tol=inner)
+    r_const = _rule_deriv("CONST_ii", f, g, fv, p, t, "const f(t)")
     results.append(_compare(
         "CONST_ii", subject, base_inputs, r_const.value, 0.0 * fv, tol,
         diagnostics="constant function frozen at f(t)",
@@ -712,19 +830,11 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
         results.append(_na("PRODUCT_iii", subject, base_inputs, unconverged))
     else:
         results.append(rule(
-            "PRODUCT_iii", base_inputs,
-            lambda ss: f.eval_many(ss) * g.eval_many(ss), "f*g",
+            "PRODUCT_iii", base_inputs, None, "f*g",
             lambda: gv * rf.value.data + fv * rg.value.data,
             _mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate,
             "product derivative quotient did not converge at t",
         ))
-
-    def quot(ss):
-        den = g.eval_many(ss)
-        zero = den == 0.0
-        if zero.any():
-            raise DomainError(f"g vanishes at t = {float(ss[zero][0])}")
-        return f.eval_many(ss) / den
 
     if abs(float(gv)) <= 1e-12:
         results.append(_na("QUOTIENT_iv", subject, base_inputs,
@@ -734,7 +844,7 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
     else:
         g2 = float(gv) * float(gv)
         results.append(rule(
-            "QUOTIENT_iv", base_inputs, quot, "f/g",
+            "QUOTIENT_iv", base_inputs, None, "f/g",
             lambda: (gv * rf.value.data - fv * rg.value.data) / g2,
             (_mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate) / g2,
             "quotient derivative did not converge at t", catch=DomainError,
@@ -929,22 +1039,20 @@ def _suite(corpus, grid, tol) -> IdentityReport:
     for a in grid.a_values:
         members = list(corpus) if corpus is not None else default_corpus(a)
 
-        # EQUIV_3_4, CONTINUITY_3_1, algebra rules: per member, alpha, t
+        # EQUIV_3_4, CONTINUITY_3_1, algebra rules: per member, alpha, t,
+        # after the interior derivatives of all of them in a few batches
         for f in members:
-            g = None  # the algebra partner, one per member
-            for alpha in grid.alphas:
-                p = ConfParams(alpha, a)
-                for off in grid.t_offsets:
-                    t = a + off
-                    cases.append(check_equivalence(f, p, t, tol))
-                    cases.append(check_continuity(f, p, t, tol))
-                    if g is None:
-                        g = _partner_like(f, t)
-                    c_coef = float(rng.uniform(-5.0, 5.0))
-                    d_coef = float(rng.uniform(-5.0, 5.0))
-                    cases.extend(
-                        check_algebra_rules(f, g, c_coef, d_coef, p, t, tol)
-                    )
+            pts = [(ConfParams(alpha, a), a + off)
+                   for alpha in grid.alphas for off in grid.t_offsets]
+            # the linearity coefficients, c then d, point by point
+            coefs = rng.uniform(-5.0, 5.0, (len(pts), 2)).tolist()
+            if pts:
+                g = _partner_like(f, pts[0][1])  # the algebra partner
+                _prefetch(f, g, pts, coefs)
+            for (p, t), (c, d) in zip(pts, coefs):
+                cases.append(check_equivalence(f, p, t, tol))
+                cases.append(check_continuity(f, p, t, tol))
+                cases.extend(check_algebra_rules(f, g, c, d, p, t, tol))
 
         # ORDER_REL_3_3: independent runs per order pair
         for f in members:

@@ -362,6 +362,14 @@ class TestCheck:
     def test_bad_grid_value(self, capsys):
         assert run(["check", "--alphas", "0.5,zebra"]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_t_offset_refused(self, capsys, value):
+        # refused while parsing, before any case runs
+        assert run(["check", "--t-offsets", f"0.5,{value}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--t-offsets entry must be finite" in err
+
     def test_terminal_below_a_members_domain(self, tmp_path):
         # the default corpus at a = -1 holds pow:0.5, defined on [0, inf):
         # its cases where t < 0 or [a, t] leaves the domain are not
@@ -436,6 +444,15 @@ class TestIvp:
                     "--x0", "1.0,2.0", "--t-end", "1.0"])
         assert code == 2
         assert "scalar" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_x0_refused(self, capsys, value):
+        code = run(["ivp", "--rhs", "x", "--alpha", "0.5", f"--x0={value}",
+                    "--t-end", "1.0"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--x0 must be finite" in err
 
     def test_unknown_symbol_in_rhs(self, capsys):
         code = run(["ivp", "--rhs", "x + y", "--alpha", "0.5", "--x0", "1",

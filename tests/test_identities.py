@@ -23,13 +23,15 @@ from confcalc import (
     check_lower_vanishing,
     check_order_relation,
     check_right_inverse,
+    conf_deriv,
     default_corpus,
+    deriv_of_integral,
     power_fn,
     run_case,
     run_suite,
     vector_fn,
 )
-from confcalc import identities
+from confcalc import calculus, identities
 from confcalc.identities import IDENTITY_IDS, STATEMENTS
 
 
@@ -464,6 +466,95 @@ class TestSharedKernelResults:
         with pytest.raises(RuntimeError):
             run_suite(corpus=[CallableFn(fails_late)], grid=self._GRID)
         assert identities._MEMO.get() is None
+
+    def test_a_member_listed_twice_draws_its_own_coefficients(self):
+        # each occurrence gets its own partner and linearity coefficients,
+        # so no rule result may stand in for the other occurrence's
+        f = builtin("exp")
+        corpus = [f, builtin("sin"), f]
+        shared = run_suite(corpus=corpus, grid=self._GRID)
+        assert shared.to_json() == _unshared_suite(corpus, self._GRID).to_json()
+        lin = [c.inputs for c in shared.cases
+               if c.identity_id == "LINEARITY_i" and c.subject.startswith("exp")]
+        assert len(lin) == 8 and lin[:4] != lin[4:]
+        # inside one run, the same f, g and point with other c and d
+        g, p, cds = builtin("cos"), ConfParams(0.5), ((2.0, -3.0), (1.0, 4.0))
+        token = identities._MEMO.set({})
+        try:
+            inside = [check_algebra_rules(f, g, c, d, p, 1.0) for c, d in cds]
+        finally:
+            identities._MEMO.reset(token)
+        assert inside == [check_algebra_rules(f, g, c, d, p, 1.0) for c, d in cds]
+
+    def test_terminals_where_a_member_is_undefined_at_some_points(self):
+        # at a = -1 pow:0.5 is undefined at t = -0.5 and on [-1, 1]; at
+        # a = 1 the shifted power starts at the terminal
+        grid = SuiteGrid(alphas=(0.5, 1.0), betas=(0.5,), a_values=(-1.0, 1.0),
+                         t_offsets=(0.5, 2.0))
+        corpus = [power_fn(0.5), power_fn(0.5, shift=1.0), builtin("t_sin")]
+        shared = run_suite(corpus=corpus, grid=grid)
+        assert shared.to_json() == _unshared_suite(corpus, grid).to_json()
+        assert any("pow:0.5 is undefined at t = -0.5" in c.diagnostics
+                   for c in shared.cases)
+
+    def test_orders_sharing_a_batch_keep_their_own_rounding(self):
+        # the step scale (t-a)^(1-alpha) at alpha = 0.5 is a square root;
+        # numpy's pow rounds sqrt(0.415) another way, so both orders of a
+        # batch must get their scales as conf_deriv_many does, one number
+        # exponent each
+        grid = SuiteGrid(alphas=(0.5, 0.9), betas=(0.5,), t_offsets=(0.415, 2.0))
+        corpus = [builtin("exp"), builtin("t_sin")]
+        assert (run_suite(corpus=corpus, grid=grid).to_json()
+                == _unshared_suite(corpus, grid).to_json())
+
+    def test_a_batch_error_where_no_case_looks_changes_nothing(self):
+        # f on [0, inf) has no running integral from a = -1, so
+        # RIGHT_INV_3_7 at t = 1 is not applicable before any kernel runs;
+        # the batch still differentiates that integral there and meets the
+        # NaN that f has at one of its Gauss nodes
+        seen = []
+        deriv_of_integral(CallableFn(lambda s: seen.append(s) or math.sqrt(s + 1.0)),
+                          ConfParams(0.5, -1.0), 1.0)
+        bad, hits = seen[5], []
+        f = CallableFn(lambda s: hits.append(s) or (math.nan if s == bad else math.sqrt(s)),
+                       domain=(0.0, math.inf), label="holed sqrt")
+        grid = SuiteGrid(alphas=(0.5,), betas=(0.5,), a_values=(-1.0,), t_offsets=(2.0,))
+        shared = run_suite(corpus=[f], grid=grid)
+        assert bad in hits
+        assert shared.to_json() == _unshared_suite([f], grid).to_json()
+
+    def test_a_member_non_finite_at_one_probe_raises_as_unshared(self):
+        # f is NaN at exactly one difference probe of the derivative at
+        # alpha = 0.5, t = 2: the batches meet it first, yet the error
+        # raised is the one the unshared loop raises, where it raises it
+        seen = []
+        conf_deriv(CallableFn(lambda s: seen.append(s) or math.exp(s)), ConfParams(0.5), 2.0)
+        bad = seen[5]
+        f = CallableFn(lambda s: math.nan if s == bad else math.exp(s), label="holed exp")
+        errors = []
+        for run in (lambda: run_suite(corpus=[f], grid=self._GRID),
+                    lambda: _unshared_suite([f], self._GRID)):
+            with pytest.raises(Exception) as info:
+                run()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == f"non-finite value at t = {bad}"
+
+    def test_the_default_run_makes_no_one_point_derivative_call(self, monkeypatch):
+        # the interior derivatives go in batches of a member's points; the
+        # terminal sequences in chunks of 4
+        sizes = []
+        core = identities._deriv_core
+
+        def counted(evalf, ts, *args, **kw):
+            sizes.append(len(ts))
+            return core(evalf, ts, *args, **kw)
+
+        monkeypatch.setattr(calculus, "_deriv_core", counted)
+        monkeypatch.setattr(identities, "_deriv_core", counted)
+        run_suite()
+        assert 1 not in sizes
+        assert len(sizes) <= 240
 
     def test_checkers_asking_with_and_without_a_tolerance_share(self, monkeypatch):
         # check_equivalence and check_continuity ask for the derivative with
