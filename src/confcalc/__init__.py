@@ -14,6 +14,7 @@ from .calculus import (
     conf_deriv_scaled_many,
     conf_integral,
     conf_integral_info,
+    conf_integral_info_many,
     convert_order,
     deriv_of_integral,
     deriv_of_integral_many,
@@ -91,7 +92,8 @@ __all__ = [
     "conf_deriv", "conf_deriv_many", "conf_deriv_scaled",
     "conf_deriv_scaled_many", "classical_deriv", "convert_order",
     "lower_terminal_deriv", "one_sided_limit",
-    "conf_integral", "conf_integral_info", "weighted_integral",
+    "conf_integral", "conf_integral_info", "conf_integral_info_many",
+    "weighted_integral",
     "deriv_of_integral", "deriv_of_integral_many", "avg_recover",
     # identities
     "IDENTITY_IDS", "STATEMENTS", "IdentityCase", "CaseResult",

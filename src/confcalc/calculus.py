@@ -20,7 +20,8 @@ integrals with controlled error:
   itself);
 * the weighted integral via the substitution ``u = (s-a)**alpha``, which
   removes the endpoint singularity exactly for bounded integrands, then
-  adaptive composite Gauss-Legendre (:func:`conf_integral`);
+  adaptive composite Gauss-Legendre (:func:`conf_integral`, and
+  :func:`conf_integral_info_many` for many integrals in lockstep);
 * the derivative of the running integral from local panel increments
   (:func:`deriv_of_integral`, and :func:`deriv_of_integral_many` for a
   batch of points);
@@ -35,16 +36,17 @@ are safe.
 
 The kernels evaluate in batches: all difference probes of one derivative
 in one :meth:`~confcalc.funcs.AbstractFn.eval_many` call, or those of
-many points in one call (:func:`conf_deriv_many`, of which
-:func:`conf_deriv` is the one-point case; likewise
-:func:`deriv_of_integral_many` and :func:`deriv_of_integral`), and both
-Gauss rules of a quadrature panel (or one rule on a row of panels) in
-another.  The extrapolation tableaux of all points are built column by
-column in one value-major array (column, level, value component, row),
-rows innermost, and panel sums run node by node, so every result is
-bit-identical to a point-by-point loop.  The point sequences toward a
-terminal are asked for in chunks of 4 points, and their stopping rule
-runs point by point, so up to 3 points past the stop are evaluated;
+many points (:func:`conf_deriv_many`, of which :func:`conf_deriv` is the
+one-point case; likewise :func:`deriv_of_integral_many`), and both Gauss
+rules of a row of quadrature panels in another.  Adaptive integrals are
+resumable depth-first walks, and many advance in lockstep, the pending
+panels of all in one integrand call per round; the point sequences
+toward a terminal ask for 4 points at a time, several sharing one call.
+Each integral and sequence keeps its own decisions, the tableaux are
+built value-major (column, level, value component, row) with rows
+innermost, and panel sums run node by node, so every result is
+bit-identical to a one-point, one-integral loop.  A sequence's rule runs
+point by point, so up to 3 points past its stop are evaluated;
 ``steps_used`` does not count them, and an error at one of them never
 surfaces.
 """
@@ -79,6 +81,7 @@ __all__ = [
     "lower_terminal_deriv",
     "conf_integral",
     "conf_integral_info",
+    "conf_integral_info_many",
     "weighted_integral",
     "deriv_of_integral",
     "deriv_of_integral_many",
@@ -384,12 +387,35 @@ def _probes_of(f: AbstractFn):
     return lambda probes, used: f.eval_many(probes[used])
 
 
-def _require_interior(p: ConfParams, t: float):
-    if not (t > p.a):
+def _require_interior(a: float, t: float):
+    if not (t > a):
         raise LowerTerminalError(
-            f"t = {t} is at or below the lower terminal a = {p.a}; "
+            f"t = {t} is at or below the lower terminal a = {a}; "
             "the interior derivative needs t > a (use lower_terminal_deriv at a)"
         )
+
+
+def _order_pow(base, orders, expo):
+    # pow_real(base, expo(alpha)), alpha each entry's order (orders: one
+    # number, or an array like base), one call per order with a number
+    # exponent: an array exponent rounds differently
+    if isinstance(orders, float):
+        return pow_real(base, expo(orders))
+    out = np.empty_like(base)
+    for alpha in set(orders.tolist()):
+        on = orders == alpha
+        out[on] = pow_real(base[on], expo(alpha))
+    return out
+
+
+def _conf_derivs(f, a, orders, ts, dist, side, tol):
+    # conf_deriv at the points ts > a, each at its order (see _order_pow) and
+    # with its distance dist from a, in one _deriv_core call
+    for t in ts.tolist():
+        _require_interior(a, t)
+    lo, hi = f.domain
+    ss = _order_pow(dist, orders, lambda al: 1.0 - al)
+    return _deriv_core(_probes_of(f), ts, ss, dist, lo, hi, side, tol)
 
 
 def conf_deriv(
@@ -431,17 +457,9 @@ def conf_deriv_many(
     tol = tol if tol is not None else Tolerance()
     if side not in ("left", "right", "two-sided"):
         raise ValueError(f"side must be left, right, or two-sided, not {side!r}")
-    lo, hi = f.domain
-
-    def run(x):
-        for t in x.tolist():
-            _require_interior(p, t)
-        dist = x - p.a
-        ss = pow_real(dist, 1.0 - p.alpha)
-        return _deriv_core(_probes_of(f), x, ss, dist, lo, hi, side, tol)
-
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    return run_batch(run, ts) if ts.size else []
+    return run_batch(lambda x: _conf_derivs(f, p.a, p.alpha, x, x - p.a, side, tol),
+                     ts) if ts.size else []
 
 
 def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> DerivResult:
@@ -458,12 +476,12 @@ def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> De
     return r
 
 
-def _scaled_source(f: AbstractFn, p: ConfParams, t: float, tol: Tolerance):
+def _scaled_source(f: AbstractFn, a: float, t: float, tol: Tolerance):
     # f'(t) and its error from the first source that has it, after the
-    # checks of t: the closed form, the grid interpolant, else classical
-    # differencing.  Returns (f', error, side, converged, steps, (left,
-    # right) one-sided f' or None, detail).
-    _require_interior(p, t)
+    # checks of t (a the terminal): the closed form, the grid interpolant,
+    # else classical differencing.  Returns (f', error, side, converged,
+    # steps, (left, right) one-sided f' or None, detail).
+    _require_interior(a, t)
     f._check_domain(t)
     note = ""
     try:
@@ -482,15 +500,13 @@ def _scaled_source(f: AbstractFn, p: ConfParams, t: float, tol: Tolerance):
             (r.left, r.right), note + "scaled classical difference derivative")
 
 
-def _scaled(p: ConfParams, ts: np.ndarray, d: np.ndarray, de=None):
-    # the scaled route's values s*f'(t), s = (t-a)^(1-alpha), at the points
-    # ts from the stacked first derivatives d, and their error estimates
-    # s*de + the error floor (de None: exact derivatives); returns (values,
-    # estimates, s)
-    s = pow_real(ts - p.a, 1.0 - p.alpha)
+def _scaled(s: np.ndarray, d: np.ndarray, de=None):
+    # the scaled route's values s*f'(t) from the scales s = (t-a)^(1-alpha)
+    # and the stacked first derivatives d, and their error estimates s*de +
+    # the error floor (de None: exact derivatives)
     vals = _per_row(s, d) * d
     errs = _err_floor(_rownorms(vals))
-    return vals, (errs if de is None else s * de + errs), s
+    return vals, (errs if de is None else s * de + errs)
 
 
 def conf_deriv_scaled(
@@ -508,8 +524,10 @@ def conf_deriv_scaled(
     """
     tol = tol if tol is not None else Tolerance()
     t = float(t)
-    d, de, side, conv, steps, sides, detail = _scaled_source(f, p, t, tol)
-    (val,), (err,), (s,) = _scaled(p, np.array([t]), d[None], np.array([de]))
+    d, de, side, conv, steps, sides, detail = _scaled_source(f, p.a, t, tol)
+    scale = pow_real(np.array([t]) - p.a, 1.0 - p.alpha)
+    (val,), (err,) = _scaled(scale, d[None], np.array([de]))
+    (s,) = scale
     left, right = (None if x is None else VecValue(s * x.data) for x in sides)
     return DerivResult(
         VecValue(val),
@@ -544,17 +562,23 @@ def conf_deriv_scaled_many(
     """
     tol = tol if tol is not None else Tolerance()
     ts = np.asarray(ts, dtype=float).reshape(-1)
+    return _scaled_values(f, p.a, p.alpha, ts, ts - p.a, tol)
+
+
+def _scaled_values(f, a, orders, ts, dist, tol):
+    # conf_deriv_scaled_many at the points ts > a, each at its order (see
+    # _order_pow) and with its distance dist from a
     d = de = None
-    if f._derivs is not None and (ts > p.a).all():
+    if f._derivs is not None and (ts > a).all():
         try:
             d = f.exact_deriv_many(ts)
         except DomainError:
             pass
     if d is None:
-        src = [_scaled_source(f, p, t, tol)[:2] for t in ts.tolist()]
+        src = [_scaled_source(f, a, t, tol)[:2] for t in ts.tolist()]
         d = np.array([x for x, _ in src])
         de = np.array([e for _, e in src])
-    vals, errs, _s = _scaled(p, ts, d, de)
+    vals, errs = _scaled(_order_pow(dist, orders, lambda al: 1.0 - al), d, de)
     return vals, errs.tolist()
 
 
@@ -584,114 +608,168 @@ def convert_order(Ta, alpha: float, beta: float, a: float, t0: float) -> VecValu
 # sequence limits: geometric point schedules accelerated by Aitken steps
 
 
-def _aitken_sweep(seq):
-    # one sweep of x2 + rho/(1-rho)*(x2-x1), rho = d2*d1/(d1*d1) on the
-    # component with the largest |d1| (the first on ties), so replicated
-    # components give the scalar run's rho bit for bit; passes entries
-    # through unless the deltas are genuinely contracting (|rho| < 1),
-    # since extrapolating a growing geometric sequence manufactures a
-    # limit that does not exist
-    out = []
-    for i in range(len(seq) - 2):
-        x1, x2 = seq[i + 1], seq[i + 2]
-        d1 = x1 - seq[i]
-        d2 = x2 - x1
-        k = np.argmax(np.abs(d1))
-        den = float(d1.flat[k] * d1.flat[k])
-        if den == 0.0:
-            out.append(x2)
-            continue
-        rho = float(d2.flat[k] * d1.flat[k]) / den
-        if not math.isfinite(rho) or abs(rho) > 0.99:
-            out.append(x2)
-            continue
-        out.append(x2 + (rho / (1.0 - rho)) * d2)
-    return out
+def _aitken_step(x0, x1, x2):
+    # one entry of an Aitken sweep from three consecutive entries:
+    # x2 + rho/(1-rho)*(x2-x1), rho = d2*d1/(d1*d1) on the component with
+    # the largest |d1| (the first on ties), so replicated components give
+    # the scalar run's rho bit for bit; x2 itself unless the deltas are
+    # genuinely contracting (|rho| < 1), since extrapolating a growing
+    # geometric sequence manufactures a limit that does not exist
+    d1 = x1 - x0
+    d2 = x2 - x1
+    k = np.argmax(np.abs(d1))
+    den = float(d1.flat[k] * d1.flat[k])
+    if den == 0.0:
+        return x2
+    rho = float(d2.flat[k] * d1.flat[k]) / den
+    if not math.isfinite(rho) or abs(rho) > 0.99:
+        return x2
+    return x2 + (rho / (1.0 - rho)) * d2
 
 
 def _sequence_limit(vals):
+    # the accelerated estimate of vals, its sweeps built anew: the last entry
+    # after up to three sweeps (_extend_sweeps keeps the sweeps and extends them)
     cur = vals
     est = cur[-1]
     for _ in range(3):
-        cur = _aitken_sweep(cur)
+        cur = [_aitken_step(*cur[i:i + 3]) for i in range(len(cur) - 2)]
         if not cur:
             break
         est = cur[-1]
     return est
 
 
-def _in_order(sample, pts, size):
-    """The results of ``sample`` at the points ``pts``, one by one in order.
+def _extend_sweeps(levels):
+    # after a new value on levels[0], give each of the three Aitken sweeps
+    # levels[1:] of the values its one new entry; returns the estimate
+    # _sequence_limit gives for the values, bit for bit
+    for lower, upper in zip(levels, levels[1:]):
+        if len(lower) < 3:
+            break
+        upper.append(_aitken_step(*lower[-3:]))
+    return next(level[-1] for level in reversed(levels) if level)
 
-    ``sample`` maps an array of points to a sequence of per-point results;
-    it is asked for ``size`` points per call, and only as the caller
-    consumes them.  A call that raises is asked again one point at a
-    time, so an error surfaces only at a point the caller reaches, as the
-    error that point raises on its own.
+
+def _lockstep(jobs, serve):
+    # run the generators jobs in lockstep, each to its return value: each
+    # round advances every open job to its next request, serve maps the
+    # (job index, request) pairs to their answers in one batch, and each
+    # job is sent its own
+    out, answers, live = [None] * len(jobs), [None] * len(jobs), range(len(jobs))
+    while live:
+        asks = []
+        for j in live:
+            try:
+                asks.append((j, jobs[j].send(answers[j])))
+            except StopIteration as done:
+                out[j] = done.value
+        for (j, _ask), answer in zip(asks, serve(asks) if asks else ()):
+            answers[j] = answer
+        live = [j for j, _ask in asks]
+    return out
+
+
+def _sequence(a, room, tol, one):
+    # the rule of one sequence (see _terminal_limits): asks for its points a
+    # chunk at a time and is sent their (value, ok) pairs, or None after a
+    # failed call, and then reads them with one(t)
+    d0 = _first_step(a, room, 0.1)
+    tks = [a + d0 * 0.5**k for k in range(_TERMINAL_POINTS)]
+    levels = ([], [], [], [])  # the values, then their sweeps
+    vals, prev_est, est, streak, delta = levels[0], None, None, 0, math.inf
+    for lo in range(0, _TERMINAL_POINTS, _TERMINAL_CHUNK):
+        got = yield tks[lo:lo + _TERMINAL_CHUNK]
+        for k in range(lo, lo + _TERMINAL_CHUNK):
+            v, ok = one(tks[k]) if got is None else got[k - lo]
+            v = np.asarray(v, dtype=float)
+            if not ok:
+                note = f"interior evaluation did not converge at t = {tks[k]:.6g}"
+                return (est if est is not None else v), math.inf, False, k + 1, note
+            vals.append(v)
+            if k >= 8:
+                mags = [_mnorm(x) for x in vals[-4:]]
+                if (mags[-1] > 1e3 * (1.0 + _mnorm(vals[0]))
+                        and mags[0] < mags[1] < mags[2] < mags[3]):
+                    note = "interior values grow without bound approaching the terminal"
+                    return v, math.inf, False, k + 1, note
+            latest = _extend_sweeps(levels)
+            if len(vals) < 3:
+                continue
+            est = latest
+            if prev_est is not None:
+                delta = _mnorm(est - prev_est)
+                if delta <= tol.threshold(1.0 + _mnorm(est)):
+                    streak += 1
+                    if streak >= 2:
+                        return est, max(delta, _err_floor(_mnorm(est))), True, k + 1, ""
+                else:
+                    streak = 0
+            prev_est = est
+    note = "sequence of accelerated estimates is not Cauchy within tolerance"
+    return est, delta, False, _TERMINAL_POINTS, note
+
+
+def _terminal_limits(sample, jobs):
+    """Limits of sample(t_k) along t_k = a + d0*2^-k, one per job (a, room,
+    tol), in lockstep.
+
+    ``room`` is the signed distance from a to the domain's end on the side
+    approached (negative from the left); d0 = ``_first_step(a, room, 0.1)``.
+    sample(ts, owner) gives a (value, ok) pair per point, point i one of
+    sequence owner[i]'s, ok False for an untrusted value.  Each round every
+    open sequence adds its next ``_TERMINAL_CHUNK`` points to one sample
+    call and runs its rule over them in order, so up to 3 points past its
+    stop are sampled unused; after a call that raises, it asks for them
+    one at a time as its rule reaches them, so only a point it reads can
+    raise, as on its own.  The values are accelerated by up to three Aitken
+    sweeps; a limit converges when two consecutive moves of the estimate
+    are within tol.threshold(1 + |estimate|), its error the last move (at
+    least the error floor).  Returns (value, err, converged, points used,
+    note) per job.
     """
-    for i in range(0, len(pts), size):
-        part = pts[i:i + size]
+    def one(j):
+        return lambda t: sample(np.array([t]), np.array([j]))[0]
+
+    def serve(asks):
         try:
-            got = sample(np.array(part))
+            got = sample(np.array([t for _j, pts in asks for t in pts]),
+                         np.repeat([j for j, _pts in asks], _TERMINAL_CHUNK))
         except Exception:
-            got = None
-        for j, t in enumerate(part):
-            yield sample(np.array([t]))[0] if got is None else got[j]
+            return [None] * len(asks)
+        return [got[n:n + _TERMINAL_CHUNK] for n in range(0, len(got), _TERMINAL_CHUNK)]
+
+    return _lockstep([_sequence(*job, one(j)) for j, job in enumerate(jobs)], serve)
 
 
 def _terminal_limit(sample, a, room, tol):
-    """Limit of sample(t_k) along t_k = a + d0*2^-k.
+    # the one-sequence case of _terminal_limits, sample(ts) its points'
+    (r,) = _terminal_limits(lambda ts, _owner: sample(ts), [(a, room, tol)])
+    return r
 
-    ``room`` is the signed distance from a to the domain's end on the side
-    approached (negative for a limit from the left); the first step is
-    ``_first_step(a, room, 0.1)``: d0 = min(0.1*max(1, |a|), |room|/2)
-    with the sign of room.
 
-    sample(ts) returns a (value, ok) pair per point, ok False when the
-    value at t could not be trusted.  It is asked for the points in chunks
-    of ``_TERMINAL_CHUNK`` (see :func:`_in_order`), and the rule below
-    runs point by point, in order, so up to 3 points past the stop are
-    sampled and never used.  The values are accelerated by up to three
-    Aitken sweeps; the limit converges when two consecutive moves of the
-    accelerated estimate are both within tol.threshold(1 + |estimate|).
-    The error reported is the last move, at least the error floor.
-    Returns (value, err, converged, points used, note).
-    """
-    d0 = _first_step(a, room, 0.1)
-    tks = [a + d0 * 0.5**k for k in range(_TERMINAL_POINTS)]
-    vals = []
-    prev_est = None
-    est = None
-    streak = 0
-    delta = math.inf
-    samples = _in_order(sample, tks, _TERMINAL_CHUNK)
-    for k, (tk, (v, ok)) in enumerate(zip(tks, samples)):
-        v = np.asarray(v, dtype=float)
-        if not ok:
-            note = f"interior evaluation did not converge at t = {tk:.6g}"
-            return (est if est is not None else v), math.inf, False, k + 1, note
-        vals.append(v)
-        if k >= 8:
-            mags = [_mnorm(x) for x in vals[-4:]]
-            if (mags[-1] > 1e3 * (1.0 + _mnorm(vals[0]))
-                    and mags[0] < mags[1] < mags[2] < mags[3]):
-                note = "interior values grow without bound approaching the terminal"
-                return v, math.inf, False, k + 1, note
-        if len(vals) < 3:
-            continue
-        est = _sequence_limit(vals)
-        if prev_est is not None:
-            delta = _mnorm(est - prev_est)
-            if delta <= tol.threshold(1.0 + _mnorm(est)):
-                streak += 1
-                if streak >= 2:
-                    err = max(delta, _err_floor(_mnorm(est)))
-                    return est, err, True, k + 1, ""
-            else:
-                streak = 0
-        prev_est = est
-    note = "sequence of accelerated estimates is not Cauchy within tolerance"
-    return est, delta, False, _TERMINAL_POINTS, note
+def _terminal_derivs(f, ps, tol):
+    # lower_terminal_deriv of f at each of ps (one terminal a) in lockstep:
+    # each round's interior derivatives of all orders in one _deriv_core call
+    a = ps[0].a
+    lo, hi = f.domain
+    if lo > a:
+        raise DomainError(
+            f"f is undefined just above the lower terminal (domain starts at {lo})"
+        )
+    if hi <= a:
+        raise DomainError(f"domain ends at {hi}, at or before the terminal {a}")
+    orders = np.array([p.alpha for p in ps])
+    inner = Tolerance()
+
+    def sample(ts, owner):
+        return [(r.value.data, r.converged)
+                for r in _conf_derivs(f, a, orders[owner], ts, ts - a, "two-sided", inner)]
+
+    return [DerivResult(VecValue(np.asarray(value, dtype=float)), float(err), "right", conv,
+                        used, detail=note or "terminal limit of interior derivatives")
+            for value, err, conv, used, note
+            in _terminal_limits(sample, [(a, hi - a, tol)] * len(ps))]
 
 
 def lower_terminal_deriv(
@@ -703,32 +781,11 @@ def lower_terminal_deriv(
     d = 0.1*max(1, |a|).  The value of f exactly at a never enters, so a
     point defect at a does not disturb the result.  The default tolerance
     is looser than the interior kernels': extrapolated limits lose about
-    two digits.  The interior derivatives come from :func:`conf_deriv_many`,
-    4 points per call.
+    two digits.  The interior derivatives come 4 points per
+    :func:`_deriv_core` call, as :func:`conf_deriv_many` gives them.
     """
-    tol = tol if tol is not None else _TERMINAL_DERIV_TOL
-    lo, hi = f.domain
-    if lo > p.a:
-        raise DomainError(
-            f"f is undefined just above the lower terminal (domain starts at {lo})"
-        )
-    if hi <= p.a:
-        raise DomainError(f"domain ends at {hi}, at or before the terminal {p.a}")
-    inner = Tolerance()
-
-    def sample(ts):
-        return [(r.value.data, r.converged)
-                for r in conf_deriv_many(f, p, ts, tol=inner)]
-
-    value, err, conv, used, note = _terminal_limit(sample, p.a, hi - p.a, tol)
-    return DerivResult(
-        VecValue(np.asarray(value, dtype=float)),
-        float(err),
-        "right",
-        conv,
-        used,
-        detail=note or "terminal limit of interior derivatives",
-    )
+    (r,) = _terminal_derivs(f, [p], tol if tol is not None else _TERMINAL_DERIV_TOL)
+    return r
 
 
 def one_sided_limit(
@@ -761,6 +818,7 @@ def one_sided_limit(
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GL_NODES: dict[tuple, np.ndarray] = {}  # the nodes of several rules in a row
 
 
 def _gl(n: int):
@@ -779,15 +837,17 @@ def _panels(g, lo, hi, *ns: int):
     accumulate, never a pairwise or BLAS reduction), so replicated
     components reproduce the scalar run bit for bit.
     """
-    rules = [_gl(n) for n in ns]
-    x = np.concatenate([xr for xr, _ in rules])
-    lo, hi = np.broadcast_arrays(np.atleast_1d(lo), np.atleast_1d(hi))
-    c = 0.5 * (hi - lo)
-    m = 0.5 * (hi + lo)
+    if ns not in _GL_NODES:
+        _GL_NODES[ns] = np.concatenate([_gl(n)[0] for n in ns])
+    x = _GL_NODES[ns]
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    c = np.atleast_1d(0.5 * (hi - lo))
+    m = np.atleast_1d(0.5 * (hi + lo))
     vals = g((m[:, None] + c[:, None] * x).reshape(-1))
     vals = vals.reshape((c.size, x.size) + vals.shape[1:])
     out, start = [], 0
-    for _, w in rules:
+    for n in ns:
+        w = _gl(n)[1]
         part = vals[:, start:start + w.size]
         start += w.size
         acc = np.add.accumulate(_per_row(w, part[0]) * part, axis=1)[:, -1]
@@ -796,83 +856,108 @@ def _panels(g, lo, hi, *ns: int):
     return out
 
 
-def _refine(g, lo, hi, rules, i, budget, noise, depth, state):
-    # decide panel i of rules; counting here keeps the caps depth first
-    (v10, s10), (v7, s7) = [(v[i], float(scale[i])) for v, scale in rules]
-    state["panels"] += 1
-    if s10 > state["gmax"]:
-        state["gmax"] = s10
-    width = hi - lo
-    err = _mnorm(v10 - v7)
-    floor = width * (4.0 * noise() + 32.0 * _EPS * max(s10, s7))
-    # a refinement tree deeper or wider than this means the integrand is
-    # fighting back (an interior singularity, say); stop splitting and
-    # carry the unresolved estimate, so the total error stays honest and
-    # the final budget check can refuse the result
-    exhausted = depth >= _MAX_DEPTH or state["panels"] >= _MAX_PANELS
-    if (err <= max(budget, floor) or width <= 1e-14 * state["wtot"]
-            or exhausted):
-        state["err"] += err
-        return v10
-    mid = 0.5 * (lo + hi)
-    # both children in one call: the left's 10 + 7 nodes, then the right's
-    halves = _panels(g, [lo, mid], [mid, hi], 10, 7)
-    state["evals"] += 34
-    vl = _refine(g, lo, mid, halves, 0, 0.5 * budget, noise, depth + 1, state)
-    vr = _refine(g, mid, hi, halves, 1, 0.5 * budget, noise, depth + 1, state)
-    return vl + vr
-
-
-def _quad_adaptive(g, lo, hi, tol, noise=0.0, grade=False):
-    """Adaptive composite Gauss-Legendre on [lo, hi].
-
-    10-point panels with an embedded 7-point error estimate, budgets split
-    evenly on bisection.  ``grade`` prepends a geometric partition packed
-    toward ``lo`` for integrands with an algebraic endpoint feature.
-    ``noise`` is the absolute sample noise, a number or a zero-argument
-    callable re-read at each panel; panels are accepted once their
-    estimate falls under the noise floor, which keeps inexact (estimated)
-    integrands from forcing endless refinement.  All base panels are
-    evaluated in one call of ``g`` (their 10-point sums also set the
-    budget), both children of a split in one more, and panels are decided
-    depth first.  Returns (value, error sum, evaluations), 17 per panel.
-    """
-    if not callable(noise):
-        level = float(noise)
-        noise = lambda: level
-    width = hi - lo
-    sigma, levels = 0.25, (24 if grade else 0)
+def _walk(lo, hi, tol, noise, grade):
+    """One adaptive integral on [lo, hi] (see _quad_lockstep), its panels
+    decided depth first.  Each request it yields is the panels to evaluate,
+    as (los, his): first the base partition, then a split panel's two
+    halves.  It is sent (rules, i) with those panels at i, i + 1, ... of
+    rules, and returns (value, error sum, evaluations).  Its stack holds
+    (lo, hi, rules, i, budget, depth) per panel still to decide, and None
+    where a split panel's two child sums on ``vals`` are added; the base
+    panels' sums are added left to right at the end."""
+    wtot = hi - lo
     pts = [lo]
-    for j in range(levels, 0, -1):
-        c = lo + width * sigma**j
+    for k in range(24 if grade else 0, 0, -1):
+        c = lo + wtot * 0.25**k
         if c > pts[-1]:
             pts.append(c)
     pts.append(hi)
-
-    rules = _panels(g, pts[:-1], pts[1:], 10, 7)
-    coarse = np.add.accumulate(rules[0][0], axis=0)[-1]
+    rules, first = yield pts[:-1], pts[1:]
+    coarse = np.add.accumulate(rules[0][0][first:first + len(pts) - 1], axis=0)[-1]
     budget_total = tol.threshold(_mnorm(coarse))
-
-    state = {"err": 0.0, "evals": 17 * (len(pts) - 1), "wtot": width,
-             "gmax": 0.0, "panels": 0}
-    total = None
-    for i in range(len(pts) - 1):
-        share = budget_total * (pts[i + 1] - pts[i]) / width
-        v = _refine(g, pts[i], pts[i + 1], rules, i, share, noise, 0, state)
-        total = v if total is None else total + v
-    achieved = state["err"]
+    if not callable(noise):
+        noise = (lambda level: lambda: level)(float(noise))
+    err, evals, gmax, panels, vals = 0.0, 17 * (len(pts) - 1), 0.0, 0, []
+    stack = [(pts[i], pts[i + 1], rules, first + i,
+              budget_total * (pts[i + 1] - pts[i]) / wtot, 0)
+             for i in reversed(range(len(pts) - 1))]
+    while stack:
+        item = stack.pop()
+        if item is None:
+            right = vals.pop()
+            vals[-1] = vals[-1] + right
+            continue
+        lo, hi, rules, i, budget, depth = item
+        (v10, s10), (v7, s7) = [(v[i], float(scale[i])) for v, scale in rules]
+        panels += 1
+        gmax = max(gmax, s10)
+        width = hi - lo
+        panel_err = _mnorm(v10 - v7)
+        floor = width * (4.0 * noise() + 32.0 * _EPS * max(s10, s7))
+        # a refinement tree deeper or wider than this means the integrand is
+        # fighting back (an interior singularity, say); stop splitting and
+        # carry the unresolved estimate, so the total error stays honest and
+        # the final budget check can refuse the result
+        if (panel_err <= max(budget, floor) or width <= 1e-14 * wtot
+                or depth >= _MAX_DEPTH or panels >= _MAX_PANELS):
+            err += panel_err
+            vals.append(v10)
+            continue
+        mid = 0.5 * (lo + hi)
+        rules, i = yield [lo, mid], [mid, hi]
+        evals += 34
+        stack += [None, (mid, hi, rules, i + 1, 0.5 * budget, depth + 1),
+                  (lo, mid, rules, i, 0.5 * budget, depth + 1)]
     # panels pinned at the width floor can hide a genuinely divergent
     # integrand; refuse to hand back an estimate that is wildly off budget
-    cap = (32.0 * budget_total
-           + width * (64.0 * noise() + 4096.0 * _EPS * (1.0 + state["gmax"])))
-    if achieved > cap:
+    cap = 32.0 * budget_total + wtot * (64.0 * noise() + 4096.0 * _EPS * (1.0 + gmax))
+    if err > cap:
         raise QuadratureError(
-            f"error estimate {achieved:.3g} exceeds the requested budget "
+            f"error estimate {err:.3g} exceeds the requested budget "
             f"{budget_total:.3g} after full refinement; the integrand may "
             "not be integrable on this interval",
-            achieved=achieved,
+            achieved=err,
         )
-    return total, achieved, state["evals"]
+    total = vals[0]
+    for v in vals[1:]:
+        total = total + v
+    return total, err, evals
+
+
+def _quad_lockstep(g, jobs):
+    """Adaptive composite Gauss-Legendre on [lo, hi] for every job (lo, hi,
+    tol, noise, grade), in lockstep.
+
+    10-point panels with an embedded 7-point error estimate, budgets split
+    evenly on bisection.  ``grade`` prepends a geometric partition packed
+    toward ``lo`` for an algebraic endpoint feature.  ``noise``, a number
+    or a callable re-read at each panel, is the absolute sample noise;
+    panels under its floor are accepted, so inexact integrands cannot force
+    endless refinement.  ``g(us, owner)`` gives the stacked values at the
+    points us, us[i] a node of integral owner[i] (owner None for one job).
+    All base panels go into one call of ``g`` (their 10-point sums also set
+    the budgets); each round then advances every open walk (:func:`_walk`)
+    to its next split and evaluates all those children in one more call.
+    Each walk keeps its own decisions, counters, ``noise()`` reads and sums,
+    so its result is the one-job run's bit for bit.  Returns (value, error
+    sum, evaluations) per job, 17 evaluations per panel.
+    """
+    def serve(asks):
+        # every asked panel's two rules in one call of g, in order
+        sizes = [len(los) for _j, (los, _his) in asks]
+        own = (np.repeat([j for j, _ask in asks], sizes).repeat(17) if len(jobs) > 1
+               else None)
+        rules = _panels(lambda us: g(us, own), [x for _j, (los, _his) in asks for x in los],
+                        [x for _j, (_los, his) in asks for x in his], 10, 7)
+        return [(rules, i) for i in np.cumsum([0] + sizes[:-1]).tolist()]
+
+    return _lockstep([_walk(*job) for job in jobs], serve)
+
+
+def _quad_adaptive(g, lo, hi, tol, noise=0.0, grade=False):
+    # the one-job case of _quad_lockstep, g(us) its integrand
+    (r,) = _quad_lockstep(lambda us, _owner: g(us), [(lo, hi, tol, noise, grade)])
+    return r
 
 
 def _zero_like_probe(f: AbstractFn, a: float):
@@ -882,6 +967,53 @@ def _zero_like_probe(f: AbstractFn, a: float):
         lo, hi = f.domain
         probe = min(hi, a + 0.5 * max(1e-8, min(1.0, hi - a)))
         return 0.0 * f(probe)
+
+
+def _integral_range(lo, hi, p: ConfParams, t: float):
+    # refuse what conf_integral_info refuses: t below the terminal, or
+    # [a, t] not inside the domain [lo, hi]
+    if t < p.a:
+        raise LowerTerminalError(
+            f"integral runs upward from the terminal; need t >= a, got t = {t} < {p.a}"
+        )
+    if p.a < lo or t > hi:
+        raise DomainError(
+            f"integration range [{p.a}, {t}] is not inside the domain [{lo}, {hi}]"
+        )
+
+
+def _conf_integrals(f, ps, ts, tol, noises, h=None):
+    # conf_integral_info of f at every (ps[i], ts[i]) with noise noises[i],
+    # the integrals in lockstep (one: through _quad_adaptive); h(s, owner),
+    # where given, stands in for f.eval_many(s) at the nodes s of integral
+    # owner, an index into ps (a number for one integral)
+    tol = tol if tol is not None else Tolerance()
+    lo, hi = f.domain
+    out = []
+    for p, t in zip(ps, ts):
+        _integral_range(lo, hi, p, t)
+        out.append((VecValue(_zero_like_probe(f, p.a)), 0.0, 1) if t == p.a else None)
+    live = [i for i, r in enumerate(out) if r is None]
+    h = h if h is not None else (lambda s, _owner: f.eval_many(s))
+    ids = np.array(live)
+    starts, orders = np.array([ps[i].a for i in live]), np.array([ps[i].alpha for i in live])
+
+    def g(us, owner):
+        # in u = (s-a)^alpha: s = a + u^(1/alpha)
+        own = 0 if owner is None else owner
+        x = _order_pow(us, orders[own], lambda al: 1.0 / al)
+        return h(np.clip(starts[own] + x, lo, hi), ids[own])
+
+    # the budgets in u: the values carry 1/alpha
+    jobs = [(0.0, pow_real(ts[i] - ps[i].a, ps[i].alpha),
+             Tolerance(rel=tol.rel, abs=tol.abs * ps[i].alpha), noises[i], ps[i].alpha < 1.0)
+            for i in live]
+    got = ([_quad_adaptive(lambda us: g(us, None), *jobs[0])] if len(jobs) == 1
+           else _quad_lockstep(g, jobs) if jobs else [])
+    for i, (val, err, evals) in zip(live, got):
+        inv_alpha = 1.0 / ps[i].alpha
+        out[i] = (VecValue(inv_alpha * val), inv_alpha * err, evals)
+    return out
 
 
 def conf_integral_info(
@@ -897,35 +1029,32 @@ def conf_integral_info(
     the absolute uncertainty of individual f samples, either as a number
     or as a zero-argument callable re-read at each panel (for integrands
     whose own error estimate accumulates as they are sampled); the
-    adaptive engine will not chase structure below that level.
+    adaptive engine will not chase structure below that level.  The
+    one-point case of :func:`conf_integral_info_many`.
     """
-    tol = tol if tol is not None else Tolerance()
-    t = float(t)
-    if t < p.a:
-        raise LowerTerminalError(
-            f"integral runs upward from the terminal; need t >= a, got t = {t} < {p.a}"
-        )
-    lo, hi = f.domain
-    if p.a < lo or t > hi:
-        raise DomainError(
-            f"integration range [{p.a}, {t}] is not inside the domain [{lo}, {hi}]"
-        )
-    if t == p.a:
-        return VecValue(_zero_like_probe(f, p.a)), 0.0, 1
+    (r,) = _conf_integrals(f, [p], [float(t)], tol, [noise])
+    return r
 
-    inv_alpha = 1.0 / p.alpha
-    upper = pow_real(t - p.a, p.alpha)
 
-    def g(us):
-        s_eval = p.a + pow_real(us, inv_alpha)
-        return f.eval_many(np.clip(s_eval, lo, hi))
+def conf_integral_info_many(f: AbstractFn, ps, ts, tol: Tolerance | None = None):
+    """:func:`conf_integral_info` at each (ps[i], ts[i]), in one batch.
 
-    # budget in the substituted variable: the final value carries 1/alpha
-    sub_tol = Tolerance(rel=tol.rel, abs=tol.abs * p.alpha)
-    val, err, evals = _quad_adaptive(
-        g, 0.0, upper, sub_tol, noise=noise, grade=(p.alpha < 1.0)
-    )
-    return VecValue(inv_alpha * val), inv_alpha * err, evals
+    Orders and terminals may differ.  The integrals run in lockstep (see
+    :func:`_quad_lockstep`), each with its own stopping rule, so result i
+    equals ``conf_integral_info(f, ps[i], ts[i], tol)`` bit for bit.  On
+    any error the points are re-run one at a time, so the error raised is
+    the one the first failing ``conf_integral_info`` raises.
+    """
+    ps, ts = list(ps), [float(t) for t in ts]
+    if len(ps) != len(ts):
+        raise ValueError(f"need one ConfParams per point, got {len(ps)} for {len(ts)}")
+
+    def run(idx):
+        idx = idx.tolist()
+        return _conf_integrals(f, [ps[i] for i in idx], [ts[i] for i in idx], tol,
+                               [0.0] * len(idx))
+
+    return run_batch(run, np.arange(len(ts))) if ts else []
 
 
 def conf_integral(
@@ -941,10 +1070,12 @@ def conf_integral(
     return v
 
 
-def _weighted(f: AbstractFn, p: ConfParams):
-    # batch integrand (s-a)^(alpha-1) f(s) of the interior slices
+def _weighted(f: AbstractFn, p: ConfParams, nodes=None):
+    # batch integrand (s-a)^(alpha-1) f(s) of the interior slices, alpha
+    # p's or, where given, the order nodes[i] at node i (see _order_pow)
     def g(ss):
-        weights = pow_real(ss - p.a, p.alpha - 1.0)
+        weights = _order_pow(ss - p.a, p.alpha if nodes is None else nodes,
+                             lambda al: al - 1.0)
         vals = f.eval_many(ss)
         return _per_row(weights, vals) * vals
 
@@ -1015,31 +1146,38 @@ def deriv_of_integral_many(
     """
     tol = tol if tol is not None else Tolerance()
     lo, hi = f.domain
-    wfun = _weighted(f, p)
 
     def run(x):
         for t in x.tolist():
-            _require_interior(p, t)
+            _require_interior(p.a, t)
             if p.a < lo or t > hi:
                 raise DomainError(
                     f"running integral needs [{p.a}, {t}] inside the domain [{lo}, {hi}]"
                 )
-
-        def increments(probes, used):
-            # each probe's increment: the panel from its own point to it
-            starts = np.broadcast_to(x[:, None], probes.shape)
-            [(v, _)] = _panels(wfun, starts[used], probes[used], 10)
-            return v
-
-        dist = x - p.a
-        return _deriv_core(
-            increments, x, pow_real(dist, 1.0 - p.alpha), dist, lo, hi, "two-sided",
-            tol, detail=_INTEGRAL_DETAIL,
-            f0=0.0 * f.eval_many(x),
-        )
+        return _integral_derivs(f, p, x, tol)
 
     ts = np.asarray(ts, dtype=float).reshape(-1)
     return run_batch(run, ts) if ts.size else []
+
+
+def _integral_derivs(f, p, ts, tol, orders=None):
+    # deriv_of_integral_many at the points ts > p.a without its checks of
+    # the points; with orders, point i at the order orders[i]
+    def increments(probes, used):
+        # each probe's increment: the panel from its own point to it,
+        # weighted at that point's order
+        nodes = None if orders is None else np.repeat(orders[np.nonzero(used)[0]], 10)
+        starts = np.broadcast_to(ts[:, None], probes.shape)
+        [(v, _)] = _panels(_weighted(f, p, nodes), starts[used], probes[used], 10)
+        return v
+
+    lo, hi = f.domain
+    dist = ts - p.a
+    return _deriv_core(
+        increments, ts, _order_pow(dist, p.alpha if orders is None else orders,
+                                   lambda al: 1.0 - al), dist, lo, hi,
+        "two-sided", tol, detail=_INTEGRAL_DETAIL, f0=0.0 * f.eval_many(ts),
+    )
 
 
 def avg_recover(f: AbstractFn, t: float, tol: Tolerance | None = None) -> VecValue:

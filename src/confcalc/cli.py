@@ -24,7 +24,7 @@ from .calculus import (
     ConfParams,
     Tolerance,
     conf_deriv_many,
-    conf_integral_info,
+    conf_integral_info_many,
     convert_order,
     lower_terminal_deriv,
 )
@@ -208,18 +208,19 @@ def _cmd_deriv(args) -> int:
 
 
 def _cmd_integ(args) -> int:
-    def compute(f, p, t, tol):
-        value, err, evals = conf_integral_info(f, p, t, tol=tol)
-        return {
+    def many(f, p, ts, tol):
+        return [{
             "value": to_jsonable(value),
             "err_estimate": err,
             "converged": True,
             "evals": evals,
-        }
+        } for value, err, evals in conf_integral_info_many(f, [p] * len(ts), ts, tol=tol)]
 
     return _sweep(
-        args, {"alpha": args.alpha, "a": args.a, "t": None}, compute,
+        args, {"alpha": args.alpha, "a": args.a, "t": None},
+        lambda f, p, t, tol: many(f, p, [t], tol)[0],
         {"value": None, "err_estimate": None, "converged": False, "evals": 0},
+        many,
     )
 
 

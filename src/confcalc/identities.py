@@ -21,17 +21,19 @@ timestamps.
 Within one :func:`run_suite` the checkers share kernel results: the
 interior derivative, the one-sided limit and the terminal derivative of
 one function at one set of arguments are computed once and reused by
-every case that asks for them.  Before a member's pointwise cases, the
-run computes the interior derivatives that they and its RIGHT_INV_3_7
-cases ask for (of f, of the algebra partner, of the four rule
-combinations and of the running integral), one batch per kind over all
-the member's (alpha, t) points; a batch that raises stores nothing, and
-its cases then run point by point as they do on their own.  The kernels
-are pure and their results immutable, so the report is the one a run
-without sharing gives.  Only a stateful
-:class:`~confcalc.funcs.CallableFn` can tell: it sees fewer calls, in
-batches, including probes at points whose cases end not applicable.
-Checkers called on their own share and batch nothing.
+every case that asks for them.  The run also batches each member's
+kernel work: the interior derivatives its pointwise, ORDER_REL_3_3,
+CLASS_EQ_4_5 and RIGHT_INV_3_7 cases ask for (of f, of the algebra
+partner, of the four rule combinations and of the running integral), one
+batch per kind over all its (order, t) points; its LEFT_INV_3_5
+integrals in lockstep; and its terminal sequences (the terminal
+derivatives and the RIGHT_INV_AT_A_3_8 limits) in lockstep across
+orders.  A batch that raises stores nothing, and its cases then run as
+they do on their own.  The kernels are pure and their results
+immutable, so the report is the one a run without sharing gives.  Only
+a stateful :class:`~confcalc.funcs.CallableFn` can tell: it sees fewer
+calls, in batches, including probes at points whose cases end not
+applicable.  Checkers called on their own share and batch nothing.
 """
 
 from __future__ import annotations
@@ -47,24 +49,26 @@ import numpy as np
 
 from .calculus import (
     _EPS,
-    _INTEGRAL_DETAIL,
     _LIMIT_TOL,
     _TERMINAL_DERIV_TOL,
     ConfParams,
     Tolerance,
+    _conf_derivs,
+    _conf_integrals,
     _deriv_core,
     _first_step,
-    _in_order,
-    _panels,
+    _integral_derivs,
+    _integral_range,
+    _order_pow,
     _per_row,
-    _probes_of,
+    _rownorms,
+    _scaled_values,
     _stacked,
+    _terminal_derivs,
     _terminal_limit,
+    _terminal_limits,
     conf_deriv,
-    conf_deriv_many,
     conf_deriv_scaled,
-    conf_deriv_scaled_many,
-    conf_integral_info,
     convert_order,
     deriv_of_integral,
     deriv_of_integral_many,
@@ -73,7 +77,6 @@ from .calculus import (
     avg_recover,
 )
 from .errors import ConfcalcError, DomainError, LowerTerminalError
-from .expr import pow_real
 from .funcs import (
     AbstractFn,
     ExprFn,
@@ -327,24 +330,13 @@ def _combination(iid, f, g, data):
     }[iid]
 
 
-def _order_pow(base, orders, expo):
-    # pow_real(base, expo(alpha)), alpha each entry's order: one call per
-    # order with a number exponent, so an entry gets the bits a batch of
-    # its order alone gets (an array exponent rounds differently)
-    out = np.empty_like(base)
-    for alpha in set(orders.tolist()):
-        on = orders == alpha
-        out[on] = pow_real(base[on], expo(alpha))
-    return out
-
-
-def _prefetch(f, g, pts, coefs):
+def _prefetch(f, g, pts, coefs, extra):
     """File in the run's memo the interior derivatives member f's cases
     ask for at the points pts, (p, t) pairs of one terminal, with partner
     g and coefs[i] the c and d of point i: one _deriv_core call per kind
-    for all the orders (see the module docstring).  A call that raises
-    files nothing, whatever it raises: a batch also probes points whose
-    cases end not applicable first.
+    for all the orders, f's own also at the orders extra (see the module
+    docstring).  A call that raises files nothing, whatever it raises: a
+    batch also probes points whose cases end not applicable first.
     """
     a = pts[0][0].a
     # t > a as conf_deriv demands (a batch would not refuse it), and the
@@ -366,41 +358,67 @@ def _prefetch(f, g, pts, coefs):
         return lambda probes, used: _finite(
             lambda ss: values(ss, np.nonzero(used)[0]), probes[used], "value")
 
-    def increments(probes, used):
-        # deriv_of_integral_many's, each probe panel weighted at its point's
-        # order; a point whose [a, t] f does not cover is never asked for
-        nodes = np.repeat(orders[np.nonzero(used)[0]], 10)
-
-        def wfun(ss):
-            w = _order_pow(ss - a, nodes, lambda al: al - 1.0)
-            vals = f.eval_many(ss)
-            return _per_row(w, vals) * vals
-
-        starts = np.broadcast_to(ts[:, None], probes.shape)
-        [(v, _)] = _panels(wfun, starts[used], probes[used], 10)
-        return v
-
-    # (keys, domain, evalf, extra _deriv_core arguments) per kind
-    kinds = [([("deriv", h, p, t, "two-sided") for p, t in pts], h.domain, _probes_of(h), {})
-             for h in (f, g)]
-    kinds.append(([("integral", f, p, t) for p, t in pts], f.domain, increments,
-                  {"detail": _INTEGRAL_DETAIL, "f0": 0.0 * fv}))
+    # f's derivatives also where ORDER_REL_3_3 and CLASS_EQ_4_5 ask for them
+    fpts = pts + [(ConfParams(order, a), t) for order in extra
+                  for t in dict.fromkeys(ts.tolist())]
+    fts = np.array([t for _p, t in fpts])
+    inner = Tolerance()
+    # (keys, the kernel call) per kind
+    kinds = [
+        ([("deriv", f, p, t, "two-sided") for p, t in fpts],
+         lambda: _conf_derivs(f, a, np.array([p.alpha for p, _t in fpts]), fts, fts - a,
+                              "two-sided", inner)),
+        ([("deriv", g, p, t, "two-sided") for p, t in pts],
+         lambda: _conf_derivs(g, a, orders, ts, ts - a, "two-sided", inner)),
+        ([("integral", f, p, t) for p, t in pts],
+         lambda: _integral_derivs(f, pts[0][0], ts, inner, orders)),
+    ]
     rules = [("LINEARITY_i", coefs), ("CONST_ii", fv)]
     if fv.ndim == gv.ndim == 1:  # the product and quotient of scalars only
         rules += [("PRODUCT_iii", None), ("QUOTIENT_iv", None)]
+    dist = ts - a
+    ss = _order_pow(dist, orders, lambda al: 1.0 - al)
+    lo, hi = max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])
     for iid, data in rules:
         keys = [_rule_key(iid, f, g, None if data is None else data[i], p, t)
                 for i, (p, t) in enumerate(pts)]
-        kinds.append((keys, (max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])),
-                      combined(_combination(iid, f, g, data)), {}))
-    dist = ts - a
-    ss = _order_pow(dist, orders, lambda al: 1.0 - al)
-    for keys, (lo, hi), evalf, extra in kinds:
-        try:
-            found = _deriv_core(evalf, ts, ss, dist, lo, hi, "two-sided", Tolerance(), **extra)
-        except Exception:
-            continue
-        _MEMO.get().update(zip(keys, found))
+        kinds.append((keys, lambda evalf=combined(_combination(iid, f, g, data)): _deriv_core(
+            evalf, ts, ss, dist, lo, hi, "two-sided", inner)))
+    for keys, compute in kinds:
+        _file(keys, compute)
+
+
+def _file(keys, compute):
+    # file compute()'s results in the run's memo under keys, one each, or
+    # nothing if it raises
+    try:
+        _MEMO.get().update(zip(keys, compute()))
+    except Exception:
+        pass
+
+
+def _prefetch_terminal_derivs(f, a, orders):
+    # file in the run's memo f's terminal derivatives at the terminal a, one
+    # per order, in lockstep (see the module docstring)
+    ps = [ConfParams(order, a) for order in orders]
+    if ps and not _undefined(f, a):
+        _file([("terminal", f, p) for p in ps],
+              lambda: _terminal_derivs(f, ps, _TERMINAL_DERIV_TOL))
+
+
+def _prefetch_integral_limits(f, a, alphas):
+    # file in the run's memo the terminal limits RIGHT_INV_AT_A_3_8 takes of
+    # f's running integral's derivative, one per order, in lockstep
+    ps, orders, inner = [ConfParams(alpha, a) for alpha in alphas], np.array(alphas), Tolerance()
+
+    def sample(ts, owner):
+        return [(r.value.data, r.converged)
+                for r in _integral_derivs(f, ps[0], ts, inner, orders[owner])]
+
+    if ps and not _undefined(f, a):
+        jobs = [(a, f.domain[1] - a, _TERMINAL_TOL)] * len(ps)
+        _file([("integral limit", f, p, _TERMINAL_TOL) for p in ps],
+              lambda: _terminal_limits(sample, jobs) if _right_limit(f, a)[2] else ())
 
 
 def _rowwise(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -437,25 +455,37 @@ def _decay_to_zero(f, t, sign, levels, thr):
     h starts at ``_first_step(t, room, 0.01)``: min(0.01*max(1, |t|), half
     the domain room on that side); a side with no room passes with a
     residual of 0.  f at t and at all ``levels`` probes comes from one
-    ``eval_many`` call, and the probes are then read in order up to the
-    first under thr: the levels after it are evaluated and never used.
-    If that call raises, f is evaluated one point at a time in order, so
-    only an error at a point that is read surfaces.
+    ``eval_many`` call, and the first probe under thr decides: the levels
+    after it are evaluated and never used.  If that call raises, f is
+    evaluated one point at a time in order, so only an error at a point
+    that is read surfaces.
     """
     lo, hi = f.domain
     room = (hi - t) if sign > 0 else (t - lo)
     if room <= 0.0:
         return True, 0.0
     h0 = _first_step(t, sign * room, 0.01)
-    pts = [t] + [t + h0 * 0.5**k for k in range(levels)]
-    vals = _in_order(f.eval_many, pts, len(pts))
-    f0 = next(vals)
-    last = math.inf
+    vals = _in_turn(f, [t] + [t + h0 * 0.5**k for k in range(levels)])
+    if isinstance(vals, np.ndarray):
+        norms = _rownorms(vals[1:] - vals[0])
+        under = np.flatnonzero(norms <= thr)
+        return (True, float(norms[under[0]])) if under.size else (False, float(norms[-1]))
+    f0, last = next(vals), math.inf
     for v in vals:
         last = _mnorm(v - f0)
         if last <= thr:
             return True, last
     return False, last
+
+
+def _in_turn(f, pts):
+    # f at the points pts from one eval_many call; if that raises, an
+    # iterator over them point by point, so only an error at a point that
+    # is read surfaces, as the error that point raises on its own
+    try:
+        return f.eval_many(pts)
+    except Exception:
+        return (f(s) for s in pts)
 
 
 def check_continuity(f, p, t, tol=None) -> CaseResult:
@@ -551,93 +581,110 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
     on hand.  Compares against the right limit f(a+0), never f(a), and
     flags a bounded jump at the terminal in the diagnostics.
     """
+    (case,) = _left_inverses(f, [(p, t)], tol, route)
+    return case
+
+
+def _left_inverses(f, pts, tol, route="auto"):
+    # check_left_inverse at each (p, t) of pts, one terminal, with the
+    # integrals of the cases that get that far in lockstep
     tol = tol if tol is not None else _SUITE_TOL
     if route not in ("auto", "theta", "scaled"):
         raise ValueError(f"route must be auto, theta, or scaled, not {route!r}")
-    inputs = {"alpha": p.alpha, "a": p.a, "t": t, "route": route}
-    subject = _label(f)
-    why = _undefined(f, t, p.a)
-    if why:
-        return _na("LEFT_INV_3_5", subject, inputs, why)
-
-    fa, _fa_err, fa_ok = _right_limit(f, p.a)
-    if not fa_ok:
-        return _na(
-            "LEFT_INV_3_5", subject, inputs,
-            "f has no one-sided limit at the terminal; hypothesis fails",
-        )
-    notes = []
-    try:
-        gap = _mnorm(f(p.a) - fa.data)
-        if gap > 1e-6 * (1.0 + _mnorm(fa.data)):
-            notes.append(
-                f"bounded jump at the terminal: f(a) is {gap:.3g} away from "
-                "the right limit; comparing against the right limit"
-            )
-    except DomainError:
-        notes.append("f is undefined at the terminal; using the right limit")
-
-    use_scaled = route == "scaled"
-    if route == "auto":
+    cases, jobs = [], []
+    for p, t in pts:
+        inputs = {"alpha": p.alpha, "a": p.a, "t": t, "route": route}
+        why = _undefined(f, t, p.a)
+        fa, _fa_err, fa_ok = (None, None, None) if why else _right_limit(f, p.a)
+        if why or not fa_ok:
+            cases.append(_na("LEFT_INV_3_5", _label(f), inputs, why or (
+                "f has no one-sided limit at the terminal; hypothesis fails")))
+            continue
+        notes = []
         try:
-            use_scaled = f.exact_deriv(t) is not None
+            gap = _mnorm(f(p.a) - fa.data)
+            if gap > 1e-6 * (1.0 + _mnorm(fa.data)):
+                notes.append(
+                    f"bounded jump at the terminal: f(a) is {gap:.3g} away from "
+                    "the right limit; comparing against the right limit"
+                )
         except DomainError:
-            use_scaled = False
-    inner = Tolerance()
-    # the route picks the kernel and the floor: a node within it of the
-    # terminal takes the terminal value (scaled: a + u^(1/alpha) rounded to
-    # a; quotient: no differencing room, and that sliver's mass is O(floor))
-    if use_scaled:
-        notes.append("integrand from the scaled derivative route")
-        floor = 0.0
+            notes.append("f is undefined at the terminal; using the right limit")
+        scaled = route == "scaled"
+        if route == "auto":
+            try:
+                scaled = f.exact_deriv(t) is not None
+            except DomainError:
+                scaled = False
+        notes.append("integrand from the "
+                     + ("scaled derivative" if scaled else "limit-quotient") + " route")
+        _integral_range(p.a, f.domain[1], p, t)
+        jobs.append((len(cases), p, t, scaled, fa, notes, inputs))
+        cases.append(None)
+    for (k, p, t, _scaled, fa, notes, inputs), integral in zip(
+            jobs, _left_inverse_integrals(f, jobs) if jobs else ()):
+        cases[k] = _compare("LEFT_INV_3_5", _label(f), inputs, integral, f(t) - fa.data, tol,
+                            diagnostics="; ".join(notes))
+    return cases
 
-        def interior(ss):
-            return conf_deriv_scaled_many(f, p, ss, tol=inner)
 
-    else:
-        notes.append("integrand from the limit-quotient route")
-        floor = 4096.0 * _EPS * max(1.0, abs(p.a))
+def _left_inverse_integrals(f, jobs):
+    """The integrals of T f from a to t of the left-inverse jobs (_, p, t,
+    scaled, ...) of f at one terminal a, in lockstep.
 
-        def interior(ss):
-            return _stacked(conf_deriv_many(f, p, ss, tol=inner))
+    T f at s = a + x takes the offset x itself as its distance from a, not
+    s - a, which keeps only multiples of ulp(a): each integral runs over
+    the offsets, as conf_integral_info from the terminal 0 to t - a.  A
+    node within the route's floor of a takes the terminal value (scaled: s
+    rounded to a; quotient: no differencing room, and that sliver's mass
+    is O(floor)).  Each integral's noise is the largest error estimate of
+    T f at its own nodes so far.
+    """
+    a = jobs[0][1].a
+    orders = np.array([p.alpha for _k, p, *_rest in jobs])
+    scaled = np.array([job[3] for job in jobs])
+    floors = np.where(scaled, 0.0, 4096.0 * _EPS * max(1.0, abs(a)))
+    err_seen, terminal, inner = [0.0] * len(jobs), {}, Tolerance()
 
-    err_seen = [0.0]
-    term_cache = []
-
-    def terminal():
-        if not term_cache:
-            term_cache.append(_terminal_deriv(f, p).value.data)
-        return term_cache[0]
-
-    def tf(ss):
-        near = ss - p.a <= floor
-        if near.all():
-            return np.repeat(terminal()[None], ss.size, axis=0)
-        vals, errs = interior(ss[~near])
-        err_seen[0] = max(err_seen[0], *errs)
-        if not near.any():
-            return vals
-        out = np.empty((ss.size,) + vals.shape[1:])
-        out[~near] = vals
-        out[near] = terminal()
+    def tf(x, owner):
+        # T f at the offsets x, x[i] a node of integral owner[i]
+        s = a + x
+        near = s - a <= floors[owner]
+        out = None
+        for route in (True, False):
+            on = ~near & (scaled[owner] == route)
+            if on.any():
+                own = owner[on]
+                vals, errs = (_scaled_values(f, a, orders[own], s[on], x[on], inner) if route
+                              else _stacked(_conf_derivs(f, a, orders[own], s[on], x[on],
+                                                         "two-sided", inner)))
+                errs = np.array(errs)
+                for j in np.unique(own).tolist():
+                    err_seen[j] = max(err_seen[j], *errs[own == j].tolist())
+                out = np.empty((x.size,) + vals.shape[1:]) if out is None else out
+                out[on] = vals
+        for j in np.unique(owner[near]).tolist():
+            if j not in terminal:
+                terminal[j] = _terminal_deriv(f, jobs[j][1]).value.data
+            out = np.empty((x.size,) + terminal[j].shape) if out is None else out
+            out[near & (owner == j)] = terminal[j]
         return out
 
-    tf_fn = _BatchFn(tf, domain=(p.a, f.domain[1]), label=f"T[{subject}]")
-    integral, q_err, _evals = conf_integral_info(
-        tf_fn, p, t, tol=Tolerance(rel=1e-9, abs=1e-9),
-        noise=lambda: err_seen[0],
-    )
-    return _compare(
-        "LEFT_INV_3_5", subject, inputs, integral, f(t) - fa.data, tol,
-        diagnostics="; ".join(notes),
-    )
+    tf_fn = _BatchFn(lambda x: tf(x, np.zeros(x.size, int)),
+                     domain=(0.0, f.domain[1] - a), label=f"T[{_label(f)}]")
+    noises = [(lambda j: lambda: err_seen[j])(j) for j in range(len(jobs))]
+    # one job: tf_fn's own values; several: each node's integral passed on
+    h = None if len(jobs) == 1 else (
+        lambda x, owner: _finite(lambda xs: tf(xs, owner), x, "value"))
+    return [v for v, _err, _evals in _conf_integrals(
+        tf_fn, [ConfParams(alpha) for alpha in orders.tolist()], [job[2] - a for job in jobs],
+        Tolerance(rel=1e-9, abs=1e-9), noises, h)]
 
 
 def _bounded_near_terminal(f, a, span):
-    # f's largest norm at a + span*2^-j, j = 2, 6, ..., 38, from one
-    # eval_many call (the point loop of _in_order after an error)
+    # f's largest norm at a + span*2^-j, j = 2, 6, ..., 38 (see _in_turn)
     pts = [a + span * 0.5**j for j in range(2, 42, 4)]
-    vals = _in_order(f.eval_many, pts, len(pts))
+    vals = iter(_in_turn(f, pts))
     worst = 0.0
     for s in pts:
         try:
@@ -709,7 +756,8 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
         return [(r.value.data, r.converged)
                 for r in deriv_of_integral_many(f, p, ts)]
 
-    value, _err, conv, _used, note = _terminal_limit(sample, p.a, hi - p.a, tol)
+    value, _err, conv, _used, note = _shared(
+        ("integral limit", f, p, tol), lambda: _terminal_limit(sample, p.a, hi - p.a, tol))
     if not conv:
         return CaseResult(
             "RIGHT_INV_AT_A_3_8", subject, inputs, None, to_jsonable(fa),
@@ -1048,7 +1096,7 @@ def _suite(corpus, grid, tol) -> IdentityReport:
             coefs = rng.uniform(-5.0, 5.0, (len(pts), 2)).tolist()
             if pts:
                 g = _partner_like(f, pts[0][1])  # the algebra partner
-                _prefetch(f, g, pts, coefs)
+                _prefetch(f, g, pts, coefs, [o for o in orders if o not in grid.alphas])
             for (p, t), (c, d) in zip(pts, coefs):
                 cases.append(check_equivalence(f, p, t, tol))
                 cases.append(check_continuity(f, p, t, tol))
@@ -1071,26 +1119,34 @@ def _suite(corpus, grid, tol) -> IdentityReport:
         for f in members:
             cases.extend(check_class_equivalence(f, orders, a, ts))
 
-        # LEFT_INV_3_5 and RIGHT_INV_3_7 at interior points
+        # LEFT_INV_3_5 and RIGHT_INV_3_7 at interior points, the left
+        # inverses' integrals of one member in lockstep
         for f in members:
-            for alpha in grid.alphas:
-                p = ConfParams(alpha, a)
-                for off in grid.t_offsets:
-                    t = a + off
-                    cases.append(check_left_inverse(f, p, t, tol))
-                    cases.append(check_right_inverse(f, p, t, tol))
+            pts = [(ConfParams(alpha, a), a + off)
+                   for alpha in grid.alphas for off in grid.t_offsets]
+            try:  # on an error the cases run on their own, as they raise it
+                lefts = (_left_inverses(f, pts, tol) if all(t > p.a for p, t in pts)
+                         else [None] * len(pts))
+            except Exception:
+                lefts = [None] * len(pts)
+            for (p, t), left in zip(pts, lefts):
+                cases.append(left or check_left_inverse(f, p, t, tol))
+                cases.append(check_right_inverse(f, p, t, tol))
 
-        # RIGHT_INV_AT_A_3_8 at the terminal
+        # RIGHT_INV_AT_A_3_8 at the terminal, one member's sequences in lockstep
         for f in members:
+            _prefetch_integral_limits(f, a, grid.alphas)
             for alpha in grid.alphas:
                 cases.append(check_right_inverse(f, ConfParams(alpha, a), a))
 
-        # LOWER_VANISH_4_3 for beta < alpha pairs
+        # LOWER_VANISH_4_3 for beta < alpha pairs, one member's terminal
+        # derivatives in lockstep
+        pairs = [(alpha, beta) for alpha in grid.alphas for beta in grid.betas
+                 if beta < alpha]
         for f in members:
-            for alpha in grid.alphas:
-                for beta in grid.betas:
-                    if beta < alpha:
-                        cases.append(check_lower_vanishing(f, alpha, beta, a))
+            _prefetch_terminal_derivs(f, a, sorted({o for pair in pairs for o in pair}))
+            for alpha, beta in pairs:
+                cases.append(check_lower_vanishing(f, alpha, beta, a))
 
         # AVG_2_10 per member and point
         for f in members:

@@ -180,7 +180,8 @@ def identity_like(v: VecValue) -> VecValue:
 def _mnorm(x) -> float:
     # max-abs norm: for replicated components it equals the scalar run's
     # value bit for bit, which keeps control flow instance-agnostic
-    return float(np.abs(x).max())
+    a = np.abs(x)
+    return float(a.max() if a.ndim else a)
 
 
 def to_jsonable(v: VecValue):

@@ -748,20 +748,27 @@ def _left_inverse_reference(f, p, t, route):
 
     s_floor = 4096.0 * _EPS * max(1.0, abs(p.a))
 
-    def tf(s):
+    def tf(x):
+        # T f at s = a + x, its distance from a the offset x itself: the
+        # one-point calls of the kernels behind conf_deriv_scaled and
+        # conf_deriv, which take that distance as given
+        s = p.a + x
         if (s <= p.a) if use_scaled else (s - p.a <= s_floor):
             return terminal()
+        one = (np.array([s]), np.array([x]))
         if use_scaled:
-            r = conf_deriv_scaled(f, p, s, tol=inner)
+            (value,), (err,) = calculus._scaled_values(f, p.a, p.alpha, *one, inner)
         else:
-            r = conf_deriv(f, p, s, tol=inner)
-        if r.err_estimate > err_seen[0]:
-            err_seen[0] = r.err_estimate
-        return r.value.data
+            (r,) = calculus._conf_derivs(f, p.a, p.alpha, *one, "two-sided", inner)
+            value, err = r.value.data, r.err_estimate
+        if err > err_seen[0]:
+            err_seen[0] = err
+        return value
 
-    tf_fn = CallableFn(tf, domain=(p.a, f.domain[1]), label=f"T[{subject}]")
+    # the integral over the offsets, from the terminal 0 up to t - a
+    tf_fn = CallableFn(tf, domain=(0.0, f.domain[1] - p.a), label=f"T[{subject}]")
     integral, _q_err, _evals = conf_integral_info(
-        tf_fn, p, t, tol=Tolerance(rel=1e-9, abs=1e-9),
+        tf_fn, ConfParams(p.alpha), t - p.a, tol=Tolerance(rel=1e-9, abs=1e-9),
         noise=lambda: err_seen[0],
     )
     rhs = f.eval(t).data - fa.data
