@@ -960,13 +960,13 @@ def _quad_adaptive(g, lo, hi, tol, noise=0.0, grade=False):
     return r
 
 
-def _zero_like_probe(f: AbstractFn, a: float):
+def _zero_like_probe(value, a: float, hi: float):
+    # 0 * value(a), or at a probe just above a where value(a) is undefined
     try:
-        return 0.0 * f(a)
+        return 0.0 * value(a)
     except DomainError:
-        lo, hi = f.domain
         probe = min(hi, a + 0.5 * max(1e-8, min(1.0, hi - a)))
-        return 0.0 * f(probe)
+        return 0.0 * value(probe)
 
 
 def _integral_range(lo, hi, p: ConfParams, t: float):
@@ -985,16 +985,18 @@ def _integral_range(lo, hi, p: ConfParams, t: float):
 def _conf_integrals(f, ps, ts, tol, noises, h=None):
     # conf_integral_info of f at every (ps[i], ts[i]) with noise noises[i],
     # the integrals in lockstep (one: through _quad_adaptive); h(s, owner),
-    # where given, stands in for f.eval_many(s) at the nodes s of integral
-    # owner, an index into ps (a number for one integral)
+    # where given, stands in for f.eval_many(s) at the points s of integral
+    # owner, an index into ps (a number for one live integral), also for
+    # the zero at t = a
     tol = tol if tol is not None else Tolerance()
     lo, hi = f.domain
-    out = []
-    for p, t in zip(ps, ts):
-        _integral_range(lo, hi, p, t)
-        out.append((VecValue(_zero_like_probe(f, p.a)), 0.0, 1) if t == p.a else None)
-    live = [i for i, r in enumerate(out) if r is None]
     h = h if h is not None else (lambda s, _owner: f.eval_many(s))
+    out = []
+    for i, (p, t) in enumerate(zip(ps, ts)):
+        _integral_range(lo, hi, p, t)
+        out.append((VecValue(_zero_like_probe(lambda s, i=i: h(np.array([s]), np.array([i]))[0],
+                                              p.a, hi)), 0.0, 1) if t == p.a else None)
+    live = [i for i, r in enumerate(out) if r is None]
     ids = np.array(live)
     starts, orders = np.array([ps[i].a for i in live]), np.array([ps[i].alpha for i in live])
 
@@ -1102,7 +1104,7 @@ def weighted_integral(
     if t1 < lo or t2 > hi:
         raise DomainError(f"slice [{t1}, {t2}] outside the domain [{lo}, {hi}]")
     if t1 == t2:
-        return VecValue(_zero_like_probe(f, t1))
+        return VecValue(_zero_like_probe(f, t1, hi))
 
     val, _err, _evals = _quad_adaptive(_weighted(f, p), t1, t2, tol)
     return VecValue(val)
@@ -1145,24 +1147,21 @@ def deriv_of_integral_many(
     ``deriv_of_integral`` raises.
     """
     tol = tol if tol is not None else Tolerance()
-    lo, hi = f.domain
-
-    def run(x):
-        for t in x.tolist():
-            _require_interior(p.a, t)
-            if p.a < lo or t > hi:
-                raise DomainError(
-                    f"running integral needs [{p.a}, {t}] inside the domain [{lo}, {hi}]"
-                )
-        return _integral_derivs(f, p, x, tol)
-
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    return run_batch(run, ts) if ts.size else []
+    return run_batch(lambda x: _integral_derivs(f, p, x, tol), ts) if ts.size else []
 
 
 def _integral_derivs(f, p, ts, tol, orders=None):
-    # deriv_of_integral_many at the points ts > p.a without its checks of
-    # the points; with orders, point i at the order orders[i]
+    # deriv_of_integral_many at the points ts without its re-run; with
+    # orders, point i at the order orders[i]
+    lo, hi = f.domain
+    for t in ts.tolist():
+        _require_interior(p.a, t)
+        if p.a < lo or t > hi:
+            raise DomainError(
+                f"running integral needs [{p.a}, {t}] inside the domain [{lo}, {hi}]"
+            )
+
     def increments(probes, used):
         # each probe's increment: the panel from its own point to it,
         # weighted at that point's order
@@ -1171,7 +1170,6 @@ def _integral_derivs(f, p, ts, tol, orders=None):
         [(v, _)] = _panels(_weighted(f, p, nodes), starts[used], probes[used], 10)
         return v
 
-    lo, hi = f.domain
     dist = ts - p.a
     return _deriv_core(
         increments, ts, _order_pow(dist, p.alpha if orders is None else orders,

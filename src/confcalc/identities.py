@@ -18,22 +18,19 @@ the scalar residuals exactly.  Reports are deterministic: fixed iteration
 order, one fixed seed for the random linearity coefficients, no
 timestamps.
 
-Within one :func:`run_suite` the checkers share kernel results: the
-interior derivative, the one-sided limit and the terminal derivative of
-one function at one set of arguments are computed once and reused by
-every case that asks for them.  The run also batches each member's
-kernel work: the interior derivatives its pointwise, ORDER_REL_3_3,
-CLASS_EQ_4_5 and RIGHT_INV_3_7 cases ask for (of f, of the algebra
-partner, of the four rule combinations and of the running integral), one
-batch per kind over all its (order, t) points; its LEFT_INV_3_5
-integrals in lockstep; and its terminal sequences (the terminal
-derivatives and the RIGHT_INV_AT_A_3_8 limits) in lockstep across
-orders.  A batch that raises stores nothing, and its cases then run as
-they do on their own.  The kernels are pure and their results
-immutable, so the report is the one a run without sharing gives.  Only
-a stateful :class:`~confcalc.funcs.CallableFn` can tell: it sees fewer
-calls, in batches, including probes at points whose cases end not
-applicable.  Checkers called on their own share and batch nothing.
+Each checker is a generator: it runs its guards, then yields the kernel
+requests it needs (a derivative, a limit, an integral, a probe of f) and
+is sent their results.  :func:`run_suite` drives all cases of one
+terminal together (:func:`_drive`): each round it serves every new
+request once, one call per kind, function and shared field (a member's
+interior derivatives of all orders and points, its LEFT_INV_3_5
+integrals, its terminal sequences in lockstep), and sends each case the
+same result or error.  The kernels are pure, their results immutable and
+every batch gives each point its one-point bits, so the report is the
+one the checkers give on their own; each public ``check_*`` is the drive
+of its one case.  Only a stateful :class:`~confcalc.funcs.CallableFn`
+can tell: it sees fewer calls, in batches, and a member's lower-order
+terminal derivative is computed also where no case comes to read it.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ import csv
 import io
 import json
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +61,9 @@ from .calculus import (
     _scaled_values,
     _stacked,
     _terminal_derivs,
-    _terminal_limit,
     _terminal_limits,
-    conf_deriv,
     conf_deriv_scaled,
     convert_order,
-    deriv_of_integral,
-    deriv_of_integral_many,
     lower_terminal_deriv,
     one_sided_limit,
     avg_recover,
@@ -261,51 +253,9 @@ def _undefined(f: AbstractFn, t: float, start: float | None = None) -> str:
     return f"{_label(f)}'s domain [{lo}, {hi}] does not cover [{start}, {t}]"
 
 
-# the kernel results of the open run_suite, keyed by what defines them,
-# functions compared by identity (they define no equality); None outside
-_MEMO: ContextVar[dict | None] = ContextVar("confcalc_suite_memo", default=None)
-
-
-def _shared(key, compute):
-    # compute(), once per run_suite under key; every time outside a run
-    memo = _MEMO.get()
-    if memo is None:
-        return compute()
-    if key not in memo:
-        memo[key] = compute()
-    return memo[key]
-
-
-def _deriv(f, p, t, side="two-sided"):
-    return _shared(("deriv", f, p, t, side),
-                   lambda: conf_deriv(f, p, t, side, Tolerance()))
-
-
-def _right_limit(f, at):
-    return _shared(("limit", f, at),
-                   lambda: one_sided_limit(f, at, "right", _LIMIT_TOL))
-
-
-def _terminal_deriv(f, p):
-    return _shared(("terminal", f, p),
-                   lambda: lower_terminal_deriv(f, p, _TERMINAL_DERIV_TOL))
-
-
-def _rule_key(iid, f, g, data, p, t):
-    # an algebra rule's combination derivative: data is the point's c and
-    # d or frozen f(t) (see _combination), compared by its bits
-    return ("rule", iid, f, g, None if data is None else data.tobytes(), p, t)
-
-
-def _rule_deriv(iid, f, g, data, p, t, label):
-    # conf_deriv at t of the combination iid of f and g with this point's
-    # data, on the domain f and g share
-    values = _combination(iid, f, g, None if data is None else data[None])
-    fn = _BatchFn(lambda ss: values(ss, np.zeros(ss.size, int)),
-                  domain=(max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])),
-                  label=label)
-    return _shared(_rule_key(iid, f, g, data, p, t),
-                   lambda: conf_deriv(fn, p, t, tol=Tolerance()))
+def _deriv(f, alpha, a, t, side="two-sided"):
+    # the request for conf_deriv(f, ConfParams(alpha, a), t, side, Tolerance())
+    return ("deriv", f, a, side, alpha, t)
 
 
 def _combination(iid, f, g, data):
@@ -328,97 +278,6 @@ def _combination(iid, f, g, data):
         "PRODUCT_iii": lambda ss, rows: f.eval_many(ss) * g.eval_many(ss),
         "QUOTIENT_iv": quotient,
     }[iid]
-
-
-def _prefetch(f, g, pts, coefs, extra):
-    """File in the run's memo the interior derivatives member f's cases
-    ask for at the points pts, (p, t) pairs of one terminal, with partner
-    g and coefs[i] the c and d of point i: one _deriv_core call per kind
-    for all the orders, f's own also at the orders extra (see the module
-    docstring).  A call that raises files nothing, whatever it raises: a
-    batch also probes points whose cases end not applicable first.
-    """
-    a = pts[0][0].a
-    # t > a as conf_deriv demands (a batch would not refuse it), and the
-    # checkers' own domain tests
-    keep = [i for i, (_p, t) in enumerate(pts)
-            if t > a and not (_undefined(f, t) or _undefined(g, t))]
-    if not keep:
-        return
-    pts, coefs = [pts[i] for i in keep], np.array([coefs[i] for i in keep])
-    ts = np.array([t for _p, t in pts])
-    orders = np.array([p.alpha for p, _t in pts])
-    try:
-        fv, gv = f.eval_many(ts), g.eval_many(ts)
-    except Exception:
-        return
-
-    def combined(values):
-        # _deriv_core's evalf for values(ss, rows), each probe in its point's row
-        return lambda probes, used: _finite(
-            lambda ss: values(ss, np.nonzero(used)[0]), probes[used], "value")
-
-    # f's derivatives also where ORDER_REL_3_3 and CLASS_EQ_4_5 ask for them
-    fpts = pts + [(ConfParams(order, a), t) for order in extra
-                  for t in dict.fromkeys(ts.tolist())]
-    fts = np.array([t for _p, t in fpts])
-    inner = Tolerance()
-    # (keys, the kernel call) per kind
-    kinds = [
-        ([("deriv", f, p, t, "two-sided") for p, t in fpts],
-         lambda: _conf_derivs(f, a, np.array([p.alpha for p, _t in fpts]), fts, fts - a,
-                              "two-sided", inner)),
-        ([("deriv", g, p, t, "two-sided") for p, t in pts],
-         lambda: _conf_derivs(g, a, orders, ts, ts - a, "two-sided", inner)),
-        ([("integral", f, p, t) for p, t in pts],
-         lambda: _integral_derivs(f, pts[0][0], ts, inner, orders)),
-    ]
-    rules = [("LINEARITY_i", coefs), ("CONST_ii", fv)]
-    if fv.ndim == gv.ndim == 1:  # the product and quotient of scalars only
-        rules += [("PRODUCT_iii", None), ("QUOTIENT_iv", None)]
-    dist = ts - a
-    ss = _order_pow(dist, orders, lambda al: 1.0 - al)
-    lo, hi = max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])
-    for iid, data in rules:
-        keys = [_rule_key(iid, f, g, None if data is None else data[i], p, t)
-                for i, (p, t) in enumerate(pts)]
-        kinds.append((keys, lambda evalf=combined(_combination(iid, f, g, data)): _deriv_core(
-            evalf, ts, ss, dist, lo, hi, "two-sided", inner)))
-    for keys, compute in kinds:
-        _file(keys, compute)
-
-
-def _file(keys, compute):
-    # file compute()'s results in the run's memo under keys, one each, or
-    # nothing if it raises
-    try:
-        _MEMO.get().update(zip(keys, compute()))
-    except Exception:
-        pass
-
-
-def _prefetch_terminal_derivs(f, a, orders):
-    # file in the run's memo f's terminal derivatives at the terminal a, one
-    # per order, in lockstep (see the module docstring)
-    ps = [ConfParams(order, a) for order in orders]
-    if ps and not _undefined(f, a):
-        _file([("terminal", f, p) for p in ps],
-              lambda: _terminal_derivs(f, ps, _TERMINAL_DERIV_TOL))
-
-
-def _prefetch_integral_limits(f, a, alphas):
-    # file in the run's memo the terminal limits RIGHT_INV_AT_A_3_8 takes of
-    # f's running integral's derivative, one per order, in lockstep
-    ps, orders, inner = [ConfParams(alpha, a) for alpha in alphas], np.array(alphas), Tolerance()
-
-    def sample(ts, owner):
-        return [(r.value.data, r.converged)
-                for r in _integral_derivs(f, ps[0], ts, inner, orders[owner])]
-
-    if ps and not _undefined(f, a):
-        jobs = [(a, f.domain[1] - a, _TERMINAL_TOL)] * len(ps)
-        _file([("integral limit", f, p, _TERMINAL_TOL) for p in ps],
-              lambda: _terminal_limits(sample, jobs) if _right_limit(f, a)[2] else ())
 
 
 def _rowwise(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -494,32 +353,32 @@ def check_continuity(f, p, t, tol=None) -> CaseResult:
     Checks decay of norm(f(t+h) - f(t)) on every side where the derivative
     quotient converged; not applicable when no side converged.
     """
+    return _drive([_continuity(f, p, t, tol)])[0]
+
+
+def _continuity(f, p, t, tol):
     tol = tol if tol is not None else _SUITE_TOL
     inputs = {"alpha": p.alpha, "a": p.a, "t": t}
     why = _undefined(f, t)
     if why:
         return _na("CONTINUITY_3_1", _label(f), inputs, why)
-    sides = []
-    r2 = _deriv(f, p, t)
-    if r2.converged:
-        sides = [1.0, -1.0]
-    else:
-        for sign, name in ((1.0, "right"), (-1.0, "left")):
-            try:
-                if _deriv(f, p, t, name).converged:
-                    sides.append(sign)
-            except DomainError:
-                pass
+    (r2,) = yield (_deriv(f, p.alpha, p.a, t),)
+    sides = [1.0, -1.0] if r2.converged else []
+    for sign, name in () if r2.converged else ((1.0, "right"), (-1.0, "left")):
+        try:
+            (r,) = yield (_deriv(f, p.alpha, p.a, t, name),)
+        except DomainError:
+            continue
+        if r.converged:
+            sides.append(sign)
     if not sides:
         return _na(
             "CONTINUITY_3_1", _label(f), inputs,
             "no one-sided derivative converged at t; the implication is vacuous",
         )
     thr = tol.abs + 64.0 * _EPS * (1.0 + _mnorm(f(t)))
-    worst = 0.0
-    for sign in sides:
-        _ok, last = _decay_to_zero(f, t, sign, 34, thr)
-        worst = max(worst, last)
+    decays = yield tuple(("decay", f, t, sign, 34, thr) for sign in sides)
+    worst = max([0.0] + [last for _ok, last in decays])
     return _result(
         "CONTINUITY_3_1", _label(f), inputs,
         None, None, worst, thr,
@@ -529,12 +388,16 @@ def check_continuity(f, p, t, tol=None) -> CaseResult:
 
 def check_equivalence(f, p, t, tol=None) -> CaseResult:
     """Limit-quotient derivative against the scaled-first-derivative route."""
+    return _drive([_equivalence(f, p, t, tol)])[0]
+
+
+def _equivalence(f, p, t, tol):
     tol = tol if tol is not None else _SUITE_TOL
     inputs = {"alpha": p.alpha, "a": p.a, "t": t}
     why = _undefined(f, t)
     if why:
         return _na("EQUIV_3_4", _label(f), inputs, why)
-    r_theta = _deriv(f, p, t)
+    (r_theta,) = yield (_deriv(f, p.alpha, p.a, t),)
     r_scaled = conf_deriv_scaled(f, p, t)
     if not (r_theta.converged and r_scaled.converged):
         which = "quotient" if not r_theta.converged else "scaled"
@@ -554,13 +417,16 @@ def check_order_relation(f, alpha, beta, a, t, tol=None) -> CaseResult:
     Both sides come from independent limit-quotient runs; nothing is
     shared but the function itself.
     """
+    return _drive([_order_relation(f, alpha, beta, a, t, tol)])[0]
+
+
+def _order_relation(f, alpha, beta, a, t, tol):
     tol = tol if tol is not None else _SUITE_TOL
     inputs = {"alpha": alpha, "beta": beta, "a": a, "t": t}
     why = _undefined(f, t)
     if why:
         return _na("ORDER_REL_3_3", _label(f), inputs, why)
-    ra = _deriv(f, ConfParams(alpha, a), t)
-    rb = _deriv(f, ConfParams(beta, a), t)
+    ra, rb = yield (_deriv(f, alpha, a, t), _deriv(f, beta, a, t))
     if not (ra.converged and rb.converged):
         return _na(
             "ORDER_REL_3_3", _label(f), inputs,
@@ -581,70 +447,59 @@ def check_left_inverse(f, p, t, tol=None, route="auto") -> CaseResult:
     on hand.  Compares against the right limit f(a+0), never f(a), and
     flags a bounded jump at the terminal in the diagnostics.
     """
-    (case,) = _left_inverses(f, [(p, t)], tol, route)
-    return case
+    return _drive([_left_inverse(f, p, t, tol, route)])[0]
 
 
-def _left_inverses(f, pts, tol, route="auto"):
-    # check_left_inverse at each (p, t) of pts, one terminal, with the
-    # integrals of the cases that get that far in lockstep
+def _left_inverse(f, p, t, tol, route="auto"):
     tol = tol if tol is not None else _SUITE_TOL
     if route not in ("auto", "theta", "scaled"):
         raise ValueError(f"route must be auto, theta, or scaled, not {route!r}")
-    cases, jobs = [], []
-    for p, t in pts:
-        inputs = {"alpha": p.alpha, "a": p.a, "t": t, "route": route}
-        why = _undefined(f, t, p.a)
-        fa, _fa_err, fa_ok = (None, None, None) if why else _right_limit(f, p.a)
-        if why or not fa_ok:
-            cases.append(_na("LEFT_INV_3_5", _label(f), inputs, why or (
-                "f has no one-sided limit at the terminal; hypothesis fails")))
-            continue
-        notes = []
+    inputs = {"alpha": p.alpha, "a": p.a, "t": t, "route": route}
+    why = _undefined(f, t, p.a)
+    if not why:
+        ((fa, _fa_err, fa_ok),) = yield (("limit", f, p.a),)
+    if why or not fa_ok:
+        return _na("LEFT_INV_3_5", _label(f), inputs, why or (
+            "f has no one-sided limit at the terminal; hypothesis fails"))
+    notes = []
+    try:
+        gap = _mnorm(f(p.a) - fa.data)
+        if gap > 1e-6 * (1.0 + _mnorm(fa.data)):
+            notes.append(
+                f"bounded jump at the terminal: f(a) is {gap:.3g} away from "
+                "the right limit; comparing against the right limit"
+            )
+    except DomainError:
+        notes.append("f is undefined at the terminal; using the right limit")
+    scaled = route == "scaled"
+    if route == "auto":
         try:
-            gap = _mnorm(f(p.a) - fa.data)
-            if gap > 1e-6 * (1.0 + _mnorm(fa.data)):
-                notes.append(
-                    f"bounded jump at the terminal: f(a) is {gap:.3g} away from "
-                    "the right limit; comparing against the right limit"
-                )
+            scaled = f.exact_deriv(t) is not None
         except DomainError:
-            notes.append("f is undefined at the terminal; using the right limit")
-        scaled = route == "scaled"
-        if route == "auto":
-            try:
-                scaled = f.exact_deriv(t) is not None
-            except DomainError:
-                scaled = False
-        notes.append("integrand from the "
-                     + ("scaled derivative" if scaled else "limit-quotient") + " route")
-        _integral_range(p.a, f.domain[1], p, t)
-        jobs.append((len(cases), p, t, scaled, fa, notes, inputs))
-        cases.append(None)
-    for (k, p, t, _scaled, fa, notes, inputs), integral in zip(
-            jobs, _left_inverse_integrals(f, jobs) if jobs else ()):
-        cases[k] = _compare("LEFT_INV_3_5", _label(f), inputs, integral, f(t) - fa.data, tol,
-                            diagnostics="; ".join(notes))
-    return cases
+            scaled = False
+    notes.append("integrand from the "
+                 + ("scaled derivative" if scaled else "limit-quotient") + " route")
+    _integral_range(p.a, f.domain[1], p, t)
+    (integral,) = yield (("left inverse", f, p.a, p.alpha, t, scaled),)
+    return _compare("LEFT_INV_3_5", _label(f), inputs, integral, f(t) - fa.data, tol,
+                    diagnostics="; ".join(notes))
 
 
-def _left_inverse_integrals(f, jobs):
-    """The integrals of T f from a to t of the left-inverse jobs (_, p, t,
-    scaled, ...) of f at one terminal a, in lockstep.
+def _left_inverse_integrals(f, a, items):
+    """The integrals of T f from the terminal a to t, one per item (alpha,
+    t, scaled) of f, in lockstep (scaled: the scaled route's T f).
 
     T f at s = a + x takes the offset x itself as its distance from a, not
     s - a, which keeps only multiples of ulp(a): each integral runs over
     the offsets, as conf_integral_info from the terminal 0 to t - a.  A
     node within the route's floor of a takes the terminal value (scaled: s
     rounded to a; quotient: no differencing room, and that sliver's mass
-    is O(floor)).  Each integral's noise is the largest error estimate of
-    T f at its own nodes so far.
+    is O(floor)), computed once per order and call.  Each integral's
+    noise is the largest error estimate of T f at its own nodes so far.
     """
-    a = jobs[0][1].a
-    orders = np.array([p.alpha for _k, p, *_rest in jobs])
-    scaled = np.array([job[3] for job in jobs])
+    orders, ts, scaled = (np.array(col) for col in zip(*items))
     floors = np.where(scaled, 0.0, 4096.0 * _EPS * max(1.0, abs(a)))
-    err_seen, terminal, inner = [0.0] * len(jobs), {}, Tolerance()
+    err_seen, terminal, inner = [0.0] * len(items), {}, Tolerance()
 
     def tf(x, owner):
         # T f at the offsets x, x[i] a node of integral owner[i]
@@ -664,21 +519,22 @@ def _left_inverse_integrals(f, jobs):
                 out = np.empty((x.size,) + vals.shape[1:]) if out is None else out
                 out[on] = vals
         for j in np.unique(owner[near]).tolist():
-            if j not in terminal:
-                terminal[j] = _terminal_deriv(f, jobs[j][1]).value.data
-            out = np.empty((x.size,) + terminal[j].shape) if out is None else out
-            out[near & (owner == j)] = terminal[j]
+            alpha = items[j][0]
+            if alpha not in terminal:
+                terminal[alpha] = lower_terminal_deriv(f, ConfParams(alpha, a)).value.data
+            out = np.empty((x.size,) + terminal[alpha].shape) if out is None else out
+            out[near & (owner == j)] = terminal[alpha]
         return out
 
     tf_fn = _BatchFn(lambda x: tf(x, np.zeros(x.size, int)),
                      domain=(0.0, f.domain[1] - a), label=f"T[{_label(f)}]")
-    noises = [(lambda j: lambda: err_seen[j])(j) for j in range(len(jobs))]
-    # one job: tf_fn's own values; several: each node's integral passed on
-    h = None if len(jobs) == 1 else (
-        lambda x, owner: _finite(lambda xs: tf(xs, owner), x, "value"))
+    noises = [(lambda j: lambda: err_seen[j])(j) for j in range(len(items))]
+    # one item: tf_fn's own values; several: each node's integral passed on
+    h = None if len(items) == 1 else (lambda x, owner: _finite(
+        lambda xs: tf(xs, np.broadcast_to(owner, xs.shape)), x, "value"))
     return [v for v, _err, _evals in _conf_integrals(
-        tf_fn, [ConfParams(alpha) for alpha in orders.tolist()], [job[2] - a for job in jobs],
-        Tolerance(rel=1e-9, abs=1e-9), noises, h)]
+        tf_fn, [ConfParams(alpha) for alpha in orders.tolist()],
+        [t - a for t in ts.tolist()], Tolerance(rel=1e-9, abs=1e-9), noises, h)]
 
 
 def _bounded_near_terminal(f, a, span):
@@ -706,6 +562,10 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
     the right limit of f, which must exist (otherwise not applicable).
     t < a raises LowerTerminalError.
     """
+    return _drive([_right_inverse(f, p, t, tol)])[0]
+
+
+def _right_inverse(f, p, t, tol):
     if t < p.a:
         raise LowerTerminalError(
             f"t = {t} is below the lower terminal a = {p.a}; the running "
@@ -713,11 +573,10 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
         )
     inputs = {"alpha": p.alpha, "a": p.a, "t": t}
     subject = _label(f)
-    hi = f.domain[1]
-    span = min(1.0, max(hi - p.a, 0.0)) or 1.0
+    span = min(1.0, max(f.domain[1] - p.a, 0.0)) or 1.0
     why = _undefined(f, t, p.a)
     if not why:
-        _ok, _worst, why = _bounded_near_terminal(f, p.a, span)
+        ((_ok, _worst, why),) = yield (("bounded", f, p.a, span),)
     if why:
         return _na("RIGHT_INV_3_7" if t > p.a else "RIGHT_INV_AT_A_3_8",
                    subject, inputs, why)
@@ -727,13 +586,13 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
         ft = f(t)
         thr_cont = Tolerance(rel=1e-6, abs=1e-10).threshold(1.0 + _mnorm(ft))
         # both sides are probed, also when the first one fails
-        if not all([_decay_to_zero(f, t, sign, 24, thr_cont)[0]
-                    for sign in (1.0, -1.0)]):
+        decays = yield tuple(("decay", f, t, sign, 24, thr_cont) for sign in (1.0, -1.0))
+        if not all(ok for ok, _last in decays):
             return _na(
                 "RIGHT_INV_3_7", subject, inputs,
                 "f is not continuous at t numerically; hypothesis fails",
             )
-        r = _shared(("integral", f, p, t), lambda: deriv_of_integral(f, p, t))
+        (r,) = yield (("integral", f, p.a, p.alpha, t),)
         if not r.converged:
             return CaseResult(
                 "RIGHT_INV_3_7", subject, inputs, None, None,
@@ -744,20 +603,14 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
 
     # terminal instance
     tol = tol if tol is not None else _TERMINAL_TOL
-    fa, _fa_err, fa_ok = _right_limit(f, p.a)
+    ((fa, _fa_err, fa_ok),) = yield (("limit", f, p.a),)
     if not fa_ok:
         return _na(
             "RIGHT_INV_AT_A_3_8", subject, inputs,
             "f has no finite one-sided limit at the terminal; "
             "the equality holds exactly when that limit exists",
         )
-
-    def sample(ts):
-        return [(r.value.data, r.converged)
-                for r in deriv_of_integral_many(f, p, ts)]
-
-    value, _err, conv, _used, note = _shared(
-        ("integral limit", f, p, tol), lambda: _terminal_limit(sample, p.a, hi - p.a, tol))
+    ((value, _err, conv, _used, note),) = yield (("integral limit", f, p.a, tol, p.alpha),)
     if not conv:
         return CaseResult(
             "RIGHT_INV_AT_A_3_8", subject, inputs, None, to_jsonable(fa),
@@ -773,6 +626,10 @@ def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
     Hypothesis: the terminal derivative at order alpha converges; then the
     order-beta one (beta < alpha) must be zero within tol.threshold(1).
     """
+    return _drive([_lower_vanishing(f, alpha, beta, a, tol)])[0]
+
+
+def _lower_vanishing(f, alpha, beta, a, tol):
     tol = tol if tol is not None else _TERMINAL_TOL
     if not beta < alpha:
         raise ValueError(f"need beta < alpha, got beta = {beta}, alpha = {alpha}")
@@ -781,14 +638,20 @@ def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
     why = _undefined(f, a)
     if why:
         return _na("LOWER_VANISH_4_3", subject, inputs, why)
-    r_hi = _terminal_deriv(f, ConfParams(alpha, a))
+    hi, lo = ("terminal", f, a, alpha), ("terminal", f, a, beta)
+    try:  # both orders at once, so they share one lockstep
+        r_hi, r_lo = yield (hi, lo)
+    except Exception:  # the lower order's error counts only once it is needed
+        (r_hi,) = yield (hi,)
+        r_lo = None
     if not r_hi.converged:
         return _na(
             "LOWER_VANISH_4_3", subject, inputs,
             "terminal derivative at the higher order did not converge; "
             "hypothesis fails",
         )
-    r_lo = _terminal_deriv(f, ConfParams(beta, a))
+    if r_lo is None:
+        (r_lo,) = yield (lo,)
     zero = np.zeros_like(r_lo.value.data)
     if not r_lo.converged:
         return CaseResult(
@@ -802,6 +665,10 @@ def check_lower_vanishing(f, alpha, beta, a, tol=None) -> CaseResult:
 
 def check_avg_recovery(f, t, tol=None) -> CaseResult:
     """Shrinking-interval average against the point value."""
+    return _drive([_avg_recovery(f, t, tol)])[0]
+
+
+def _avg_recovery(f, t, tol):
     tol = tol if tol is not None else _SUITE_TOL
     inputs = {"t": t}
     subject = _label(f)
@@ -809,7 +676,7 @@ def check_avg_recovery(f, t, tol=None) -> CaseResult:
     if why:
         return _na("AVG_2_10", subject, inputs, why)
     try:
-        avg = avg_recover(f, t, tol=Tolerance(rel=max(tol.rel, 1e-9), abs=tol.abs))
+        (avg,) = yield (("average", f, t, Tolerance(rel=max(tol.rel, 1e-9), abs=tol.abs)),)
     except ConfcalcError as exc:
         return _na("AVG_2_10", subject, inputs, f"averages did not settle: {exc}")
     return _compare("AVG_2_10", subject, inputs, avg, f(t), tol)
@@ -823,6 +690,10 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
     (scalar values), and report not-applicable otherwise, likewise for a
     non-invertible g(t).
     """
+    return _drive([_algebra_rules(f, g, c, d, p, t, tol)])[0]
+
+
+def _algebra_rules(f, g, c, d, p, t, tol):
     tol = tol if tol is not None else _SUITE_TOL
     base_inputs = {"alpha": p.alpha, "a": p.a, "t": t}
     lin_inputs = dict(base_inputs, c=c, d=d)
@@ -832,72 +703,60 @@ def check_algebra_rules(f, g, c, d, p, t, tol=None):
         return [_na(iid, subject, inputs, why) for iid, inputs in (
             ("LINEARITY_i", lin_inputs), ("CONST_ii", base_inputs),
             ("PRODUCT_iii", base_inputs), ("QUOTIENT_iv", base_inputs))]
-    results = []
-
-    rf = _deriv(f, p, t)
-    rg = _deriv(g, p, t)
-    fv = f(t)
-    gv = g(t)
+    rf, rg = yield (_deriv(f, p.alpha, p.a, t), _deriv(g, p.alpha, p.a, t))
+    fv, gv = f(t), g(t)
     both = rf.converged and rg.converged
+    scalar = fv.ndim == 0 and gv.ndim == 0
+    unconverged = "a derivative quotient did not converge at t"
 
-    def rule(iid, inputs, data, label, rhs, spread, why, ready=True, catch=()):
-        # derive the combination iid with this point's data (see
-        # _combination); once every quotient converged, compare it with
-        # rhs() within 4*(spread + its error)
-        try:
-            r = _rule_deriv(iid, f, g, data, p, t, label)
-        except catch as exc:
-            return _na(iid, subject, inputs, str(exc))
-        if not (ready and r.converged):
+    def ask(iid, data, label):
+        # the derivative of f and g's combination iid with data (see _combination)
+        return ("rule", iid, f, g, p.a, p.alpha, t,
+                None if data is None else (data.shape, data.tobytes()), label)
+
+    def rule(iid, inputs, r, rhs, spread, why):
+        # once r converged, r against rhs within 4*(spread + its error)
+        if not r.converged:
             return _na(iid, subject, inputs, why)
-        return _compare(iid, subject, inputs, r.value, rhs(), tol,
+        return _compare(iid, subject, inputs, r.value, rhs, tol,
                         slack=4.0 * (spread + r.err_estimate))
 
-    # (i) linearity with the supplied coefficients
-    results.append(rule(
-        "LINEARITY_i", lin_inputs, np.array([c, d]), f"{c:g}*f + {d:g}*g",
-        lambda: c * rf.value.data + d * rg.value.data,
-        abs(c) * rf.err_estimate + abs(d) * rg.err_estimate,
-        "a derivative quotient did not converge at t", ready=both,
-    ))
-
-    # (ii) constants: freeze f's value at t into a constant function
-    r_const = _rule_deriv("CONST_ii", f, g, fv, p, t, "const f(t)")
-    results.append(_compare(
-        "CONST_ii", subject, base_inputs, r_const.value, 0.0 * fv, tol,
-        diagnostics="constant function frozen at f(t)",
-    ))
-
-    # (iii) product and (iv) quotient rules
-    if not (fv.ndim == 0 and gv.ndim == 0):
+    # (i) linearity with the supplied coefficients, (ii) constants: f's
+    # value at t frozen into a constant function, (iii) the product; then
+    # (iv) the quotient
+    lin, const, *prod = yield (
+        ask("LINEARITY_i", np.array([c, d], dtype=float), f"{c:g}*f + {d:g}*g"),
+        ask("CONST_ii", fv, "const f(t)"),
+    ) + ((ask("PRODUCT_iii", None, "f*g"),) if scalar and both else ())
+    results = [
+        rule("LINEARITY_i", lin_inputs, lin, c * rf.value.data + d * rg.value.data,
+             abs(c) * rf.err_estimate + abs(d) * rg.err_estimate, unconverged)
+        if both else _na("LINEARITY_i", subject, lin_inputs, unconverged),
+        _compare("CONST_ii", subject, base_inputs, const.value, 0.0 * fv, tol,
+                 diagnostics="constant function frozen at f(t)"),
+    ]
+    if not scalar:
         why = "multiplication is not commutative for this instance; rule not claimed"
         return results + [_na(iid, subject, base_inputs, why)
                           for iid in ("PRODUCT_iii", "QUOTIENT_iv")]
-    unconverged = "a derivative quotient did not converge at t"
-    if not both:
-        results.append(_na("PRODUCT_iii", subject, base_inputs, unconverged))
-    else:
-        results.append(rule(
-            "PRODUCT_iii", base_inputs, None, "f*g",
-            lambda: gv * rf.value.data + fv * rg.value.data,
-            _mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate,
-            "product derivative quotient did not converge at t",
-        ))
-
+    spread = _mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate
+    results.append(rule(
+        "PRODUCT_iii", base_inputs, prod[0], gv * rf.value.data + fv * rg.value.data,
+        spread, "product derivative quotient did not converge at t",
+    ) if both else _na("PRODUCT_iii", subject, base_inputs, unconverged))
     if abs(float(gv)) <= 1e-12:
-        results.append(_na("QUOTIENT_iv", subject, base_inputs,
-                           "g(t) is not invertible"))
-    elif not both:
-        results.append(_na("QUOTIENT_iv", subject, base_inputs, unconverged))
-    else:
-        g2 = float(gv) * float(gv)
-        results.append(rule(
-            "QUOTIENT_iv", base_inputs, None, "f/g",
-            lambda: (gv * rf.value.data - fv * rg.value.data) / g2,
-            (_mnorm(gv) * rf.err_estimate + _mnorm(fv) * rg.err_estimate) / g2,
-            "quotient derivative did not converge at t", catch=DomainError,
-        ))
-    return results
+        return results + [_na("QUOTIENT_iv", subject, base_inputs, "g(t) is not invertible")]
+    if not both:
+        return results + [_na("QUOTIENT_iv", subject, base_inputs, unconverged)]
+    try:
+        (quot,) = yield (ask("QUOTIENT_iv", None, "f/g"),)
+    except DomainError as exc:
+        return results + [_na("QUOTIENT_iv", subject, base_inputs, str(exc))]
+    g2 = float(gv) * float(gv)
+    return results + [rule(
+        "QUOTIENT_iv", base_inputs, quot, (gv * rf.value.data - fv * rg.value.data) / g2,
+        spread / g2, "quotient derivative did not converge at t",
+    )]
 
 
 def check_class_equivalence(f, orders, a, ts) -> list[CaseResult]:
@@ -907,32 +766,149 @@ def check_class_equivalence(f, orders, a, ts) -> list[CaseResult]:
     that nesting; the quotient runs once per (order, t) and its
     ``converged`` flag is shared by every pair that needs it.
     """
+    return _drive([_class_equivalence(f, orders, a, ts)])[0]
+
+
+def _class_equivalence(f, orders, a, ts):
     subject = _label(f)
-    converged = {}
-
-    def conv(order, t):
-        if (order, t) not in converged:
-            converged[order, t] = _deriv(f, ConfParams(order, a), t).converged
-        return converged[order, t]
-
+    cases = [(alpha, beta, t, _undefined(f, t)) for i, alpha in enumerate(orders)
+             for beta in orders[i + 1:] for t in ts]
+    # each (order, t) once, in the order the pairs first need them
+    asks = tuple(dict.fromkeys(_deriv(f, order, a, t) for alpha, beta, t, why in cases
+                               if not why for order in (alpha, beta)))
+    got = dict(zip(asks, (yield asks) if asks else ()))
     results = []
-    for i, alpha in enumerate(orders):
-        for beta in orders[i + 1:]:
-            for t in ts:
-                inputs = {"alpha": alpha, "beta": beta, "a": a, "t": t}
-                why = _undefined(f, t)
-                if why:
-                    results.append(_na("CLASS_EQ_4_5", subject, inputs, why))
-                    continue
-                ca, cb = conv(alpha, t), conv(beta, t)
-                same = ca == cb
-                results.append(CaseResult(
-                    "CLASS_EQ_4_5", subject, inputs, ca, cb, 0.0 if same else 1.0, 0.5,
-                    "passed" if same else "failed",
-                    "convergence status at the two orders"
-                    + (" matches" if same else " differs"),
-                ))
+    for alpha, beta, t, why in cases:
+        inputs = {"alpha": alpha, "beta": beta, "a": a, "t": t}
+        if why:
+            results.append(_na("CLASS_EQ_4_5", subject, inputs, why))
+            continue
+        ca, cb = (got[_deriv(f, order, a, t)].converged for order in (alpha, beta))
+        same = ca == cb
+        results.append(CaseResult(
+            "CLASS_EQ_4_5", subject, inputs, ca, cb, 0.0 if same else 1.0, 0.5,
+            "passed" if same else "failed",
+            "convergence status at the two orders"
+            + (" matches" if same else " differs"),
+        ))
     return results
+
+
+def _raising(exc):
+    # a case that raises exc when driven: an error setting up the suite, in its place
+    raise exc
+    yield
+
+
+def _drive(gens):
+    """Run the checker generators gens to their results, in rounds.
+
+    A checker yields a tuple of kernel requests (kind, f, ...) and is sent
+    their results, or thrown the error of the first that failed.  Each
+    round advances every open generator; the requests not yet in the memo
+    are grouped by kind and by the fields a batch shares (see _SERVE), one
+    call per group.  The memo keeps each request's result or error, so all
+    who ask are sent the same.  Returns the results in the order of gens
+    once all have finished, or raises the first in that order that raised.
+    """
+    memo, out = {}, [None] * len(gens)
+    sends = dict.fromkeys(range(len(gens)))
+    while sends:
+        asked = {}
+        for j, got in sends.items():
+            try:
+                asked[j] = gens[j].throw(got) if isinstance(got, Exception) else gens[j].send(got)
+            except StopIteration as done:
+                out[j] = done.value
+            except Exception as exc:
+                out[j] = exc
+        groups = {}
+        for req in dict.fromkeys(r for reqs in asked.values() for r in reqs if r not in memo):
+            shared = _SERVE[req[0]][0]
+            groups.setdefault(req[:shared], []).append(req[shared:])
+        for key, items in groups.items():
+            memo.update(zip((key + item for item in items),
+                            _served(_SERVE[key[0]][1], key[1:], items)))
+        got = {j: [memo[r] for r in reqs] for j, reqs in asked.items()}
+        sends = {j: next((r for r in rs if isinstance(r, Exception)), rs) for j, rs in got.items()}
+    for r in out:
+        if isinstance(r, Exception):
+            raise r
+    return out
+
+
+def _served(kernel, shared, items):
+    # kernel's results for the items of one group; if that call raises,
+    # each item's own result or error from a call of its own
+    try:
+        return kernel(*shared, items)
+    except Exception as exc:
+        return [exc] if len(items) == 1 else [_served(kernel, shared, [it])[0] for it in items]
+
+
+def _interior_derivs(f, a, side, items):
+    # conf_deriv(f, ConfParams(alpha, a), t, side, Tolerance()) at each item
+    # (alpha, t), in one _deriv_core call
+    ps = [ConfParams(alpha, a) for alpha, _t in items]
+    ts = np.array([t for _alpha, t in items], dtype=float)
+    a = ps[0].a
+    return _conf_derivs(f, a, np.array([p.alpha for p in ps]), ts, ts - a, side, Tolerance())
+
+
+def _rule_derivs(iid, f, g, a, items):
+    # conf_deriv(_, ConfParams(alpha, a), t, tol=Tolerance()) of the algebra
+    # rule iid's combination of f and g with each item's (alpha, t, data,
+    # label) data, on the domain f and g share, in one _deriv_core call
+    orders, ts, datas, labels = zip(*items)
+    data = None if datas[0] is None else np.array(
+        [np.frombuffer(raw).reshape(shape) for shape, raw in datas])
+    values = _combination(iid, f, g, data)
+    lo, hi = max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])
+
+    def evalf(probes, used):
+        # each probe in its point's row of data; one point raises its first
+        # failing probe's own error (eval_many), several are served again
+        # point by point when they raise (see _served)
+        rows = np.nonzero(used)[0]
+        fn = _BatchFn(lambda ss: values(ss, rows), (lo, hi), labels[0])
+        return (fn.eval_many if len(items) == 1 else fn._checked)(probes[used])
+
+    ts = np.array(ts, dtype=float)
+    dist = ts - a
+    return _deriv_core(evalf, ts, _order_pow(dist, np.array(orders), lambda al: 1.0 - al), dist,
+                       lo, hi, "two-sided", Tolerance())
+
+
+def _integral_limits(f, a, tol, items):
+    # RIGHT_INV_AT_A_3_8's terminal limits of the derivative of f's running
+    # integral, one per item (alpha,), in lockstep
+    orders = np.array([alpha for alpha, in items])
+
+    def sample(ts, owner):
+        return [(r.value.data, r.converged) for r in _integral_derivs(
+            f, ConfParams(orders[0], a), ts, Tolerance(), orders[owner])]
+
+    return _terminal_limits(sample, [(a, f.domain[1] - a, tol)] * len(items))
+
+
+# per request kind, how many of its leading fields a batch shares and the
+# call that serves a batch: kernel(*shared fields, [other fields per request]);
+# the kinds whose whole request is shared are served one request at a time
+_SERVE = {
+    "deriv": (4, _interior_derivs),  # f, a, side | alpha, t
+    "rule": (5, _rule_derivs),  # iid, f, g, a | alpha, t, data, label
+    "integral": (3, lambda f, a, items: _integral_derivs(  # f, a | alpha, t
+        f, ConfParams(items[0][0], a), np.array([t for _alpha, t in items], dtype=float),
+        Tolerance(), np.array([alpha for alpha, _t in items]))),
+    "terminal": (3, lambda f, a, items: _terminal_derivs(  # f, a | alpha
+        f, [ConfParams(alpha, a) for alpha, in items], _TERMINAL_DERIV_TOL)),
+    "integral limit": (4, _integral_limits),  # f, a, tol | alpha
+    "left inverse": (3, _left_inverse_integrals),  # f, a | alpha, t, scaled
+    "limit": (3, lambda f, at, _: [one_sided_limit(f, at, "right", _LIMIT_TOL)]),
+    "bounded": (4, lambda f, a, span, _: [_bounded_near_terminal(f, a, span)]),
+    "decay": (6, lambda f, t, sign, levels, thr, _: [_decay_to_zero(f, t, sign, levels, thr)]),
+    "average": (4, lambda f, t, tol, _: [avg_recover(f, t, tol=tol)]),
+}
 
 
 @dataclass(frozen=True)
@@ -1064,18 +1040,10 @@ def run_suite(corpus=None, grid: SuiteGrid | None = None, tol: Tolerance | None 
 
     Iteration order, the seed for the linearity coefficients, and the
     report layout are all fixed, so identical configuration yields a
-    byte-identical JSON report.  Kernel results repeated across cases
-    are computed once per run and shared (see the module docstring).
+    byte-identical JSON report.  The cases of one terminal are driven
+    together (see the module docstring); of the cases that raise, the
+    first in report order raises.
     """
-    token = _MEMO.set({})
-    try:
-        return _suite(corpus, grid, tol)
-    finally:
-        _MEMO.reset(token)
-
-
-def _suite(corpus, grid, tol) -> IdentityReport:
-    # run_suite's cases, in its order
     grid = grid if grid is not None else SuiteGrid()
     tol = tol if tol is not None else _SUITE_TOL
     if corpus is not None and len(corpus) == 0:
@@ -1086,72 +1054,43 @@ def _suite(corpus, grid, tol) -> IdentityReport:
 
     for a in grid.a_values:
         members = list(corpus) if corpus is not None else default_corpus(a)
+        ts = tuple(a + off for off in grid.t_offsets)
+        pts = [(ConfParams(alpha, a), t) for alpha in grid.alphas for t in ts]
+        gens = []
 
-        # EQUIV_3_4, CONTINUITY_3_1, algebra rules: per member, alpha, t,
-        # after the interior derivatives of all of them in a few batches
+        # EQUIV_3_4, CONTINUITY_3_1, algebra rules: per member, alpha, t
         for f in members:
-            pts = [(ConfParams(alpha, a), a + off)
-                   for alpha in grid.alphas for off in grid.t_offsets]
             # the linearity coefficients, c then d, point by point
             coefs = rng.uniform(-5.0, 5.0, (len(pts), 2)).tolist()
-            if pts:
-                g = _partner_like(f, pts[0][1])  # the algebra partner
-                _prefetch(f, g, pts, coefs, [o for o in orders if o not in grid.alphas])
+            try:
+                g = _partner_like(f, pts[0][1]) if pts else None  # the algebra partner
+            except Exception as exc:
+                gens.append(_raising(exc))
+                continue
             for (p, t), (c, d) in zip(pts, coefs):
-                cases.append(check_equivalence(f, p, t, tol))
-                cases.append(check_continuity(f, p, t, tol))
-                cases.extend(check_algebra_rules(f, g, c, d, p, t, tol))
+                gens += [_equivalence(f, p, t, tol), _continuity(f, p, t, tol),
+                         _algebra_rules(f, g, c, d, p, t, tol)]
 
         # ORDER_REL_3_3: independent runs per order pair
-        for f in members:
-            for alpha in grid.alphas:
-                for beta in grid.betas:
-                    if beta == alpha:
-                        continue
-                    for off in grid.t_offsets:
-                        t = a + off
-                        cases.append(
-                            check_order_relation(f, alpha, beta, a, t, tol)
-                        )
-
+        gens += [_order_relation(f, alpha, beta, a, t, tol) for f in members
+                 for alpha in grid.alphas for beta in grid.betas if beta != alpha
+                 for t in ts]
         # CLASS_EQ_4_5: convergence class is order-independent
-        ts = tuple(a + off for off in grid.t_offsets)
-        for f in members:
-            cases.extend(check_class_equivalence(f, orders, a, ts))
-
-        # LEFT_INV_3_5 and RIGHT_INV_3_7 at interior points, the left
-        # inverses' integrals of one member in lockstep
-        for f in members:
-            pts = [(ConfParams(alpha, a), a + off)
-                   for alpha in grid.alphas for off in grid.t_offsets]
-            try:  # on an error the cases run on their own, as they raise it
-                lefts = (_left_inverses(f, pts, tol) if all(t > p.a for p, t in pts)
-                         else [None] * len(pts))
-            except Exception:
-                lefts = [None] * len(pts)
-            for (p, t), left in zip(pts, lefts):
-                cases.append(left or check_left_inverse(f, p, t, tol))
-                cases.append(check_right_inverse(f, p, t, tol))
-
-        # RIGHT_INV_AT_A_3_8 at the terminal, one member's sequences in lockstep
-        for f in members:
-            _prefetch_integral_limits(f, a, grid.alphas)
-            for alpha in grid.alphas:
-                cases.append(check_right_inverse(f, ConfParams(alpha, a), a))
-
-        # LOWER_VANISH_4_3 for beta < alpha pairs, one member's terminal
-        # derivatives in lockstep
-        pairs = [(alpha, beta) for alpha in grid.alphas for beta in grid.betas
-                 if beta < alpha]
-        for f in members:
-            _prefetch_terminal_derivs(f, a, sorted({o for pair in pairs for o in pair}))
-            for alpha, beta in pairs:
-                cases.append(check_lower_vanishing(f, alpha, beta, a))
-
+        gens += [_class_equivalence(f, orders, a, ts) for f in members]
+        # LEFT_INV_3_5 and RIGHT_INV_3_7 at interior points
+        gens += [gen for f in members for p, t in pts
+                 for gen in (_left_inverse(f, p, t, tol), _right_inverse(f, p, t, tol))]
+        # RIGHT_INV_AT_A_3_8 at the terminal
+        gens += [_right_inverse(f, ConfParams(alpha, a), a, None)
+                 for f in members for alpha in grid.alphas]
+        # LOWER_VANISH_4_3 for beta < alpha pairs
+        gens += [_lower_vanishing(f, alpha, beta, a, None) for f in members
+                 for alpha in grid.alphas for beta in grid.betas if beta < alpha]
         # AVG_2_10 per member and point
-        for f in members:
-            for off in grid.t_offsets:
-                cases.append(check_avg_recovery(f, a + off, tol))
+        gens += [_avg_recovery(f, t, tol) for f in members for t in ts]
+
+        for result in _drive(gens):
+            cases += result if isinstance(result, list) else [result]
 
     return IdentityReport(tuple(cases), grid, tol)
 
@@ -1162,7 +1101,7 @@ def _beta(case: IdentityCase) -> float:
     return case.beta
 
 
-def _right_inverse(case: IdentityCase) -> CaseResult:
+def _run_right_inverse(case: IdentityCase) -> CaseResult:
     # the checker picks the instance from t; it must be the one asked for
     iid = case.identity_id
     if (case.t == case.p.a) != (iid == "RIGHT_INV_AT_A_3_8"):
@@ -1177,7 +1116,7 @@ def _algebra_rule(case: IdentityCase) -> CaseResult:
     return next(r for r in four if r.identity_id == case.identity_id)
 
 
-def _class_equivalence(case: IdentityCase) -> CaseResult:
+def _run_class_equivalence(case: IdentityCase) -> CaseResult:
     (r,) = check_class_equivalence(
         case.f, (case.p.alpha, _beta(case)), case.p.a, (case.t,)
     )
@@ -1191,8 +1130,8 @@ _RUNNERS = {
         c.f, c.p.alpha, _beta(c), c.p.a, c.t, c.tol),
     "EQUIV_3_4": lambda c: check_equivalence(c.f, c.p, c.t, c.tol),
     "LEFT_INV_3_5": lambda c: check_left_inverse(c.f, c.p, c.t, c.tol),
-    "RIGHT_INV_3_7": _right_inverse,
-    "RIGHT_INV_AT_A_3_8": _right_inverse,
+    "RIGHT_INV_3_7": _run_right_inverse,
+    "RIGHT_INV_AT_A_3_8": _run_right_inverse,
     "LOWER_VANISH_4_3": lambda c: check_lower_vanishing(
         c.f, c.p.alpha, _beta(c), c.p.a, c.tol),
     "LINEARITY_i": _algebra_rule,
@@ -1200,7 +1139,7 @@ _RUNNERS = {
     "PRODUCT_iii": _algebra_rule,
     "QUOTIENT_iv": _algebra_rule,
     "AVG_2_10": lambda c: check_avg_recovery(c.f, c.t, c.tol),
-    "CLASS_EQ_4_5": _class_equivalence,
+    "CLASS_EQ_4_5": _run_class_equivalence,
 }
 
 

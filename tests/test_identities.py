@@ -25,7 +25,7 @@ from confcalc import (
     check_right_inverse,
     conf_deriv,
     default_corpus,
-    deriv_of_integral,
+    lower_terminal_deriv,
     power_fn,
     run_case,
     run_suite,
@@ -184,24 +184,33 @@ class TestSingleCheckers:
         assert r.status == "passed"
 
     def test_class_equivalence_pairs_and_work(self, monkeypatch):
-        calls = []
-        real = identities.conf_deriv
-
-        def counted(f, p, t, *args, **kwargs):
-            calls.append((p.alpha, t))
-            return real(f, p, t, *args, **kwargs)
-
-        monkeypatch.setattr(identities, "conf_deriv", counted)
+        rows = _count_derivative_rows(monkeypatch)
         orders, ts = (0.1, 0.5, 0.9, 1.0), (0.5, 2.0)
         out = check_class_equivalence(builtin("exp"), orders, 0.0, ts)
-        # pair-major, t innermost; one quotient run per (order, t)
+        # pair-major, t innermost; one quotient run per (order, t), all of
+        # them in one batch
         assert [(r.inputs["alpha"], r.inputs["beta"], r.inputs["t"])
                 for r in out] == [(al, be, t)
                                   for i, al in enumerate(orders)
                                   for be in orders[i + 1:] for t in ts]
         assert all(r.identity_id == "CLASS_EQ_4_5" for r in out)
         assert all(r.status == "passed" for r in out)
-        assert sorted(calls) == sorted((o, t) for o in orders for t in ts)
+        assert len(rows) == 1
+        assert sorted(rows[0]) == sorted(t for _o in orders for t in ts)
+
+
+def _count_derivative_rows(monkeypatch):
+    # the points of every _deriv_core call, one list per call
+    rows = []
+    core = calculus._deriv_core
+
+    def counted(evalf, ts, *args, **kw):
+        rows.append(ts.tolist())
+        return core(evalf, ts, *args, **kw)
+
+    monkeypatch.setattr(calculus, "_deriv_core", counted)
+    monkeypatch.setattr(identities, "_deriv_core", counted)
+    return rows
 
 
 class TestAlgebraRules:
@@ -451,12 +460,20 @@ class TestSharedKernelResults:
         assert 0 < calls_shared < len(seen)
 
     def test_results_are_shared_only_inside_a_run(self):
-        assert identities._MEMO.get() is None
-        run_suite(corpus=[builtin("exp")], grid=self._GRID)
-        assert identities._MEMO.get() is None
+        # every run computes its kernel results afresh: a second run, also
+        # after runs that raised, calls a member as often as the first
+        seen = []
+        counted = CallableFn(lambda t: seen.append(t) or math.exp(t), label="counted exp")
+
+        def calls():
+            seen.clear()
+            run_suite(corpus=[counted], grid=self._GRID)
+            return len(seen)
+
+        first = calls()
+        assert first > 0 and calls() == first
         with pytest.raises(ValueError):
             run_suite(corpus=[])
-        assert identities._MEMO.get() is None
 
         def fails_late(t):
             if t > 1.0:
@@ -464,8 +481,8 @@ class TestSharedKernelResults:
             return t
 
         with pytest.raises(RuntimeError):
-            run_suite(corpus=[CallableFn(fails_late)], grid=self._GRID)
-        assert identities._MEMO.get() is None
+            run_suite(corpus=[CallableFn(fails_late), counted], grid=self._GRID)
+        assert calls() == first
 
     def test_a_member_listed_twice_draws_its_own_coefficients(self):
         # each occurrence gets its own partner and linearity coefficients,
@@ -479,11 +496,8 @@ class TestSharedKernelResults:
         assert len(lin) == 8 and lin[:4] != lin[4:]
         # inside one run, the same f, g and point with other c and d
         g, p, cds = builtin("cos"), ConfParams(0.5), ((2.0, -3.0), (1.0, 4.0))
-        token = identities._MEMO.set({})
-        try:
-            inside = [check_algebra_rules(f, g, c, d, p, 1.0) for c, d in cds]
-        finally:
-            identities._MEMO.reset(token)
+        inside = identities._drive([identities._algebra_rules(f, g, c, d, p, 1.0, None)
+                                    for c, d in cds])
         assert inside == [check_algebra_rules(f, g, c, d, p, 1.0) for c, d in cds]
 
     def test_terminals_where_a_member_is_undefined_at_some_points(self):
@@ -508,37 +522,57 @@ class TestSharedKernelResults:
                 == _unshared_suite(corpus, grid).to_json())
 
     def test_a_batch_error_where_no_case_looks_changes_nothing(self):
-        # f on [0, inf) has no running integral from a = -1, so
-        # RIGHT_INV_3_7 at t = 1 is not applicable before any kernel runs;
-        # the batch still differentiates that integral there and meets the
-        # NaN that f has at one of its Gauss nodes
+        # LOWER_VANISH_4_3 asks for the terminal derivative at the lower
+        # order together with the higher one, so that a member's orders
+        # share one lockstep.  T^1 of t^0.05 grows without bound toward the
+        # terminal, so no case looks at the order-0.04 one, whose sequence
+        # runs on past the other's last point and meets the NaN f has at
+        # one of its probes there
         seen = []
-        deriv_of_integral(CallableFn(lambda s: seen.append(s) or math.sqrt(s + 1.0)),
-                          ConfParams(0.5, -1.0), 1.0)
-        bad, hits = seen[5], []
-        f = CallableFn(lambda s: hits.append(s) or (math.nan if s == bad else math.sqrt(s)),
-                       domain=(0.0, math.inf), label="holed sqrt")
-        grid = SuiteGrid(alphas=(0.5,), betas=(0.5,), a_values=(-1.0,), t_offsets=(2.0,))
+        lower_terminal_deriv(CallableFn(lambda s: seen.append(s) or s**0.05,
+                                        domain=(0.0, math.inf)), ConfParams(0.04))
+        bad, hits = seen[30 * 17 + 5], []
+        f = CallableFn(lambda s: hits.append(s) or (math.nan if s == bad else s**0.05),
+                       domain=(0.0, math.inf), label="holed t^0.05")
+        grid = SuiteGrid(alphas=(1.0,), betas=(0.04,), t_offsets=(2.0,))
         shared = run_suite(corpus=[f], grid=grid)
         assert bad in hits
+        assert shared.to_json() == _unshared_suite([f], grid).to_json()
+        assert check_lower_vanishing(f, 1.0, 0.04, 0.0).status == "not_applicable"
         assert shared.to_json() == _unshared_suite([f], grid).to_json()
 
     def test_a_member_non_finite_at_one_probe_raises_as_unshared(self):
         # f is NaN at exactly one difference probe of the derivative at
         # alpha = 0.5, t = 2: the batches meet it first, yet the error
-        # raised is the one the unshared loop raises, where it raises it
+        # raised is the one the unshared loop raises, where it raises it.
+        # The second f' also raises another error at one Gauss node of the
+        # LEFT_INV_3_5 integral at alpha = 1, t = 2, a case further on
         seen = []
         conf_deriv(CallableFn(lambda s: seen.append(s) or math.exp(s)), ConfParams(0.5), 2.0)
         bad = seen[5]
-        f = CallableFn(lambda s: math.nan if s == bad else math.exp(s), label="holed exp")
-        errors = []
-        for run in (lambda: run_suite(corpus=[f], grid=self._GRID),
-                    lambda: _unshared_suite([f], self._GRID)):
-            with pytest.raises(Exception) as info:
-                run()
-            errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1]
-        assert errors[0][1] == f"non-finite value at t = {bad}"
+        nodes = []
+        check_left_inverse(CallableFn(math.exp, deriv=lambda s: nodes.append(s) or math.exp(s)),
+                           ConfParams(1.0), 2.0)
+
+        def deriv(s):
+            if s == nodes[9]:
+                raise RuntimeError(f"no derivative at {s}")
+            return math.exp(s)
+
+        for fprime in (None, deriv):
+            f = CallableFn(lambda s: math.nan if s == bad else math.exp(s), deriv=fprime,
+                           label="holed exp")
+            if fprime is not None:
+                with pytest.raises(RuntimeError):
+                    check_left_inverse(f, ConfParams(1.0), 2.0)
+            errors = []
+            for run in (lambda: run_suite(corpus=[f], grid=self._GRID),
+                        lambda: _unshared_suite([f], self._GRID)):
+                with pytest.raises(Exception) as info:
+                    run()
+                errors.append((type(info.value), str(info.value)))
+            assert errors[0] == errors[1]
+            assert errors[0][1] == f"non-finite value at t = {bad}"
 
     def test_the_default_run_makes_no_one_point_derivative_call(self, monkeypatch):
         # the interior derivatives go in batches of a member's points; the
@@ -559,24 +593,20 @@ class TestSharedKernelResults:
     def test_checkers_asking_with_and_without_a_tolerance_share(self, monkeypatch):
         # check_equivalence and check_continuity ask for the derivative with
         # no tolerance, check_algebra_rules with an explicit Tolerance():
-        # inside a run that is one kernel call on f
-        asked = []
-        kernel = identities.conf_deriv
-        monkeypatch.setattr(identities, "conf_deriv",
-                            lambda f, *args, **kw: asked.append(f) or kernel(f, *args, **kw))
+        # driven together, f's derivative at alpha = 0.5 is one row
+        rows = _count_derivative_rows(monkeypatch)
         f, g, p = builtin("exp"), builtin("cos"), ConfParams(0.5)
-        token = identities._MEMO.set({})
-        try:
-            check_equivalence(f, p, 1.0)
-            check_continuity(f, p, 1.0)
-            check_algebra_rules(f, g, 2.0, -3.0, p, 1.0)
-            check_order_relation(f, 0.5, 1.0, 0.0, 1.0)
-        finally:
-            identities._MEMO.reset(token)
-        assert asked.count(f) == 2  # alpha 0.5, then 1.0 for the order relation
-        assert asked.count(g) == 1
+        identities._drive([
+            identities._equivalence(f, p, 1.0, None),
+            identities._continuity(f, p, 1.0, None),
+            identities._algebra_rules(f, g, 2.0, -3.0, p, 1.0, None),
+            identities._order_relation(f, 0.5, 1.0, 0.0, 1.0, None),
+        ])
+        # f at alpha 0.5 and 1.0 (for the order relation) in one call, then g,
+        # then the four rule combinations
+        assert [len(r) for r in rows] == [2, 1, 1, 1, 1, 1]
         # on their own, each checker asks again
-        asked.clear()
+        rows.clear()
         check_equivalence(f, p, 1.0)
         check_continuity(f, p, 1.0)
-        assert asked.count(f) == 2
+        assert [len(r) for r in rows] == [1, 1]

@@ -233,7 +233,7 @@ class TestLeftInverses:
         f = _MEMBERS[name]
         # mixed orders, and points of different lengths of refinement
         pts = [(ConfParams(alpha), t) for alpha in (0.1, 0.5, 0.9, 1.0) for t in (0.5, 2.0)]
-        got = identities._left_inverses(f, pts, None, route)
+        got = identities._drive([identities._left_inverse(f, p, t, None, route) for p, t in pts])
         want = [check_left_inverse(f, p, t, route=route) for p, t in pts]
         assert got == want
         assert json.dumps([c.to_jsonable() for c in got]) == json.dumps(
@@ -245,7 +245,7 @@ class TestLeftInverses:
         for f, a in ((builtin("identity"), -1.0), (power_fn(0.5, shift=1.0), 1.0),
                      (builtin("exp"), -1.0)):
             pts = [(ConfParams(alpha, a), a + off) for alpha in (0.5, 0.9) for off in (0.5, 2.0)]
-            got = identities._left_inverses(f, pts, None)
+            got = identities._drive([identities._left_inverse(f, p, t, None) for p, t in pts])
             assert got == [check_left_inverse(f, p, t) for p, t in pts]
             assert all(c.status == "passed" for c in got)
 
@@ -398,8 +398,8 @@ def test_incremental_sweeps_equal_the_estimate_built_anew(vals):
 
 
 def _count_kernel_calls(monkeypatch):
-    sizes = {"_panels": [], "_deriv_core": []}
-    for name in sizes:
+    sizes = {"_panels": [], "_deriv_core": [], "eval_many": []}
+    for name in ("_panels", "_deriv_core"):
         original = getattr(calculus, name)
 
         def counted(g, *args, _name=name, _original=original, **kw):
@@ -409,18 +409,25 @@ def _count_kernel_calls(monkeypatch):
         monkeypatch.setattr(calculus, name, counted)
         if hasattr(identities, name):
             monkeypatch.setattr(identities, name, counted)
+    eval_many = AbstractFn.eval_many
+    monkeypatch.setattr(AbstractFn, "eval_many",
+                        lambda fn, ts: sizes["eval_many"].append(1) or eval_many(fn, ts))
     return sizes
 
 
 class TestSuiteWork:
+    # the bounds are the counts before the suite's checkers asked for their
+    # own kernel results (123, 86, 201 and 216 _deriv_core calls), and
+    # eval_many with each distinct continuity and boundedness probe made once
     def test_default_run_kernel_calls(self, monkeypatch):
         sizes = _count_kernel_calls(monkeypatch)
         run_suite()
         # the left inverses' integrals of a member, its terminal derivatives
         # and its right-inverse-at-a sequences each in lockstep
         assert len(sizes["_panels"]) <= 200
-        assert len(sizes["_deriv_core"]) <= 140
+        assert len(sizes["_deriv_core"]) <= 123
         assert 1 not in sizes["_deriv_core"]
+        assert len(sizes["eval_many"]) <= 840
 
     def test_second_grid_makes_no_one_point_derivative_call(self, monkeypatch):
         # the betas' orders that ORDER_REL_3_3 and CLASS_EQ_4_5 ask for are
@@ -428,6 +435,16 @@ class TestSuiteWork:
         sizes = _count_kernel_calls(monkeypatch)
         run_suite(grid=SuiteGrid(alphas=(0.3, 0.7), betas=(1.0,), t_offsets=(0.25, 1.0, 3.0)))
         assert sizes["_deriv_core"] and 1 not in sizes["_deriv_core"]
+        assert len(sizes["_deriv_core"]) <= 86
+
+    @pytest.mark.parametrize("a,most", [(-1.0, 201), (1.0, 216)])
+    def test_terminals_away_from_zero(self, monkeypatch, a, most):
+        # members undefined at some points, and left-inverse nodes that
+        # round to the terminal, which take its derivative
+        sizes = _count_kernel_calls(monkeypatch)
+        run_suite(grid=SuiteGrid(a_values=(a,)))
+        assert sizes["_deriv_core"] and 1 not in sizes["_deriv_core"]
+        assert len(sizes["_deriv_core"]) <= most
 
 
 # the CLI integ sweep as one batch
