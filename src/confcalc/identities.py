@@ -808,16 +808,21 @@ def _drive(gens):
     round advances every open generator; the requests not yet in the memo
     are grouped by kind and by the fields a batch shares (see _SERVE), one
     call per group.  The memo keeps each request's result or error, so all
-    who ask are sent the same.  Returns the results in the order of gens
-    once all have finished, or raises the first in that order that raised.
+    who ask are sent the same; an error is thrown with its traceback from
+    when it was served, which does not grow by each case it passes.
+    Returns the results in the order of gens once all have finished, or
+    raises the first in that order that raised.
     """
-    memo, out = {}, [None] * len(gens)
+    memo, tbs, out = {}, {}, [None] * len(gens)
     sends = dict.fromkeys(range(len(gens)))
     while sends:
         asked = {}
         for j, got in sends.items():
             try:
-                asked[j] = gens[j].throw(got) if isinstance(got, Exception) else gens[j].send(got)
+                if isinstance(got, Exception):
+                    asked[j] = gens[j].throw(got.with_traceback(tbs[id(got)]))
+                else:
+                    asked[j] = gens[j].send(got)
             except StopIteration as done:
                 out[j] = done.value
             except Exception as exc:
@@ -827,8 +832,9 @@ def _drive(gens):
             shared = _SERVE[req[0]][0]
             groups.setdefault(req[:shared], []).append(req[shared:])
         for key, items in groups.items():
-            memo.update(zip((key + item for item in items),
-                            _served(_SERVE[key[0]][1], key[1:], items)))
+            served = _served(_SERVE[key[0]][1], key[1:], items)
+            memo.update(zip((key + item for item in items), served))
+            tbs.update((id(r), r.__traceback__) for r in served if isinstance(r, Exception))
         got = {j: [memo[r] for r in reqs] for j, reqs in asked.items()}
         sends = {j: next((r for r in rs if isinstance(r, Exception)), rs) for j, rs in got.items()}
     for r in out:

@@ -179,21 +179,22 @@ def solve_tau(prob: IvpProblem, n_steps: int) -> Trajectory:
     if n < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     h, taus, ts = _grid(prob.p, prob.t_end, n)
-    tmid = _t_of(prob.p, taus[:-1] + 0.5 * h).tolist()
+    half, sixth, rhs = 0.5 * h, h / 6.0, prob.rhs
+    tmid = _t_of(prob.p, taus[:-1] + half).tolist()
     t = ts.tolist()
     x = prob.x0.data
     xs = np.empty((n + 1,) + x.shape)
     slopes = np.empty_like(xs)
     xs[0] = x
     for j in range(n):
-        k1 = prob.rhs(t[j], x)
-        k2 = prob.rhs(tmid[j], x + (0.5 * h) * k1)
-        k3 = prob.rhs(tmid[j], x + (0.5 * h) * k2)
-        k4 = prob.rhs(t[j + 1], x + h * k3)
+        k1 = rhs(t[j], x)
+        k2 = rhs(tmid[j], x + half * k1)
+        k3 = rhs(tmid[j], x + half * k2)
+        k4 = rhs(t[j + 1], x + h * k3)
         slopes[j] = k1
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         xs[j + 1] = x
-    slopes[n] = prob.rhs(t[n], x)
+    slopes[n] = rhs(t[n], x)
     return Trajectory(
         nodes=ts,
         states=tuple(VecValue(s) for s in xs),
@@ -203,9 +204,6 @@ def solve_tau(prob: IvpProblem, n_steps: int) -> Trajectory:
         alpha=prob.p.alpha,
         a=prob.p.a,
     )
-
-
-_GL5_X, _GL5_W = _gl(5)
 
 
 def solve_volterra(
@@ -235,19 +233,23 @@ def solve_volterra(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     h, taus, ts = _grid(prob.p, prob.t_end, n)
+    half, rhs, thr = 0.5 * h, prob.rhs, tol.threshold
     t = ts.tolist()
     x0 = prob.x0.data
+    gl_x, gl_w = _gl(5)
     # each panel's Gauss nodes in t; the Hermite basis over (node, *state)
-    gl_off = 0.5 * h * (_GL5_X + 1.0)
+    gl_off = half * (gl_x + 1.0)
     gl_t = _t_of(prob.p, (taus[:-1, None] + gl_off).ravel()).reshape(n, 5).tolist()
     cols = (5,) + (1,) * x0.ndim
     h00, h10, h01, h11 = (c.reshape(cols) for c in _hermite(gl_off / h))
     xs = np.empty((n + 1,) + x0.shape)
     slopes = np.empty_like(xs)
-    w5 = _GL5_W.reshape(cols)
-    fq = np.empty((5,) + x0.shape)  # F at the Gauss nodes
+    # row 0 is +0 with weight 1, rows 1-5 F at the Gauss nodes: the accumulate sums
+    # row by row from +0, never pairwise, so replicas sum like the scalar run
+    w6 = np.concatenate(([1.0], gl_w)).reshape((6,) + cols[1:])
+    fq = np.zeros((6,) + x0.shape)
     xs[0] = x0
-    slopes[0] = prob.rhs(t[0], x0)
+    slopes[0] = rhs(t[0], x0)
     evals, iterations, last_delta = n + 1, 0, 0.0  # F at each node, 6 per iteration
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(n):
@@ -257,19 +259,15 @@ def solve_volterra(
             delta = np.inf
             for k in range(1, max_iter + 1):
                 non_finite = DomainError if k == 1 else ConvergenceError
-                s1 = prob.rhs(t[j + 1], new, non_finite)
+                s1 = rhs(t[j + 1], new, non_finite)
                 xq = (hx + h01 * new) + h * (hs + h11 * s1)
                 for q in range(5):
-                    fq[q] = prob.rhs(tq[q], xq[q], non_finite)
-                # row by row from +0, never pairwise, so replicas sum like the scalar run
-                acc = np.zeros(x0.shape)
-                for wf in w5 * fq:
-                    acc = acc + wf
+                    fq[q + 1] = rhs(tq[q], xq[q], non_finite)
                 evals += 6
-                old, new = new, x + (0.5 * h) * acc
+                old, new = new, x + half * np.add.accumulate(w6 * fq)[-1]
                 prev, delta = delta, float(np.maximum.reduce(abs(new - old), None))
                 shrank = delta < prev  # False for a nan or infinite delta
-                if shrank and delta <= tol.threshold(float(np.maximum.reduce(abs(new), None))):
+                if shrank and delta <= thr(float(np.maximum.reduce(abs(new), None))):
                     break
                 if not shrank or k == max_iter:
                     why = "did not converge" if shrank else "diverges"
@@ -279,7 +277,7 @@ def solve_volterra(
                         f"at most {max_iter} iterations)"
                     )
             xs[j + 1] = new
-            slopes[j + 1] = prob.rhs(t[j + 1], new)
+            slopes[j + 1] = rhs(t[j + 1], new)
             iterations = max(iterations, k)
             last_delta = max(last_delta, delta)
     return Trajectory(

@@ -36,25 +36,30 @@ __all__ = [
 _KINDS = {0: "scalar", 1: "vector", 2: "matrix"}
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class VecValue:
     """Immutable scalar, vector, or square matrix with a norm.
 
-    The payload is exposed as the read-only ``data`` array.  Use the
-    ``scalar``/``vector``/``matrix`` constructors, or pass anything
-    array-like with dimension at most 2.
+    The payload is exposed as the read-only ``data`` array, a float copy
+    of the input.  Use the ``scalar``/``vector``/``matrix`` constructors,
+    or pass anything array-like with dimension at most 2.
     """
 
     data: np.ndarray
 
-    def __post_init__(self):
-        arr = np.array(self.data, dtype=float, copy=True)
+    def __init__(self, data):
+        arr = np.array(data, dtype=float)
         if arr.ndim > 2:
             raise ShapeError(f"unsupported array dimension {arr.ndim}")
         if arr.ndim == 2 and arr.shape[0] != arr.shape[1]:
             raise ShapeError(f"matrix values must be square, got {arr.shape}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
+        arr.setflags(False)  # write=False, by position: the keyword form costs 0.2 us
+        self.__dict__["data"] = arr  # frozen: past the refusing __setattr__
+        self.__post_init__()
+
+    def __post_init__(self):
+        # runs once per value built; bench/tracing.py counts values through it
+        pass
 
     @staticmethod
     def scalar(x: float) -> "VecValue":

@@ -1,5 +1,6 @@
 import json
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from confcalc import (
     conf_deriv,
     default_corpus,
     lower_terminal_deriv,
+    parse_expr,
     power_fn,
     run_case,
     run_suite,
@@ -610,3 +612,21 @@ class TestSharedKernelResults:
         check_equivalence(f, p, 1.0)
         check_continuity(f, p, 1.0)
         assert [len(r) for r in rows] == [1, 1]
+
+    def test_a_shared_error_keeps_the_traceback_it_was_served_with(self):
+        # every case asks for f's limit at the terminal, where t^0.5 is
+        # undefined; the one memoised error is thrown into each case, and
+        # its traceback must not grow by each case it passed through
+        f = parse_expr("t^0.5 + sin(t)")
+
+        def raised(k):
+            cases = [identities._left_inverse(f, ConfParams(alpha, -1.0), t, None)
+                     for alpha in (0.1, 0.5, 0.9) for t in (-0.5, 1.0, 2.0)]
+            with pytest.raises(identities.DomainError) as info:
+                identities._drive(cases[:k])
+            return info.value, len(traceback.extract_tb(info.value.__traceback__))
+
+        (one, frames_one), (nine, frames_nine) = raised(1), raised(9)
+        assert type(nine) is type(one)
+        assert str(nine) == str(one) == "negative base -0.9 with non-integer exponent 0.5"
+        assert frames_nine == frames_one

@@ -1,11 +1,16 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import confcalc
 from confcalc import (
     ConfParams,
     IvpProblem,
@@ -596,15 +601,19 @@ class TestMarchingReference:
     # and call F with the same arguments in the same order
     _TRI = np.array([[-0.5, 1.0], [0.0, -1.0]])
 
-    @pytest.mark.parametrize("kind", ["driven-scalar", "matrix"])
+    @pytest.mark.parametrize("kind", ["driven-scalar", "matrix", "vector"])
     def test_bit_for_bit_per_node_loop(self, kind):
+        p, t_end, n = ConfParams(0.5), 2.0, 16
         if kind == "driven-scalar":
             F = lambda t, x: VecValue(-x.data + math.sin(t))
             x0 = VecValue(np.asarray(1.0))
-        else:
+        elif kind == "matrix":
             F = lambda t, x: VecValue(self._TRI @ x.data + t)
             x0 = VecValue([[1.0, 0.5], [-0.25, 2.0]])
-        p, t_end, n = ConfParams(0.5), 2.0, 16
+        else:
+            # a driven pendulum at alpha = 1, where tau is t itself
+            F = lambda t, x: VecValue([x.data[1], -math.sin(x.data[0]) + math.cos(t), -x.data[2]])
+            x0, p = VecValue([1.0, -0.5, 2.0]), ConfParams(1.0)
         got_rec, ref_rec = _Recorder(F), _Recorder(F)
         traj = solve_volterra(IvpProblem(F=got_rec, p=p, x0=x0, t_end=t_end),
                               n_steps=n)
@@ -632,3 +641,13 @@ class TestMarchingReference:
         assert _bits(traj.state_array()) == _bits(xs)
         assert _bits(traj.tau_slopes) == _bits(slopes)
         assert math.copysign(1.0, traj.states[1].data[0]) == 1.0
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # the Gauss rules come from numpy.polynomial when a kernel first asks,
+    # so importing the package does not pay for loading it
+    src = str(Path(confcalc.__file__).resolve().parent.parent)
+    code = "import sys, confcalc; print('numpy.polynomial' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert run.stdout.strip() == "False"

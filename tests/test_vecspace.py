@@ -1,4 +1,5 @@
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -78,6 +79,58 @@ def test_commutativity_query():
 def test_matrix_must_be_square():
     with pytest.raises(ShapeError):
         VecValue(np.ones((2, 3)))
+
+
+def _sources():
+    # pytest params (source, what to mutate in place afterwards or None,
+    # expected data), each with a source of its own
+    ro_base, col_base = np.arange(9.0).reshape(3, 3), np.arange(9.0).reshape(3, 3)
+    ro = ro_base[:2, :2]
+    ro.flags.writeable = False
+    cases = {
+        "float": (2.5, None, np.asarray(2.5)),
+        "int": (3, None, np.asarray(3.0)),
+        "np.float64": (np.float64(-0.0), None, np.asarray(-0.0)),
+        "0-d": (np.asarray(1.5), lambda a: a.fill(9.0), np.asarray(1.5)),
+        "1-d": (np.array([1.0, 2.0]), lambda a: a.fill(9.0), np.array([1.0, 2.0])),
+        "2-d": (np.eye(2), lambda a: a.fill(9.0), np.eye(2)),
+        "nested list": ([[1, 2], [3, 4]], lambda a: a[0].__setitem__(0, 9),
+                        np.array([[1.0, 2.0], [3.0, 4.0]])),
+        "read-only view": (ro, lambda a: ro_base.fill(-1.0), np.array([[0.0, 1.0], [3.0, 4.0]])),
+        "column view": (col_base[:, 1], lambda a: col_base.fill(-1.0), np.array([1.0, 4.0, 7.0])),
+        "int array": (np.array([1, 2, 3]), lambda a: a.fill(9), np.array([1.0, 2.0, 3.0])),
+    }
+    return [pytest.param(*case, id=label) for label, case in cases.items()]
+
+
+@pytest.mark.parametrize("source,mutate,expected", _sources())
+def test_constructor_copies_to_read_only_float(source, mutate, expected):
+    v = VecValue(source)
+    if mutate is not None:
+        mutate(source)
+    assert v.data.dtype == np.float64
+    assert v.data.shape == expected.shape
+    assert v.data.tobytes() == expected.tobytes()  # bit for bit, signed zeros too
+    assert not v.data.flags.writeable
+    with pytest.raises(ValueError):
+        v.data[...] = 0.0
+    if isinstance(source, np.ndarray):
+        assert not np.shares_memory(v.data, source)
+
+
+@pytest.mark.parametrize("source", [np.ones((2, 2, 2)), [[[1.0]]], np.ones((2, 3)), [[1.0, 2.0]]])
+def test_constructor_rejects_3d_and_non_square(source):
+    with pytest.raises(ShapeError):
+        VecValue(source)
+
+
+def test_values_are_frozen():
+    v = VecValue([1.0, 2.0])
+    with pytest.raises(FrozenInstanceError):
+        v.data = np.zeros(2)
+    with pytest.raises(FrozenInstanceError):
+        v.other = 1
+    assert v.data.tolist() == [1.0, 2.0]
 
 
 def test_values_are_immutable():
