@@ -34,21 +34,19 @@ function whose components replicate a scalar function follows exactly the
 same control flow as the scalar run.  Kernels are pure; concurrent calls
 are safe.
 
-The kernels evaluate in batches: all difference probes of one derivative
-in one :meth:`~confcalc.funcs.AbstractFn.eval_many` call, or those of
-many points (:func:`conf_deriv_many`, of which :func:`conf_deriv` is the
-one-point case; likewise :func:`deriv_of_integral_many`), and both Gauss
-rules of a row of quadrature panels in another.  Adaptive integrals are
-resumable depth-first walks, and many advance in lockstep, the pending
-panels of all in one integrand call per round; the point sequences
-toward a terminal ask for 4 points at a time, several sharing one call.
-Each integral and sequence keeps its own decisions, the tableaux are
-built value-major (column, level, value component, row) with rows
-innermost, and panel sums run node by node, so every result is
-bit-identical to a one-point, one-integral loop.  A sequence's rule runs
-point by point, so up to 3 points past its stop are evaluated;
-``steps_used`` does not count them, and an error at one of them never
-surfaces.
+The kernels evaluate in batches: the difference probes of many points
+in one evaluation (:func:`conf_deriv_many`, of which :func:`conf_deriv`
+is the one-point case; likewise :func:`deriv_of_integral_many`), and
+both Gauss rules of a row of quadrature panels in another.  Adaptive
+integrals are resumable depth-first walks, and many advance in lockstep,
+the pending panels of all in one integrand call per round; the point
+sequences toward a terminal ask for 4 points at a time, several sharing
+one call.  Each point, integral and sequence keeps its own decisions and
+its own error, decided once where it arises (no batch runs twice); the
+tableaux are built value-major (column, level, value component, row)
+with rows innermost, and panel sums run node by node, so every result
+and error is a one-point, one-integral loop's.  A sequence reads up to 3
+points past its stop, uncounted; an error at one of them never surfaces.
 """
 
 from __future__ import annotations
@@ -64,8 +62,8 @@ from .errors import (
     LowerTerminalError,
     QuadratureError,
 )
-from .expr import pow_real
-from .funcs import AbstractFn, GridFn, run_batch
+from .expr import _pow_real, _raising, _record, pow_real
+from .funcs import AbstractFn, GridFn, _stacked_rows
 from .vecspace import VecValue, _mnorm, as_vecvalue
 
 __all__ = [
@@ -270,20 +268,27 @@ def _first_step(at, room, frac):
     return math.copysign(min(frac * max(1.0, abs(at)), 0.5 * abs(room)), room)
 
 
-def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
-    # One DerivResult per point t = ts[i].  evalf maps the probes, one row
-    # per point, and the mask of the probes in use to the stacked values
-    # at those, in row order; ss[i] is the point's step scale
+def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None, fails=None):
+    # One DerivResult per point t = ts[i], or the error the point raises on
+    # its own.  evalf maps the probes, one row per point, and the mask of
+    # the probes in use to the stacked values at those, in row order, and
+    # records a failing probe's error in its third argument, a dict (see
+    # AbstractFn._checked); ss[i] is the point's step scale
     # (t-a)^(1-alpha), so its probe k sits at t +/- theta_k*s with
     # quotient denominator theta_k, and every probe stays below caps[i]/4
     # from t.  The probes of all points go into one evalf call, point by
     # point: t (unless f0 holds the values at the points), then the right
-    # probes, then the left ones.
+    # probes, then the left ones.  fails holds the points that failed
+    # before (they are not probed); a point's error is the first of
+    # those, no room, a step that underflows, and its first failing probe.
+    fails = {} if fails is None else fails
     want_l = side in ("left", "two-sided")
     want_r = side in ("right", "two-sided")
     n = len(ts)
-    d0s, flags, notes = [], [], []
-    for t, dist_cap in zip(ts.tolist(), caps.tolist()):
+    d0s, flags, notes = [math.nan] * n, [(False, False, False)] * n, [None] * n
+    for i, (t, dist_cap) in enumerate(zip(ts.tolist(), caps.tolist())):
+        if i in fails:
+            continue
         scale_t = max(1.0, abs(t))
         d0 = _EPS ** (1.0 / 3.0) * scale_t
         if math.isfinite(dist_cap):
@@ -293,9 +298,9 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
         use_r = want_r and hi - t > 0.0
         note = [detail] if detail else []
         if not (use_l or use_r):
-            raise DomainError(
-                f"no room for difference probes around t = {t} inside the domain"
-            )
+            fails[i] = DomainError(
+                f"no room for difference probes around t = {t} inside the domain")
+            continue
         if side == "two-sided" and not (use_l and use_r):
             which = "left" if not use_l else "right"
             note.append(f"{which} probes unavailable at the domain edge; one-sided result")
@@ -304,21 +309,31 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
         if use_l:
             d0 = min(d0, 0.5 * (t - lo))
         if t + d0 == t or (use_l and t - d0 == t):
-            raise DomainError(
+            fails[i] = DomainError(
                 f"difference step underflows at t = {t}; "
                 "too close to the lower terminal or a domain edge"
             )
-        d0s.append(d0)
+            continue
+        d0s[i] = d0
         # per point: the probe at t, the right probes, the left probes
-        flags.append((f0 is None, use_r, use_l))
-        notes.append(note)
+        flags[i] = (f0 is None, use_r, use_l)
+        notes[i] = note
+    if len(fails) == n:
+        return [fails[i] for i in range(n)]
 
     thetas = (np.array(d0s) / ss)[:, None] * _HALVES
     steps = thetas * ss[:, None]
     col = ts[:, None]
     probes = np.concatenate([col, col + steps, col - steps], axis=1)
     used = np.repeat(np.array(flags), (1, _LEVELS, _LEVELS), axis=1)
-    vals = evalf(probes, used)
+    probe_fails = {}
+    vals = evalf(probes, used, probe_fails)
+    if probe_fails:
+        owner = np.nonzero(used)[0]
+        for k in sorted(probe_fails):
+            fails.setdefault(int(owner[k]), probe_fails[k])
+        if len(fails) == n:
+            return [fails[i] for i in range(n)]
     vshape = vals.shape[1:]
     # value-major probe values grid[probe, component, point]; unused
     # probes stay NaN, and their rows' estimates are never reported
@@ -326,6 +341,8 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
     grid.transpose(2, 0, 1)[used] = vals.reshape(len(vals), -1)
     if f0 is not None:
         grid[0] = f0.reshape(n, -1).T
+    if fails:  # a failed point's probes are never read
+        grid[..., list(fails)] = math.nan
     f0s, fr, fl = grid[0], grid[1:_LEVELS + 1], grid[_LEVELS + 1:]
     th = thetas.T[:, None]
 
@@ -359,6 +376,9 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
     errs3, conv3 = errs3.tolist(), conv3.tolist()
     out = []
     for i, (has_t, has_r, has_l), ok in zip(range(n), flags, agree.tolist()):
+        if i in fails:
+            out.append(fails[i])
+            continue
         # the central estimate where both sides have probes, else the
         # right side where it has them, else the left
         k = 2 if has_r and has_l else (0 if has_r else 1)
@@ -382,40 +402,61 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None):
     return out
 
 
+def _first_error(outs):
+    # the outcomes outs, or the first error among them raised
+    for r in outs:
+        if isinstance(r, Exception):
+            raise r
+    return outs
+
+
+def _mapped(fn, outs):
+    # fn of each result among the outcomes outs, an error kept as it is
+    return [r if isinstance(r, Exception) else fn(r) for r in outs]
+
+
 def _probes_of(f: AbstractFn):
     # _deriv_core's evalf for f's own values
-    return lambda probes, used: f.eval_many(probes[used])
+    return lambda probes, used, fails: f._checked(probes[used], fails)
 
 
-def _require_interior(a: float, t: float):
-    if not (t > a):
-        raise LowerTerminalError(
-            f"t = {t} is at or below the lower terminal a = {a}; "
-            "the interior derivative needs t > a (use lower_terminal_deriv at a)"
-        )
+def _interior(a: float, ts: np.ndarray, fails: dict):
+    # a LowerTerminalError in fails for each point t <= a (see _record)
+    inside = ts > a
+    if np.count_nonzero(inside) < ts.size:
+        _record(fails, ~inside, lambda i: (
+            f"t = {float(ts[i])} is at or below the lower terminal a = {a}; "
+            "the interior derivative needs t > a (use lower_terminal_deriv at a)"),
+            LowerTerminalError)
 
 
-def _order_pow(base, orders, expo):
-    # pow_real(base, expo(alpha)), alpha each entry's order (orders: one
+def _order_pow(base, orders, expo, fails):
+    # _pow_real(base, expo(alpha), fails), alpha each entry's order (orders: one
     # number, or an array like base), one call per order with a number
     # exponent: an array exponent rounds differently
     if isinstance(orders, float):
-        return pow_real(base, expo(orders))
-    out = np.empty_like(base)
+        return _pow_real(base, expo(orders), fails)
+    out, sub = np.empty_like(base), {}
     for alpha in set(orders.tolist()):
         on = orders == alpha
-        out[on] = pow_real(base[on], expo(alpha))
+        out[on] = _pow_real(base[on], expo(alpha), sub)
+        if sub:  # the entries of base[on], numbered in base
+            idx = np.flatnonzero(on).tolist()
+            for k in sub:
+                fails.setdefault(idx[k], sub[k])
+            sub = {}
     return out
 
 
 def _conf_derivs(f, a, orders, ts, dist, side, tol):
-    # conf_deriv at the points ts > a, each at its order (see _order_pow) and
-    # with its distance dist from a, in one _deriv_core call
-    for t in ts.tolist():
-        _require_interior(a, t)
+    # conf_deriv at the points ts, each at its order (see _order_pow) and
+    # with its distance dist from a, in one _deriv_core call: per point
+    # its DerivResult or its error
+    fails = {}
+    _interior(a, ts, fails)
     lo, hi = f.domain
-    ss = _order_pow(dist, orders, lambda al: 1.0 - al)
-    return _deriv_core(_probes_of(f), ts, ss, dist, lo, hi, side, tol)
+    ss = _order_pow(dist, orders, lambda al: 1.0 - al, fails)
+    return _deriv_core(_probes_of(f), ts, ss, dist, lo, hi, side, tol, fails=fails)
 
 
 def conf_deriv(
@@ -445,21 +486,19 @@ def conf_deriv_many(
 ) -> list[DerivResult]:
     """:func:`conf_deriv` at each of the points ``ts``, in one batch.
 
-    The 17 difference probes of every point go into one
-    :meth:`~confcalc.funcs.AbstractFn.eval_many` call, point by point, and
-    the extrapolation tableaux of all points are built together.  Result
-    i equals ``conf_deriv(f, p, ts[i], side, tol)`` field for field, bit
-    for bit.  On any error the points are re-run one at a time, so the
-    error raised is the one the first failing ``conf_deriv`` raises; the
-    probes of the points before it are then evaluated a second time,
-    which a stateful :class:`~confcalc.funcs.CallableFn` would see.
+    The 17 difference probes of every point go into one evaluation of f,
+    point by point, and the extrapolation tableaux of all points are built
+    together.  Result i equals ``conf_deriv(f, p, ts[i], side, tol)``
+    field for field, bit for bit.  Each point's error is the one
+    ``conf_deriv`` raises there, decided in that batch, and the error
+    raised is the first failing point's; a stateful
+    :class:`~confcalc.funcs.CallableFn` sees the probes past it too.
     """
     tol = tol if tol is not None else Tolerance()
     if side not in ("left", "right", "two-sided"):
         raise ValueError(f"side must be left, right, or two-sided, not {side!r}")
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    return run_batch(lambda x: _conf_derivs(f, p.a, p.alpha, x, x - p.a, side, tol),
-                     ts) if ts.size else []
+    return _first_error(_conf_derivs(f, p.a, p.alpha, ts, ts - p.a, side, tol))
 
 
 def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> DerivResult:
@@ -471,26 +510,19 @@ def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> De
     """
     tol = tol if tol is not None else Tolerance()
     lo, hi = f.domain
-    (r,) = _deriv_core(_probes_of(f), np.array([float(t)]), np.ones(1),
-                       np.array([math.inf]), lo, hi, "two-sided", tol)
+    (r,) = _first_error(_deriv_core(_probes_of(f), np.array([float(t)]), np.ones(1),
+                                    np.array([math.inf]), lo, hi, "two-sided", tol))
     return r
 
 
-def _scaled_source(f: AbstractFn, a: float, t: float, tol: Tolerance):
-    # f'(t) and its error from the first source that has it, after the
-    # checks of t (a the terminal): the closed form, the grid interpolant,
-    # else classical differencing.  Returns (f', error, side, converged,
-    # steps, (left, right) one-sided f' or None, detail).
-    _require_interior(a, t)
-    f._check_domain(t)
-    note = ""
-    try:
-        d = f.exact_deriv(t)
-    except DomainError:
-        d, note = None, "exact derivative undefined at t; numeric fallback; "
-    if d is not None:
-        return (np.asarray(d, dtype=float), 0.0, "two-sided", True, 0,
-                (None, None), "scaled exact first derivative")
+# the scaled route's source where f has an exact derivative: (f', error,
+# side, converged, steps, (left, right) one-sided f' or None, detail)
+_EXACT_SOURCE = (None, 0.0, "two-sided", True, 0, (None, None), "scaled exact first derivative")
+
+
+def _numeric_source(f: AbstractFn, t: float, tol: Tolerance, note: str):
+    # the source (see _EXACT_SOURCE) where f has no exact derivative at t:
+    # the grid interpolant, else classical differencing
     if isinstance(f, GridFn):
         d, de = f.interp_deriv(t)
         return (np.asarray(d, dtype=float), float(de), "two-sided", True, 1, (None, None),
@@ -498,15 +530,6 @@ def _scaled_source(f: AbstractFn, a: float, t: float, tol: Tolerance):
     r = classical_deriv(f, t, tol)
     return (r.value.data, r.err_estimate, r.side, r.converged, r.steps_used,
             (r.left, r.right), note + "scaled classical difference derivative")
-
-
-def _scaled(s: np.ndarray, d: np.ndarray, de=None):
-    # the scaled route's values s*f'(t) from the scales s = (t-a)^(1-alpha)
-    # and the stacked first derivatives d, and their error estimates s*de +
-    # the error floor (de None: exact derivatives)
-    vals = _per_row(s, d) * d
-    errs = _err_floor(_rownorms(vals))
-    return vals, (errs if de is None else s * de + errs)
 
 
 def conf_deriv_scaled(
@@ -522,23 +545,15 @@ def conf_deriv_scaled(
     can cross-check :func:`conf_deriv`.  :func:`conf_deriv_scaled_many`
     gives its values and error estimates at a batch of points.
     """
-    tol = tol if tol is not None else Tolerance()
-    t = float(t)
-    d, de, side, conv, steps, sides, detail = _scaled_source(f, p.a, t, tol)
-    scale = pow_real(np.array([t]) - p.a, 1.0 - p.alpha)
-    (val,), (err,) = _scaled(scale, d[None], np.array([de]))
-    (s,) = scale
+    tol, t = tol if tol is not None else Tolerance(), float(t)
+    (val,), (err,), sources = _raising(lambda ts, fails: _scaled_values(
+        f, p.a, p.alpha, ts, ts - p.a, tol, fails))(np.array([t]))
+    _d, _de, side, conv, steps, sides, detail = sources.get(0, _EXACT_SOURCE)
+    s = pow_real(t - p.a, 1.0 - p.alpha)
     left, right = (None if x is None else VecValue(s * x.data) for x in sides)
-    return DerivResult(
-        VecValue(val),
-        float(err),
-        side,
-        bool(conv and err <= tol.threshold(_mnorm(val))),
-        steps,
-        left=left,
-        right=right,
-        detail=detail,
-    )
+    return DerivResult(VecValue(val), float(err), side,
+                       bool(conv and err <= tol.threshold(_mnorm(val))), steps,
+                       left=left, right=right, detail=detail)
 
 
 def conf_deriv_scaled_many(
@@ -550,42 +565,53 @@ def conf_deriv_scaled_many(
     Returns the values stacked, shape (n, *value shape), and the list of
     their ``err_estimate``; row i and entry i equal those fields of
     ``conf_deriv_scaled(f, p, ts[i], tol)`` bit for bit, and an error is
-    the one the first failing point raises.  The other fields are left
-    out: a quadrature integrand needs only these two.  When ``f`` has a
-    closed-form derivative (expressions, builtins and their composites),
-    the exact derivatives of the whole batch come from one
-    :meth:`~confcalc.funcs.AbstractFn.exact_deriv_many` call.  If that
-    derivative is unavailable or undefined at some point, and for every
-    other kind of function, f' and its error come from the points' sources
-    one at a time, in order, so a :class:`~confcalc.funcs.CallableFn`'s
-    derivative is called once per point; one scaling pass serves them all.
+    the one the first failing point raises.  The exact derivatives come
+    from one pass over the batch (a callable's is called once per point,
+    in order); only the points where one is unavailable or undefined take
+    the numeric source, one at a time, in order.
     """
     tol = tol if tol is not None else Tolerance()
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    return _scaled_values(f, p.a, p.alpha, ts, ts - p.a, tol)
+    return _raising(lambda xs, fails: _scaled_values(
+        f, p.a, p.alpha, xs, xs - p.a, tol, fails)[:2])(ts)
 
 
-def _scaled_values(f, a, orders, ts, dist, tol):
-    # conf_deriv_scaled_many at the points ts > a, each at its order (see
-    # _order_pow) and with its distance dist from a
-    d = de = None
-    if f._derivs is not None and (ts > a).all():
-        try:
-            d = f.exact_deriv_many(ts)
-        except DomainError:
-            pass
-    if d is None:
-        src = [_scaled_source(f, a, t, tol)[:2] for t in ts.tolist()]
-        d = np.array([x for x, _ in src])
-        de = np.array([e for _, e in src])
-    vals, errs = _scaled(_order_pow(dist, orders, lambda al: 1.0 - al), d, de)
-    return vals, errs.tolist()
+def _scaled_values(f, a, orders, ts, dist, tol, fails):
+    # conf_deriv_scaled_many at the points ts, each at its order (see
+    # _order_pow) and with its distance dist from a: the values s*f'(t), s
+    # = (t-a)^(1-alpha), their estimates s*de + the error floor (de the
+    # source's, 0 for an exact f'), and the numeric sources used (point:
+    # source); a failing point's error goes into fails
+    _interior(a, ts, fails)
+    f._inside(ts, fails)
+    exact, sources = dict(fails), {}
+    d, de = f._exact(ts, exact), None
+    if len(exact) > len(fails):
+        # f' unavailable (None) or undefined (a DomainError): the numeric source
+        rows, de = [None if i in exact else x for i, x in enumerate(d)], np.zeros(ts.size)
+        for i in sorted(set(exact) - set(fails)):
+            if exact[i] is not None and not isinstance(exact[i], DomainError):
+                fails[i] = exact[i]
+                continue
+            try:
+                sources[i] = _numeric_source(f, float(ts[i]), tol, "" if exact[i] is None else
+                                             "exact derivative undefined at t; numeric fallback; ")
+                rows[i], de[i] = sources[i][:2]
+            except Exception as exc:
+                fails[i] = exc
+        d = _stacked_rows(rows)
+    s = _order_pow(dist, orders, lambda al: 1.0 - al, fails)
+    vals = _per_row(s, d) * d
+    errs = _err_floor(_rownorms(vals))
+    return vals, (errs if de is None else s * de + errs).tolist(), sources
 
 
-def _stacked(results):
-    # the values of a list of DerivResults, stacked, and their estimates
-    return (np.array([r.value.data for r in results]),
-            [r.err_estimate for r in results])
+def _stacked(results, fails):
+    # the values of DerivResults, stacked, and their estimates; an error
+    # among them goes into the empty dict fails under its place, with nan
+    fails.update((i, r) for i, r in enumerate(results) if isinstance(r, Exception))
+    return (_stacked_rows([None if i in fails else r.value.data for i, r in enumerate(results)]),
+            [math.nan if i in fails else r.err_estimate for i, r in enumerate(results)])
 
 
 def convert_order(Ta, alpha: float, beta: float, a: float, t0: float) -> VecValue:
@@ -652,28 +678,34 @@ def _extend_sweeps(levels):
 
 
 def _lockstep(jobs, serve):
-    # run the generators jobs in lockstep, each to its return value: each
-    # round advances every open job to its next request, serve maps the
-    # (job index, request) pairs to their answers in one batch, and each
-    # job is sent its own
+    # run the generators jobs in lockstep, each to its outcome: its return
+    # value, or the error it raises or its request fails with.  Each round
+    # advances every open job to its next request, serve maps the (job
+    # index, request) pairs to their answers in one batch, an exception
+    # for a request that failed, and each job is sent its own
     out, answers, live = [None] * len(jobs), [None] * len(jobs), range(len(jobs))
     while live:
         asks = []
         for j in live:
+            if isinstance(answers[j], Exception):
+                out[j] = answers[j]
+                continue
             try:
                 asks.append((j, jobs[j].send(answers[j])))
             except StopIteration as done:
                 out[j] = done.value
+            except Exception as exc:
+                out[j] = exc
         for (j, _ask), answer in zip(asks, serve(asks) if asks else ()):
             answers[j] = answer
         live = [j for j, _ask in asks]
     return out
 
 
-def _sequence(a, room, tol, one):
+def _sequence(a, room, tol):
     # the rule of one sequence (see _terminal_limits): asks for its points a
-    # chunk at a time and is sent their (value, ok) pairs, or None after a
-    # failed call, and then reads them with one(t)
+    # chunk at a time, is sent their (value, ok) pairs or errors, and raises
+    # the first error it reads
     d0 = _first_step(a, room, 0.1)
     tks = [a + d0 * 0.5**k for k in range(_TERMINAL_POINTS)]
     levels = ([], [], [], [])  # the values, then their sweeps
@@ -681,7 +713,9 @@ def _sequence(a, room, tol, one):
     for lo in range(0, _TERMINAL_POINTS, _TERMINAL_CHUNK):
         got = yield tks[lo:lo + _TERMINAL_CHUNK]
         for k in range(lo, lo + _TERMINAL_CHUNK):
-            v, ok = one(tks[k]) if got is None else got[k - lo]
+            if isinstance(got[k - lo], Exception):
+                raise got[k - lo]
+            v, ok = got[k - lo]
             v = np.asarray(v, dtype=float)
             if not ok:
                 note = f"interior evaluation did not converge at t = {tks[k]:.6g}"
@@ -716,35 +750,29 @@ def _terminal_limits(sample, jobs):
 
     ``room`` is the signed distance from a to the domain's end on the side
     approached (negative from the left); d0 = ``_first_step(a, room, 0.1)``.
-    sample(ts, owner) gives a (value, ok) pair per point, point i one of
-    sequence owner[i]'s, ok False for an untrusted value.  Each round every
-    open sequence adds its next ``_TERMINAL_CHUNK`` points to one sample
-    call and runs its rule over them in order, so up to 3 points past its
-    stop are sampled unused; after a call that raises, it asks for them
-    one at a time as its rule reaches them, so only a point it reads can
-    raise, as on its own.  The values are accelerated by up to three Aitken
-    sweeps; a limit converges when two consecutive moves of the estimate
-    are within tol.threshold(1 + |estimate|), its error the last move (at
-    least the error floor).  Returns (value, err, converged, points used,
-    note) per job.
+    sample(ts, owner) gives per point, point i one of sequence owner[i]'s,
+    a (value, ok) pair, ok False for an untrusted value, or the error the
+    point raises.  Each round every open sequence adds its next
+    ``_TERMINAL_CHUNK`` points to one sample call and runs its rule over
+    them in order, so up to 3 points past its stop are sampled unused; a
+    sequence ends with the error of the first failed point its rule reads,
+    as on its own, and an error past its stop never surfaces.  The values
+    are accelerated by up to three Aitken sweeps; a limit converges when
+    two consecutive moves of the estimate are within tol.threshold(1 +
+    |estimate|), its error the last move (at least the error floor).
+    Returns per job (value, err, converged, points used, note) or its error.
     """
-    def one(j):
-        return lambda t: sample(np.array([t]), np.array([j]))[0]
-
     def serve(asks):
-        try:
-            got = sample(np.array([t for _j, pts in asks for t in pts]),
-                         np.repeat([j for j, _pts in asks], _TERMINAL_CHUNK))
-        except Exception:
-            return [None] * len(asks)
+        got = sample(np.array([t for _j, pts in asks for t in pts]),
+                     np.repeat([j for j, _pts in asks], _TERMINAL_CHUNK))
         return [got[n:n + _TERMINAL_CHUNK] for n in range(0, len(got), _TERMINAL_CHUNK)]
 
-    return _lockstep([_sequence(*job, one(j)) for j, job in enumerate(jobs)], serve)
+    return _lockstep([_sequence(*job) for job in jobs], serve)
 
 
 def _terminal_limit(sample, a, room, tol):
     # the one-sequence case of _terminal_limits, sample(ts) its points'
-    (r,) = _terminal_limits(lambda ts, _owner: sample(ts), [(a, room, tol)])
+    (r,) = _first_error(_terminal_limits(lambda ts, _owner: sample(ts), [(a, room, tol)]))
     return r
 
 
@@ -763,13 +791,13 @@ def _terminal_derivs(f, ps, tol):
     inner = Tolerance()
 
     def sample(ts, owner):
-        return [(r.value.data, r.converged)
-                for r in _conf_derivs(f, a, orders[owner], ts, ts - a, "two-sided", inner)]
+        return _mapped(lambda r: (r.value.data, r.converged),
+                       _conf_derivs(f, a, orders[owner], ts, ts - a, "two-sided", inner))
 
-    return [DerivResult(VecValue(np.asarray(value, dtype=float)), float(err), "right", conv,
-                        used, detail=note or "terminal limit of interior derivatives")
-            for value, err, conv, used, note
-            in _terminal_limits(sample, [(a, hi - a, tol)] * len(ps))]
+    return _mapped(lambda r: DerivResult(
+        VecValue(np.asarray(r[0], dtype=float)), float(r[1]), "right", r[2], r[3],
+        detail=r[4] or "terminal limit of interior derivatives",
+    ), _terminal_limits(sample, [(a, hi - a, tol)] * len(ps)))
 
 
 def lower_terminal_deriv(
@@ -784,7 +812,7 @@ def lower_terminal_deriv(
     two digits.  The interior derivatives come 4 points per
     :func:`_deriv_core` call, as :func:`conf_deriv_many` gives them.
     """
-    (r,) = _terminal_derivs(f, [p], tol if tol is not None else _TERMINAL_DERIV_TOL)
+    (r,) = _first_error(_terminal_derivs(f, [p], tol if tol is not None else _TERMINAL_DERIV_TOL))
     return r
 
 
@@ -795,7 +823,7 @@ def one_sided_limit(
 
     Returns (VecValue estimate, err, converged).  Uses the same geometric
     schedule and acceleration as the terminal derivative, and evaluates f
-    4 points per :meth:`~confcalc.funcs.AbstractFn.eval_many` call.
+    4 points per call.
     """
     tol = tol if tol is not None else _LIMIT_TOL
     if direction not in ("left", "right"):
@@ -807,7 +835,9 @@ def one_sided_limit(
         raise DomainError(f"no domain room to the {direction} of {at}")
 
     def sample(ts):
-        return [(v, True) for v in f.eval_many(ts)]
+        fails = {}
+        vals = f._checked(ts, fails)
+        return [fails[i] if i in fails else (v, True) for i, v in enumerate(vals)]
 
     signed = room if direction == "right" else -room
     value, err, conv, _used, _note = _terminal_limit(sample, at, signed, tol)
@@ -933,40 +963,53 @@ def _quad_lockstep(g, jobs):
     toward ``lo`` for an algebraic endpoint feature.  ``noise``, a number
     or a callable re-read at each panel, is the absolute sample noise;
     panels under its floor are accepted, so inexact integrands cannot force
-    endless refinement.  ``g(us, owner)`` gives the stacked values at the
-    points us, us[i] a node of integral owner[i] (owner None for one job).
-    All base panels go into one call of ``g`` (their 10-point sums also set
-    the budgets); each round then advances every open walk (:func:`_walk`)
-    to its next split and evaluates all those children in one more call.
-    Each walk keeps its own decisions, counters, ``noise()`` reads and sums,
-    so its result is the one-job run's bit for bit.  Returns (value, error
-    sum, evaluations) per job, 17 evaluations per panel.
+    endless refinement.  ``g(us, owner, fails)`` gives the stacked values at the
+    points us, us[i] a node of integral owner[i] (owner None for one job),
+    and a failing node's error in the dict fails (see
+    :meth:`~confcalc.funcs.AbstractFn._checked`).  All base panels go into
+    one call of ``g`` (their 10-point sums also set the budgets); each
+    round then advances every open walk (:func:`_walk`) to its next split
+    and evaluates all those children in one more call.  Each walk keeps its
+    own decisions, counters, ``noise()`` reads and sums, so its result is
+    the one-job run's bit for bit.  Returns per job (value, error sum,
+    evaluations), 17 evaluations per panel, or the error it raises or its
+    first failed node's.
     """
     def serve(asks):
         # every asked panel's two rules in one call of g, in order
         sizes = [len(los) for _j, (los, _his) in asks]
         own = (np.repeat([j for j, _ask in asks], sizes).repeat(17) if len(jobs) > 1
                else None)
-        rules = _panels(lambda us: g(us, own), [x for _j, (los, _his) in asks for x in los],
+        fails = {}
+        rules = _panels(lambda us: g(us, own, fails),
+                        [x for _j, (los, _his) in asks for x in los],
                         [x for _j, (_los, his) in asks for x in his], 10, 7)
-        return [(rules, i) for i in np.cumsum([0] + sizes[:-1]).tolist()]
+        answers = [(rules, i) for i in np.cumsum([0] + sizes[:-1]).tolist()]
+        asker = np.repeat(np.arange(len(asks)), sizes).repeat(17) if fails else None
+        for k in sorted(fails):
+            if not isinstance(answers[asker[k]], Exception):
+                answers[asker[k]] = fails[k]
+        return answers
 
     return _lockstep([_walk(*job) for job in jobs], serve)
 
 
 def _quad_adaptive(g, lo, hi, tol, noise=0.0, grade=False):
     # the one-job case of _quad_lockstep, g(us) its integrand
-    (r,) = _quad_lockstep(lambda us, _owner: g(us), [(lo, hi, tol, noise, grade)])
+    (r,) = _first_error(_quad_lockstep(lambda us, _owner, _fails: g(us),
+                                       [(lo, hi, tol, noise, grade)]))
     return r
 
 
-def _zero_like_probe(value, a: float, hi: float):
-    # 0 * value(a), or at a probe just above a where value(a) is undefined
+def _zero_like_probe(g, a: float, hi: float):
+    # 0 * g at a, or at a probe just above a where g is undefined at a
+    # (g(xs, fails), see _raising)
+    value = _raising(g)
     try:
-        return 0.0 * value(a)
+        return 0.0 * value(np.array([a]))[0]
     except DomainError:
         probe = min(hi, a + 0.5 * max(1e-8, min(1.0, hi - a)))
-        return 0.0 * value(probe)
+        return 0.0 * value(np.array([probe]))[0]
 
 
 def _integral_range(lo, hi, p: ConfParams, t: float):
@@ -984,37 +1027,47 @@ def _integral_range(lo, hi, p: ConfParams, t: float):
 
 def _conf_integrals(f, ps, ts, tol, noises, h=None):
     # conf_integral_info of f at every (ps[i], ts[i]) with noise noises[i],
-    # the integrals in lockstep (one: through _quad_adaptive); h(s, owner),
-    # where given, stands in for f.eval_many(s) at the points s of integral
-    # owner, an index into ps (a number for one live integral), also for
-    # the zero at t = a
+    # the integrals in lockstep: per point its result or its error.
+    # h(s, owner, fails), where given, stands in for f._checked(s, fails)
+    # at the points s of integral owner, an index into ps (a number for one
+    # live integral), also for the zero at t = a
     tol = tol if tol is not None else Tolerance()
     lo, hi = f.domain
-    h = h if h is not None else (lambda s, _owner: f.eval_many(s))
+    h = h if h is not None else (lambda s, _owner, fails: f._checked(s, fails))
     out = []
     for i, (p, t) in enumerate(zip(ps, ts)):
-        _integral_range(lo, hi, p, t)
-        out.append((VecValue(_zero_like_probe(lambda s, i=i: h(np.array([s]), np.array([i]))[0],
-                                              p.a, hi)), 0.0, 1) if t == p.a else None)
+        try:
+            _integral_range(lo, hi, p, t)
+            out.append(None if t != p.a else (VecValue(_zero_like_probe(
+                lambda s, fails, i=i: h(s, np.array([i]), fails), p.a, hi)), 0.0, 1))
+        except Exception as exc:
+            out.append(exc)
     live = [i for i, r in enumerate(out) if r is None]
     ids = np.array(live)
     starts, orders = np.array([ps[i].a for i in live]), np.array([ps[i].alpha for i in live])
 
-    def g(us, owner):
+    def g(us, owner, fails):
         # in u = (s-a)^alpha: s = a + u^(1/alpha)
         own = 0 if owner is None else owner
-        x = _order_pow(us, orders[own], lambda al: 1.0 / al)
-        return h(np.clip(starts[own] + x, lo, hi), ids[own])
+        x = _order_pow(us, orders[own], lambda al: 1.0 / al, fails)
+        return h(np.clip(starts[own] + x, lo, hi), ids[own], fails)
 
     # the budgets in u: the values carry 1/alpha
     jobs = [(0.0, pow_real(ts[i] - ps[i].a, ps[i].alpha),
              Tolerance(rel=tol.rel, abs=tol.abs * ps[i].alpha), noises[i], ps[i].alpha < 1.0)
             for i in live]
-    got = ([_quad_adaptive(lambda us: g(us, None), *jobs[0])] if len(jobs) == 1
-           else _quad_lockstep(g, jobs) if jobs else [])
-    for i, (val, err, evals) in zip(live, got):
+    if len(jobs) == 1:
+        # one integral: _quad_adaptive, its integrand raising its first failed node's error
+        try:
+            got = [_quad_adaptive(_raising(lambda us, fails: g(us, None, fails)), *jobs[0])]
+        except Exception as exc:
+            got = [exc]
+    else:
+        got = _quad_lockstep(g, jobs) if jobs else []
+    for i, r in zip(live, got):
         inv_alpha = 1.0 / ps[i].alpha
-        out[i] = (VecValue(inv_alpha * val), inv_alpha * err, evals)
+        out[i] = r if isinstance(r, Exception) else (
+            VecValue(inv_alpha * r[0]), inv_alpha * r[1], r[2])
     return out
 
 
@@ -1034,7 +1087,7 @@ def conf_integral_info(
     adaptive engine will not chase structure below that level.  The
     one-point case of :func:`conf_integral_info_many`.
     """
-    (r,) = _conf_integrals(f, [p], [float(t)], tol, [noise])
+    (r,) = _first_error(_conf_integrals(f, [p], [float(t)], tol, [noise]))
     return r
 
 
@@ -1043,20 +1096,15 @@ def conf_integral_info_many(f: AbstractFn, ps, ts, tol: Tolerance | None = None)
 
     Orders and terminals may differ.  The integrals run in lockstep (see
     :func:`_quad_lockstep`), each with its own stopping rule, so result i
-    equals ``conf_integral_info(f, ps[i], ts[i], tol)`` bit for bit.  On
-    any error the points are re-run one at a time, so the error raised is
-    the one the first failing ``conf_integral_info`` raises.
+    equals ``conf_integral_info(f, ps[i], ts[i], tol)`` bit for bit.  Each
+    point's error is the one ``conf_integral_info`` raises there, decided
+    in the same lockstep, and the error raised is the first failing
+    point's.
     """
     ps, ts = list(ps), [float(t) for t in ts]
     if len(ps) != len(ts):
         raise ValueError(f"need one ConfParams per point, got {len(ps)} for {len(ts)}")
-
-    def run(idx):
-        idx = idx.tolist()
-        return _conf_integrals(f, [ps[i] for i in idx], [ts[i] for i in idx], tol,
-                               [0.0] * len(idx))
-
-    return run_batch(run, np.arange(len(ts))) if ts else []
+    return _first_error(_conf_integrals(f, ps, ts, tol, [0.0] * len(ts)))
 
 
 def conf_integral(
@@ -1073,12 +1121,13 @@ def conf_integral(
 
 
 def _weighted(f: AbstractFn, p: ConfParams, nodes=None):
-    # batch integrand (s-a)^(alpha-1) f(s) of the interior slices, alpha
-    # p's or, where given, the order nodes[i] at node i (see _order_pow)
-    def g(ss):
+    # batch integrand (s-a)^(alpha-1) f(s) of the interior slices, g(ss,
+    # fails) (see AbstractFn._checked), alpha p's or, where given, the
+    # order nodes[i] at node i (see _order_pow)
+    def g(ss, fails):
         weights = _order_pow(ss - p.a, p.alpha if nodes is None else nodes,
-                             lambda al: al - 1.0)
-        vals = f.eval_many(ss)
+                             lambda al: al - 1.0, fails)
+        vals = f._checked(ss, fails)
         return _per_row(weights, vals) * vals
 
     return g
@@ -1104,9 +1153,9 @@ def weighted_integral(
     if t1 < lo or t2 > hi:
         raise DomainError(f"slice [{t1}, {t2}] outside the domain [{lo}, {hi}]")
     if t1 == t2:
-        return VecValue(_zero_like_probe(f, t1, hi))
+        return VecValue(_zero_like_probe(f._checked, t1, hi))
 
-    val, _err, _evals = _quad_adaptive(_weighted(f, p), t1, t2, tol)
+    val, _err, _evals = _quad_adaptive(_raising(_weighted(f, p)), t1, t2, tol)
     return VecValue(val)
 
 
@@ -1138,44 +1187,45 @@ def deriv_of_integral_many(
     """:func:`deriv_of_integral` at each of the points ``ts``, in one batch.
 
     f at every point (for the zero of the increments) comes from one
-    :meth:`~confcalc.funcs.AbstractFn.eval_many` call, and the 16 probe
-    panels of every point, point by point, from one more: a single
-    10-point rule over all of them.  The tableaux of all points are built
-    together.  Result i equals ``deriv_of_integral(f, p, ts[i], tol)``
-    field for field, bit for bit.  On any error the points are re-run one
-    at a time, so the error raised is the one the first failing
-    ``deriv_of_integral`` raises.
+    evaluation, and the 16 probe panels of every point, point by point,
+    from one more: a single 10-point rule over all of them.  The tableaux
+    of all points are built together.  Result i equals
+    ``deriv_of_integral(f, p, ts[i], tol)`` field for field, bit for bit,
+    and each point's error is its own; the error raised is the first
+    failing point's.
     """
     tol = tol if tol is not None else Tolerance()
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    return run_batch(lambda x: _integral_derivs(f, p, x, tol), ts) if ts.size else []
+    return _first_error(_integral_derivs(f, p, ts, tol))
 
 
 def _integral_derivs(f, p, ts, tol, orders=None):
-    # deriv_of_integral_many at the points ts without its re-run; with
+    # deriv_of_integral at the points ts, per point its DerivResult or its
+    # error (t > a, [a, t] in the domain, f(t), then _deriv_core's); with
     # orders, point i at the order orders[i]
     lo, hi = f.domain
-    for t in ts.tolist():
-        _require_interior(p.a, t)
-        if p.a < lo or t > hi:
-            raise DomainError(
-                f"running integral needs [{p.a}, {t}] inside the domain [{lo}, {hi}]"
-            )
+    fails = {}
+    _interior(p.a, ts, fails)
+    _record(fails, (p.a < lo) | (ts > hi), lambda i: (
+        f"running integral needs [{p.a}, {float(ts[i])}] inside the domain [{lo}, {hi}]"))
+    dist = ts - p.a
+    ss = _order_pow(dist, p.alpha if orders is None else orders, lambda al: 1.0 - al, fails)
+    f0 = 0.0 * f._checked(ts, fails)
 
-    def increments(probes, used):
+    def increments(probes, used, probe_fails):
         # each probe's increment: the panel from its own point to it,
-        # weighted at that point's order
+        # weighted at that point's order; a probe's error is its first
+        # failing node's
         nodes = None if orders is None else np.repeat(orders[np.nonzero(used)[0]], 10)
         starts = np.broadcast_to(ts[:, None], probes.shape)
-        [(v, _)] = _panels(_weighted(f, p, nodes), starts[used], probes[used], 10)
+        node_fails, g = {}, _weighted(f, p, nodes)
+        [(v, _)] = _panels(lambda ss: g(ss, node_fails), starts[used], probes[used], 10)
+        for k in sorted(node_fails):
+            probe_fails.setdefault(k // 10, node_fails[k])
         return v
 
-    dist = ts - p.a
-    return _deriv_core(
-        increments, ts, _order_pow(dist, p.alpha if orders is None else orders,
-                                   lambda al: 1.0 - al), dist, lo, hi,
-        "two-sided", tol, detail=_INTEGRAL_DETAIL, f0=0.0 * f.eval_many(ts),
-    )
+    return _deriv_core(increments, ts, ss, dist, lo, hi, "two-sided", tol,
+                       detail=_INTEGRAL_DETAIL, f0=f0, fails=fails)
 
 
 def avg_recover(f: AbstractFn, t: float, tol: Tolerance | None = None) -> VecValue:

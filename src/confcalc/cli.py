@@ -21,12 +21,13 @@ import sys
 import numpy as np
 
 from .calculus import (
+    _TERMINAL_DERIV_TOL,
     ConfParams,
     Tolerance,
-    conf_deriv_many,
-    conf_integral_info_many,
+    _conf_derivs,
+    _conf_integrals,
+    _terminal_derivs,
     convert_order,
-    lower_terminal_deriv,
 )
 from .errors import ConfcalcError
 from .expr import eval_node, parse_text
@@ -149,37 +150,36 @@ def _json_out(payload) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _sweep(args, inputs: dict, compute, failed: dict, many=None) -> int:
+def _sweep(args, inputs: dict, many, fields, failed: dict) -> int:
     """One record per t point, written as JSON or CSV; returns the exit code.
 
     ``inputs`` holds the command's input fields in output order, with a
     ``"t"`` slot that each record fills in; without one there is a single
-    record, computed with t = None.  ``compute(f, p, t, tol)`` returns the
-    result fields, ``converged`` among them; a ConfcalcError turns into a
-    record with the ``failed`` fields and the error message.
-    ``many(f, p, ts, tol)``, where given, returns the fields of all the
-    points in one batch; if it raises a ConfcalcError, the points run one
-    at a time through ``compute``, so each keeps its own record.
+    record, computed with t = None.  ``many(f, p, ts, tol)`` gives each
+    point's result or the error it raises, in one batch, and
+    ``fields(result, t)`` the record's fields, ``converged`` among them; a
+    ConfcalcError turns into a record with the ``failed`` fields and the
+    error message.  One that ``many`` itself raises is every point's.
     """
     f, src = _load_source(args)
     tol = _tolerance(args)
     p = ConfParams(args.alpha, args.a)
     template = dict(src, **inputs, **_tol_fields(tol))
     ts = _t_values(args) if "t" in inputs else [None]
-    batch = None
-    if many is not None:
-        try:
-            batch = many(f, p, ts, tol)
-        except ConfcalcError:
-            pass
+    try:
+        outs = many(f, p, np.array(ts, dtype=float), tol)
+    except ConfcalcError as exc:
+        outs = [exc] * len(ts)
     records = []
     ok = True
-    for i, t in enumerate(ts):
+    for t, got in zip(ts, outs):
         rec = {"inputs": template if t is None else dict(template, t=t)}
-        try:
-            rec.update(compute(f, p, t, tol) if batch is None else batch[i], error=None)
-        except ConfcalcError as exc:
-            rec.update(failed, error=f"{type(exc).__name__}: {exc}")
+        if isinstance(got, ConfcalcError):
+            rec.update(failed, error=f"{type(got).__name__}: {got}")
+        elif isinstance(got, Exception):
+            raise got
+        else:
+            rec.update(fields(got, t), error=None)
         ok = ok and rec["converged"]
         records.append(rec)
     text = (_json_out({"records": records}) if args.format == "json"
@@ -189,73 +189,49 @@ def _sweep(args, inputs: dict, compute, failed: dict, many=None) -> int:
 
 
 def _cmd_deriv(args) -> int:
-    def many(f, p, ts, tol):
-        return [{
-            "value": to_jsonable(r.value),
-            "err_estimate": r.err_estimate,
-            "converged": r.converged,
-            "side": r.side,
-            "steps_used": r.steps_used,
-        } for r in conf_deriv_many(f, p, ts, side=args.side, tol=tol)]
-
     return _sweep(
         args, {"alpha": args.alpha, "a": args.a, "t": None, "side": args.side},
-        lambda f, p, t, tol: many(f, p, [t], tol)[0],
+        lambda f, p, ts, tol: _conf_derivs(f, p.a, p.alpha, ts, ts - p.a, args.side,
+                                           tol or Tolerance()),
+        lambda r, _t: {"value": to_jsonable(r.value), "err_estimate": r.err_estimate,
+                       "converged": r.converged, "side": r.side, "steps_used": r.steps_used},
         {"value": None, "err_estimate": None, "converged": False,
          "side": args.side, "steps_used": 0},
-        many,
     )
 
 
 def _cmd_integ(args) -> int:
-    def many(f, p, ts, tol):
-        return [{
-            "value": to_jsonable(value),
-            "err_estimate": err,
-            "converged": True,
-            "evals": evals,
-        } for value, err, evals in conf_integral_info_many(f, [p] * len(ts), ts, tol=tol)]
-
     return _sweep(
         args, {"alpha": args.alpha, "a": args.a, "t": None},
-        lambda f, p, t, tol: many(f, p, [t], tol)[0],
+        lambda f, p, ts, tol: _conf_integrals(f, [p] * len(ts), ts.tolist(), tol,
+                                              [0.0] * len(ts)),
+        lambda r, _t: {"value": to_jsonable(r[0]), "err_estimate": r[1], "converged": True,
+                       "evals": r[2]},
         {"value": None, "err_estimate": None, "converged": False, "evals": 0},
-        many,
     )
 
 
 def _cmd_convert(args) -> int:
-    def many(f, p, ts, tol):
-        return [{
-            "value": to_jsonable(convert_order(r.value, args.alpha, args.beta, args.a, t)),
-            "source_value": to_jsonable(r.value),
-            "err_estimate": r.err_estimate,
-            "converged": r.converged,
-        } for t, r in zip(ts, conf_deriv_many(f, p, ts, tol=tol))]
-
     return _sweep(
-        args,
-        {"alpha": args.alpha, "beta": args.beta, "a": args.a, "t": None},
-        lambda f, p, t, tol: many(f, p, [t], tol)[0],
-        {"value": None, "source_value": None, "err_estimate": None,
-         "converged": False},
-        many,
+        args, {"alpha": args.alpha, "beta": args.beta, "a": args.a, "t": None},
+        lambda f, p, ts, tol: _conf_derivs(f, p.a, p.alpha, ts, ts - p.a, "two-sided",
+                                           tol or Tolerance()),
+        lambda r, t: {
+            "value": to_jsonable(convert_order(r.value, args.alpha, args.beta, args.a, t)),
+            "source_value": to_jsonable(r.value), "err_estimate": r.err_estimate,
+            "converged": r.converged},
+        {"value": None, "source_value": None, "err_estimate": None, "converged": False},
     )
 
 
 def _cmd_limit(args) -> int:
-    def compute(f, p, _t, tol):
-        r = lower_terminal_deriv(f, p, tol=tol)
-        return {
-            "value": to_jsonable(r.value),
-            "err_estimate": r.err_estimate,
-            "converged": r.converged,
-            "steps_used": r.steps_used,
-            "detail": r.detail,
-        }
-
+    # the one-point case of a sweep: the terminal derivative at t = a
     return _sweep(
-        args, {"alpha": args.alpha, "a": args.a}, compute,
+        args, {"alpha": args.alpha, "a": args.a},
+        lambda f, p, _ts, tol: _terminal_derivs(f, [p], tol or _TERMINAL_DERIV_TOL),
+        lambda r, _t: {"value": to_jsonable(r.value), "err_estimate": r.err_estimate,
+                       "converged": r.converged, "steps_used": r.steps_used,
+                       "detail": r.detail},
         {"value": None, "err_estimate": None, "converged": False,
          "steps_used": 0, "detail": ""},
     )

@@ -81,8 +81,8 @@ def pow_real(base, expo):
     Positive base: numpy's power.  Zero base: 0 for positive exponents, 1
     for exponent 0, a domain error otherwise.  Negative base: only integer
     exponents are defined.  A result that overflows is a domain error
-    (after numpy's warning, unless the caller mutes it).  Errors name the
-    first offending pair in array order.
+    (after numpy's warning, unless the caller mutes it).  The error raised
+    is the first offending pair's in array order.
 
     numpy picks its power kernel from the operands' memory layout, and
     the kernels round differently, so the bases and an array exponent
@@ -93,6 +93,34 @@ def pow_real(base, expo):
     square, square root or reciprocal; the same exponent as an array is
     not, so the one-point case of an array exponent is a length-1 array.
     """
+    return _raising(lambda b, fails: _pow_real(b, expo, fails))(base)
+
+
+def _raising(fn):
+    # fn(xs, fails) as a function of xs alone that raises the error of the
+    # first failed point (see _record)
+    def run(xs):
+        fails = {}
+        out = fn(xs, fails)
+        if fails:
+            raise fails[min(fails)]
+        return out
+
+    return run
+
+
+def _record(fails, bad, message, error=DomainError):
+    # error(message(i)) for each entry i where bad is set, in fails unless
+    # entry i has an error already (an entry's first error stands; None,
+    # "no value", does not count as one)
+    for i in np.flatnonzero(bad).tolist() if np.count_nonzero(bad) else ():
+        if fails.get(i) is None:
+            fails[i] = error(message(i))
+
+
+def _pow_real(base, expo, fails):
+    # pow_real with each failing pair's error in fails under its flat index
+    # (see _record) and nan in its place
     # getattr and count_nonzero cost less than np.ndim and .all() on the
     # few points of a derivative query or a quadrature panel
     array_expo = getattr(expo, "ndim", 0) > 0
@@ -106,16 +134,16 @@ def pow_real(base, expo):
         whole = (e == np.round(e)) & (np.abs(e) <= 2**31)
         bad = (zero & ~(e >= 0.0)) | ~(zero | (b > 0.0) | whole)
         if bad.any():
-            i = np.flatnonzero(bad)[0]
-            if b.flat[i] == 0.0:
-                raise DomainError("zero raised to a negative power")
-            raise DomainError(f"negative base {b.flat[i]} with non-integer "
-                              f"exponent {np.broadcast_to(e, b.shape).flat[i]}")
+            ex = np.broadcast_to(e, b.shape)
+            _record(fails, bad, lambda i: "zero raised to a negative power" if b.flat[i] == 0.0
+                    else f"negative base {b.flat[i]} with non-integer exponent {ex.flat[i]}")
+            b = np.where(bad, np.nan, b)
         out = np.where(zero, np.where(e == 0.0, 1.0, 0.0), np.power(b, e))
-    if np.count_nonzero(np.isinf(out)):
-        i = np.flatnonzero(np.isinf(out))[0]
-        raise DomainError(f"overflow in {b.flat[i]}^"
-                          f"{np.broadcast_to(e, b.shape).flat[i]}")
+    inf = np.isinf(out)
+    if np.count_nonzero(inf):
+        ex = np.broadcast_to(e, b.shape)
+        _record(fails, inf, lambda i: f"overflow in {b.flat[i]}^{ex.flat[i]}")
+        out = np.where(inf, np.nan, out)
     return float(out[0]) if scalar else out
 
 
@@ -123,31 +151,35 @@ _UFUNCS = {"abs": np.abs, "sqrt": np.sqrt, "log": np.log, "exp": np.exp,
            "sin": np.sin, "cos": np.cos}
 
 
-def _walk(node: Node, env: dict[str, np.ndarray], n: int) -> np.ndarray:
+def _walk(node: Node, env: dict[str, np.ndarray], n: int, fails: dict) -> np.ndarray:
+    # the values of node at the n points of env; each point's first error
+    # in walk order goes into fails (see _record), and the walk goes on
+    # with nan there
     if isinstance(node, Const):
         return np.full(n, node.value)
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Unary):
-        a = _walk(node.arg, env, n)
+        a = _walk(node.arg, env, n, fails)
         op = node.op
         if op == "neg":
             return -a
-        if op == "sqrt" and (a < 0.0).any():
-            raise DomainError(f"sqrt of negative value {float(a[a < 0.0][0])}")
-        if op == "log" and (a <= 0.0).any():
-            raise DomainError(f"log of non-positive value {float(a[a <= 0.0][0])}")
+        bad = (a < 0.0) if op == "sqrt" else (a <= 0.0) if op == "log" else None
+        if bad is not None and bad.any():
+            what = "negative" if op == "sqrt" else "non-positive"
+            _record(fails, bad, lambda i: f"{op} of {what} value {float(a[i])}")
+            a = np.where(bad, np.nan, a)
         if op not in _UFUNCS:
             raise DomainError(f"unknown unary op {op!r}")
         out = _UFUNCS[op](a)
         if op == "exp" and np.isinf(out).any():
-            raise DomainError(f"overflow in exp({float(a[np.isinf(out)][0])})")
+            _record(fails, np.isinf(out), lambda i: f"overflow in exp({float(a[i])})")
         return out
-    l = _walk(node.lhs, env, n)
+    l = _walk(node.lhs, env, n, fails)
     if node.op == "^" and isinstance(node.rhs, Const):
         # a constant exponent is a number, as for pow_real's other callers
-        return pow_real(l, node.rhs.value)
-    r = _walk(node.rhs, env, n)
+        return _pow_real(l, node.rhs.value, fails)
+    r = _walk(node.rhs, env, n, fails)
     op = node.op
     if op == "+":
         return l + r
@@ -156,25 +188,26 @@ def _walk(node: Node, env: dict[str, np.ndarray], n: int) -> np.ndarray:
     if op == "*":
         return l * r
     if op == "/":
-        if (r == 0.0).any():
-            raise DomainError("division by zero")
+        zero = r == 0.0
+        if zero.any():
+            _record(fails, zero, lambda i: "division by zero")
+            r = np.where(zero, np.nan, r)
         return l / r
     if op == "^":
-        return pow_real(l, r)
+        return _pow_real(l, r, fails)
     raise DomainError(f"unknown binary op {op!r}")
 
 
 def eval_array(node: Node, env: dict[str, np.ndarray]) -> np.ndarray:
     """Values of ``node`` at n points; each env entry is a 1-d array of length n.
 
-    A domain error names an offending operand (the first one in point
-    order within the failing node); callers that must name the first bad
-    point re-run the batch one point at a time.  Overflow in arithmetic,
-    sin and cos of inf, and inf - inf give inf or nan for the caller's
+    Each point's error is the first its walk meets, as on its own, and the
+    one raised is the first failing point's.  Overflow in arithmetic, sin
+    and cos of inf, and inf - inf give inf or nan for the caller's
     finiteness check (with numpy's warning unless the caller mutes it).
     """
     n = len(next(iter(env.values()))) if env else 1
-    return _walk(node, env, n)
+    return _raising(lambda e, fails: _walk(node, e, n, fails))(env)
 
 
 def eval_node(node: Node, env: dict[str, float]) -> float:

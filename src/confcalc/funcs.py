@@ -1,22 +1,20 @@
 """Function objects the calculus kernels operate on.
 
 Every function maps a real ``t`` to a scalar, vector, or square-matrix
-value.  Each kind has one evaluator, over a batch of points:
-:meth:`AbstractFn.eval_many` returns the values stacked along a leading
-axis, after one domain and finiteness check for the whole batch.
-:meth:`AbstractFn.eval` (and :func:`evaluate`) is its one-point case
-wrapped in a :class:`~confcalc.vecspace.VecValue`; calling the object
-gives the one-point payload as an array.  Exact first derivatives follow
-the same pattern: :meth:`AbstractFn.exact_deriv_many` stacks them for a
-batch of points (an array evaluation for expression trees, named
-builtins and their composites, a point loop for the other kinds), and
-``exact_deriv`` is its one-point case.  Both return None where no exact
-derivative is known (grid data, say).
+value.  Each kind has one evaluator over a batch of points, which gives
+the stacked values and each failing point's own error (``_checked``,
+``_exact``, read by the kernels).  :meth:`AbstractFn.eval_many` returns
+those values, shape (n, *value shape), or raises the first failing
+point's error; :meth:`AbstractFn.eval` (and :func:`evaluate`) is its
+one-point case wrapped in a :class:`~confcalc.vecspace.VecValue`, and
+calling the object gives the one-point payload.  Exact first derivatives
+follow the same pattern (:meth:`AbstractFn.exact_deriv_many`,
+``exact_deriv``); None where no exact derivative is known (grid data).
 
 Array evaluations are numpy ufunc calls over the batch and the one-point
 case is the same calls on a length-1 array, so a point gets the same bits
-in every batch.  Where a ufunc gives inf or nan, the per-batch finiteness
-check raises a DomainError naming the first bad point.
+and the same error (the first it meets: outside the domain, in the
+evaluation, inf or nan) in every batch.
 
 Kinds:
 
@@ -44,6 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as _e
+from .expr import _record
 from .errors import DomainError, ShapeError
 from .vecspace import VecValue, _mnorm
 
@@ -91,72 +90,71 @@ class AbstractFn:
         if not (lo <= t <= hi):
             raise DomainError(f"t = {t} outside domain [{lo}, {hi}]")
 
-    def _inside(self, ts: np.ndarray) -> np.ndarray:
+    def _inside(self, ts: np.ndarray, fails: dict):
         lo, hi = self._domain
         inside = (ts >= lo) & (ts <= hi)
         if not inside.all():
-            self._check_domain(float(ts[~inside][0]))
-        return ts
+            _record(fails, ~inside, lambda i: f"t = {float(ts[i])} outside domain [{lo}, {hi}]")
 
-    def _values(self, ts: np.ndarray) -> np.ndarray:
-        """Unchecked values at in-domain points, shape (n, *value shape)."""
+    def _values(self, ts: np.ndarray, fails: dict) -> np.ndarray:
+        """Unchecked values at the points ts, shape (n, *value shape); a
+        point that fails records its error in fails (see :meth:`_checked`)."""
         raise NotImplementedError
 
-    # Kinds with a closed-form derivative set this to a method giving the
-    # unchecked derivatives at in-domain points, shape (n, *value shape),
-    # or None when a component has none.
+    # Kinds with a closed-form derivative set this to a method like
+    # _values giving the unchecked derivatives.
     _derivs = None
+
+    def _checked(self, ts: np.ndarray, fails: dict) -> np.ndarray:
+        # the values at the points ts and, in fails under its index, each
+        # failing point's first error; a point with an error there already
+        # is decided (a callable is not called at it)
+        self._inside(ts, fails)
+        return _finite(self._values, ts, fails, "value")
+
+    def _exact(self, ts: np.ndarray, fails: dict) -> np.ndarray:
+        # _checked for the exact derivatives; a point without one gets None
+        # in fails, which an error there outranks
+        if self._derivs is None:
+            for i in range(ts.size):
+                fails.setdefault(i, None)
+            return np.full(ts.size, np.nan)
+        self._inside(ts, fails)
+        return _finite(self._derivs, ts, fails, "exact derivative")
 
     def exact_deriv(self, t: float):
         """Raw exact first derivative, or None when unavailable."""
-        d = self._exact(np.array([float(t)]))
+        d = self.exact_deriv_many((t,))
         return None if d is None else d[0]
-
-    def _exact(self, ts: np.ndarray):
-        if self._derivs is None:
-            return None
-        return _finite(self._derivs, self._inside(ts), "exact derivative")
 
     def exact_deriv_many(self, ts):
         """Exact first derivatives at the points ``ts``, shape (n, *value
         shape), or None when one is unavailable at any of them.
 
-        Row i is bit-identical to ``exact_deriv(ts[i])``.  The answer is
-        the one a loop over ``exact_deriv`` in input order gives: the
-        first point whose derivative is unavailable or raises decides,
-        None for the one and that point's own error for the other.
-        Kinds with a closed form evaluate the batch as arrays after one
-        domain check, check it finite once, and run that loop when the
-        batch meets None or an error; the other kinds always loop.
+        Row i is bit-identical to ``exact_deriv(ts[i])``.  One pass gives
+        each point its derivative, None or its own error (which outranks a
+        component's None); the first point in input order without a
+        derivative decides: None for the one and that error for the other.
         """
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        if ts.size != 1:
-            try:
-                d = self._exact(ts)
-            except Exception:
-                d = None
-            if d is not None:
-                return d
-        rows = []
-        for t in ts.tolist():
-            d = self.exact_deriv(t)
-            if d is None:
-                return None
-            rows.append(np.asarray(d, dtype=float))
-        return np.array(rows)
+        fails = {}
+        d = self._exact(np.asarray(ts, dtype=float).reshape(-1), fails)
+        first = fails[min(fails)] if fails else d
+        if isinstance(first, Exception):
+            raise first
+        return first
 
     def eval_many(self, ts) -> np.ndarray:
         """Values at the points ``ts`` (flattened), shape (n, *value shape).
 
         Domain and finiteness are checked once for the whole batch.  Row i
-        is bit-identical to ``eval(ts[i])``.  On any error the batch is
-        re-run point by point, so the exception, type and message, is the
-        one ``eval`` raises at the first bad t in input order.
+        is bit-identical to ``eval(ts[i])``, and the error raised is the one
+        ``eval`` raises at the first failing point in input order.
         """
-        return run_batch(self._checked, np.asarray(ts, dtype=float).reshape(-1))
-
-    def _checked(self, ts: np.ndarray) -> np.ndarray:
-        return _finite(self._values, self._inside(ts), "value")
+        fails = {}
+        vals = self._checked(np.asarray(ts, dtype=float).reshape(-1), fails)
+        if fails:
+            raise fails[min(fails)]
+        return vals
 
     def eval(self, t: float) -> VecValue:
         return VecValue(self.eval_many((t,))[0])
@@ -165,32 +163,41 @@ class AbstractFn:
         return self.eval_many((t,))[0]
 
 
-def _finite(fn, ts: np.ndarray, what: str):
-    """``fn(ts)``, rows stacked over the points ``ts``, or None if it gives
-    None.  A row with inf or nan raises a DomainError naming its point, so
-    numpy's warnings about them are muted."""
+def _finite(fn, ts: np.ndarray, fails: dict, what: str):
+    """``fn(ts, fails)``, rows stacked over the points ``ts``.  A row with
+    inf or nan at a point not yet in fails records a DomainError naming
+    that point, so numpy's warnings about them are muted.  The row of
+    every point in fails is nan, whatever fn left there."""
     with np.errstate(all="ignore"):
-        out = fn(ts)
-    if out is None:
-        return None
+        out = fn(ts, fails)
     finite = np.isfinite(out)
     if not finite.all():
-        bad = ~finite.reshape(ts.size, -1).all(axis=1)
-        raise DomainError(f"non-finite {what} at t = {float(ts[bad][0])}")
+        for i in np.flatnonzero(~finite.reshape(ts.size, -1).all(axis=1)).tolist():
+            if i not in fails:
+                fails[i] = DomainError(f"non-finite {what} at t = {float(ts[i])}")
+    if fails:
+        out = np.array(out, dtype=float)  # a copy: fn may hand back ts itself
+        out[list(fails)] = np.nan
     return out
 
 
-def run_batch(run, ts: np.ndarray):
-    """``run(ts)`` over a 1-d batch of points; on any error, ``run`` again
-    one point at a time, so the exception raised (type and message) is
-    the one the first failing point raises on its own."""
-    try:
-        return run(ts)
-    except Exception:
-        if ts.size > 1:
-            for i in range(ts.size):
-                run(ts[i:i + 1])
-        raise
+def _stacked_rows(rows):
+    # the rows stacked, a None row (a failed point) as nan of the others' shape
+    like = next((r for r in rows if r is not None), np.nan)
+    fill = np.full(np.shape(like), np.nan)
+    return np.array([fill if r is None else r for r in rows])
+
+
+def _on(keep, fn, ts, fails):
+    # fn(ts[keep], sub) with sub the entries of fails at those points,
+    # renumbered, and what fn records there put back
+    idx = np.flatnonzero(keep).tolist() if fails else None
+    sub = {k: fails[i] for k, i in enumerate(idx) if i in fails} if fails else {}
+    out = fn(ts[keep], sub)
+    if sub:
+        idx = np.flatnonzero(keep).tolist()
+        fails.update((idx[k], why) for k, why in sub.items())
+    return out
 
 
 def evaluate(f: AbstractFn, t: float) -> VecValue:
@@ -218,16 +225,16 @@ class ExprFn(AbstractFn):
         self.node = _e.parse_text(text, variables=("t",))
         self._deriv_node = None
 
-    def _values(self, ts: np.ndarray) -> np.ndarray:
-        return _e.eval_array(self.node, {"t": ts})
+    def _values(self, ts: np.ndarray, fails: dict) -> np.ndarray:
+        return _e._walk(self.node, {"t": ts}, ts.size, fails)
 
     def _dnode(self):
         if self._deriv_node is None:
             self._deriv_node = _e.diff_node(self.node, "t")
         return self._deriv_node
 
-    def _derivs(self, ts: np.ndarray) -> np.ndarray:
-        return _e.eval_array(self._dnode(), {"t": ts})
+    def _derivs(self, ts: np.ndarray, fails: dict) -> np.ndarray:
+        return _e._walk(self._dnode(), {"t": ts}, ts.size, fails)
 
     def printed(self) -> str:
         """Canonical text that re-parses to an equivalent expression."""
@@ -245,8 +252,9 @@ def parse_expr(text: str, domain=(-_INF, _INF)) -> ExprFn:
 class BuiltinFn(AbstractFn):
     """Named analytic function with a hand-written derivative closure.
 
-    ``fn`` and ``dfn`` map a 1-d array of in-domain points to the arrays
-    of values and of derivatives, element by element (numpy ufuncs).
+    ``fn`` and ``dfn`` map a 1-d array of points and a dict of failed
+    points (see :meth:`AbstractFn._checked`) to the arrays of values and
+    of derivatives, element by element (numpy ufuncs).
     """
 
     kind = "builtin"
@@ -270,7 +278,8 @@ def power_fn(p: float, shift: float = 0.0) -> BuiltinFn:
     Domain starts at the shift for non-integer exponents.  The value at
     the left endpoint is 0 for p > 0; the derivative there is a domain
     error when 0 < p < 1.  For p = 0 the function is 1 and its derivative
-    0 everywhere, the shift included.
+    0 everywhere, the shift included.  Errors are per point (see
+    :func:`~confcalc.expr.pow_real`).
     """
     p = float(p)
     shift = float(shift)
@@ -279,37 +288,44 @@ def power_fn(p: float, shift: float = 0.0) -> BuiltinFn:
     else:
         lo = shift
 
-    def fn(ts: np.ndarray) -> np.ndarray:
-        return _e.pow_real(ts - shift, p)
+    def fn(ts: np.ndarray, fails: dict) -> np.ndarray:
+        return _e._pow_real(ts - shift, p, fails)
 
-    def dfn(ts: np.ndarray) -> np.ndarray:
+    def dfn(ts: np.ndarray, fails: dict) -> np.ndarray:
         if p == 0.0:
             return np.zeros_like(ts)
-        return p * _e.pow_real(ts - shift, p - 1.0)
+        return p * _e._pow_real(ts - shift, p - 1.0, fails)
 
     name = f"pow:{p:g}" if shift == 0.0 else f"pow:{p:g}:{shift:g}"
     return BuiltinFn(name, fn, dfn, domain=(lo, _INF))
 
 
+def _ufunc(fn):
+    # a BuiltinFn closure from an elementwise map that fails no point (inf
+    # and nan are left to the finiteness check)
+    return lambda ts, _fails: fn(ts)
+
+
 def _mk_builtins() -> dict[str, Callable[[], BuiltinFn]]:
+    u = _ufunc
     return {
-        "one": lambda: BuiltinFn("one", np.ones_like, np.zeros_like),
-        "identity": lambda: BuiltinFn("identity", np.copy, np.ones_like),
-        "square": lambda: BuiltinFn("square", lambda t: t * t, lambda t: 2.0 * t),
+        "one": lambda: BuiltinFn("one", u(np.ones_like), u(np.zeros_like)),
+        "identity": lambda: BuiltinFn("identity", u(np.copy), u(np.ones_like)),
+        "square": lambda: BuiltinFn("square", u(lambda t: t * t), u(lambda t: 2.0 * t)),
         "cube": lambda: BuiltinFn(
-            "cube", lambda t: t * t * t, lambda t: 3.0 * t * t
+            "cube", u(lambda t: t * t * t), u(lambda t: 3.0 * t * t)
         ),
         "sqrt": lambda: BuiltinFn(
-            "sqrt", np.sqrt, lambda t: 0.5 / np.sqrt(t), domain=(0.0, _INF)
+            "sqrt", u(np.sqrt), u(lambda t: 0.5 / np.sqrt(t)), domain=(0.0, _INF)
         ),
-        "exp": lambda: BuiltinFn("exp", np.exp, np.exp),
-        "sin": lambda: BuiltinFn("sin", np.sin, np.cos),
-        "cos": lambda: BuiltinFn("cos", np.cos, lambda t: -np.sin(t)),
-        "log": lambda: BuiltinFn("log", np.log, lambda t: 1.0 / t, domain=(0.0, _INF)),
+        "exp": lambda: BuiltinFn("exp", u(np.exp), u(np.exp)),
+        "sin": lambda: BuiltinFn("sin", u(np.sin), u(np.cos)),
+        "cos": lambda: BuiltinFn("cos", u(np.cos), u(lambda t: -np.sin(t))),
+        "log": lambda: BuiltinFn("log", u(np.log), u(lambda t: 1.0 / t), domain=(0.0, _INF)),
         "t_sin": lambda: BuiltinFn(
             "t_sin",
-            lambda t: t * np.sin(t),
-            lambda t: np.sin(t) + t * np.cos(t),
+            u(lambda t: t * np.sin(t)),
+            u(lambda t: np.sin(t) + t * np.cos(t)),
         ),
     }
 
@@ -409,7 +425,7 @@ class GridFn(AbstractFn):
         i = np.searchsorted(self.nodes_t, t, side="right") - 1
         return np.clip(i, 0, self.nodes_t.size - 2)
 
-    def _values(self, ts: np.ndarray) -> np.ndarray:
+    def _values(self, ts: np.ndarray, _fails: dict) -> np.ndarray:
         i = self._locate(ts)
         t0, t1 = self.nodes_t[i], self.nodes_t[i + 1]
         v0, v1 = self.values[i], self.values[i + 1]
@@ -487,16 +503,15 @@ class CompositeFn(AbstractFn):
         self._comps = comps
         self._flat = flat
 
-    def _values(self, ts: np.ndarray) -> np.ndarray:
-        cols = [f._values(ts) for f in self._flat]
+    def _values(self, ts: np.ndarray, fails: dict) -> np.ndarray:
+        # a point's error is its first failing component's
+        cols = [f._values(ts, fails) for f in self._flat]
         return np.stack(cols, axis=1).reshape((ts.size,) + self._shape)
 
-    def _derivs(self, ts: np.ndarray):
+    def _derivs(self, ts: np.ndarray, fails: dict) -> np.ndarray:
         # every component is asked, so at one point an error of any
         # component wins over another's None, whatever their order
-        cols = [f.exact_deriv_many(ts) for f in self._flat]
-        if any(d is None for d in cols):
-            return None
+        cols = [f._exact(ts, fails) for f in self._flat]
         return np.stack(cols, axis=1).reshape((ts.size,) + self._shape)
 
 
@@ -512,7 +527,7 @@ def diag_fn(components: Sequence[AbstractFn], label: str = "") -> CompositeFn:
     """Square matrix function with the given diagonal and zeros elsewhere."""
     comps = list(components)
     n = len(comps)
-    zero = BuiltinFn("zero", np.zeros_like, np.zeros_like)
+    zero = BuiltinFn("zero", _ufunc(np.zeros_like), _ufunc(np.zeros_like))
     rows = [
         [comps[i] if i == j else zero for j in range(n)] for i in range(n)
     ]
@@ -520,31 +535,32 @@ def diag_fn(components: Sequence[AbstractFn], label: str = "") -> CompositeFn:
 
 
 class CallableFn(AbstractFn):
-    """Adapter for a plain callable, optionally with a derivative callable."""
+    """Adapter for a plain callable, optionally with a derivative callable.
+
+    A batch calls ``fn`` (or ``deriv``) once per point, in input order,
+    also past a point where it raised (that point's error); a point failed
+    before (outside the domain, say) is not called.
+    """
 
     kind = "callable"
 
     def __init__(self, fn, domain=(-_INF, _INF), deriv=None, label: str = ""):
         super().__init__(domain, label)
-        self._fn = fn
-        self._deriv = deriv
+        self._values = lambda ts, fails: _each(fn, ts, fails)
+        if deriv is not None:
+            self._derivs = lambda ts, fails: _each(deriv, ts, fails)
 
-    def _values(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([np.asarray(self._fn(t), dtype=float) for t in ts.tolist()])
 
-    def eval_many(self, ts) -> np.ndarray:
-        # one point at a time, in order: the callable may keep state, so a
-        # batch stops at its first bad t and calls no point twice (a
-        # composite holding this function re-runs its own failed batch)
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        return np.array([AbstractFn.eval_many(self, ts[i:i + 1])[0]
-                         for i in range(ts.size)])
-
-    def exact_deriv(self, t: float):
-        if self._deriv is None:
-            return None
-        self._check_domain(t)
-        return self._deriv(t)
+def _each(fn, ts, fails):
+    # fn at each point not failed yet, in order; what it raises is the point's error
+    rows = [None] * ts.size
+    for i, t in enumerate(ts.tolist()):
+        if fails.get(i) is None:
+            try:
+                rows[i] = np.asarray(fn(t), dtype=float)
+            except Exception as exc:
+                fails[i] = exc
+    return _stacked_rows(rows)
 
 
 class PointPatchedFn(AbstractFn):
@@ -558,20 +574,24 @@ class PointPatchedFn(AbstractFn):
         self.at = float(at)
         self.patch_value = np.asarray(value, dtype=float)
 
-    def _values(self, ts: np.ndarray) -> np.ndarray:
+    def _values(self, ts: np.ndarray, fails: dict) -> np.ndarray:
+        return self._around(ts, fails, self.inner._values, self.patch_value)
+
+    def _exact(self, ts: np.ndarray, fails: dict) -> np.ndarray:
+        # none at the patched point, the inner function's elsewhere
+        for i in np.flatnonzero(ts == self.at).tolist():
+            fails.setdefault(i, None)
+        return self._around(ts, fails, self.inner._exact, np.nan)
+
+    def _around(self, ts, fails, inner, patch):
+        # inner(ts, fails) away from the patched point, patch at it
         hit = ts == self.at
         if not hit.any():
-            return self.inner._values(ts)
-        out = np.empty((ts.size,) + self.patch_value.shape)
-        out[hit] = self.patch_value
-        if not hit.all():
-            out[~hit] = self.inner._values(ts[~hit])
+            return inner(ts, fails)
+        rows = _on(~hit, inner, ts, fails)
+        out = np.empty((ts.size,) + np.broadcast_shapes(np.shape(patch), rows.shape[1:]))
+        out[hit], out[~hit] = patch, rows
         return out
-
-    def exact_deriv(self, t: float):
-        if t == self.at:
-            return None
-        return self.inner.exact_deriv(t)
 
 
 def load_grid_csv(path, interp: str = "cubic") -> GridFn:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +51,11 @@ from .calculus import (
     _conf_derivs,
     _conf_integrals,
     _deriv_core,
+    _first_error,
     _first_step,
     _integral_derivs,
     _integral_range,
+    _mapped,
     _order_pow,
     _per_row,
     _rownorms,
@@ -69,10 +70,11 @@ from .calculus import (
     avg_recover,
 )
 from .errors import ConfcalcError, DomainError, LowerTerminalError
+from .expr import _record
 from .funcs import (
     AbstractFn,
     ExprFn,
-    _finite,
+    _on,
     builtin,
     diag_fn,
     power_fn,
@@ -254,28 +256,30 @@ def _undefined(f: AbstractFn, t: float, start: float | None = None) -> str:
 
 
 def _deriv(f, alpha, a, t, side="two-sided"):
-    # the request for conf_deriv(f, ConfParams(alpha, a), t, side, Tolerance())
+    # the request for conf_deriv(f, ConfParams(alpha, a), t, side,
+    # Tolerance()); an order or terminal out of range raises here, in the checker
+    if not (0.0 < alpha <= 1.0 and abs(a) < np.inf):
+        ConfParams(alpha, a)
     return ("deriv", f, a, side, alpha, t)
 
 
 def _combination(iid, f, g, data):
-    # the algebra rule iid's combination of f and g as values(ss, rows):
-    # the stacked values at the points ss, point j in row rows[j] of data,
-    # one row per derivative point with its c and d (LINEARITY_i) or its
-    # frozen f(t) (CONST_ii); data is None for the product and quotient
-    def quotient(ss, rows):
-        den = g.eval_many(ss)
-        zero = den == 0.0
-        if zero.any():
-            raise DomainError(f"g vanishes at t = {float(ss[zero][0])}")
-        return f.eval_many(ss) / den
+    # the algebra rule iid's combination of f and g as values(ss, rows,
+    # fails): the stacked values at the points ss, point j in row rows[j]
+    # of data, one row per derivative point with its c and d (LINEARITY_i)
+    # or its frozen f(t) (CONST_ii), each failing point's error in fails
+    # (see AbstractFn._checked); data is None for the product and quotient
+    def quotient(ss, rows, fails):
+        den = g._checked(ss, fails)
+        _record(fails, den == 0.0, lambda i: f"g vanishes at t = {float(ss[i])}")
+        return f._checked(ss, fails) / den
 
     return {
-        "LINEARITY_i": lambda ss, rows: _rowwise(
+        "LINEARITY_i": lambda ss, rows, fails: _rowwise(
             lambda u, v: _per_row(data[rows, 0], u) * u + _per_row(data[rows, 1], v) * v,
-            f.eval_many(ss), g.eval_many(ss)),
-        "CONST_ii": lambda ss, rows: data[rows],
-        "PRODUCT_iii": lambda ss, rows: f.eval_many(ss) * g.eval_many(ss),
+            f._checked(ss, fails), g._checked(ss, fails)),
+        "CONST_ii": lambda ss, rows, fails: data[rows],
+        "PRODUCT_iii": lambda ss, rows, fails: f._checked(ss, fails) * g._checked(ss, fails),
         "QUOTIENT_iv": quotient,
     }[iid]
 
@@ -290,22 +294,13 @@ def _rowwise(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _BatchFn(AbstractFn):
-    """A derived function given by its values on a whole batch of points.
-
-    ``values(ts)`` returns the stacked values at in-domain points, so a
-    kernel's 17 difference probes or a quadrature panel's Gauss nodes
-    cost one call; domain and finiteness are checked as for every kind.
-    """
+    """A derived function whose ``_values`` is ``values(ts, fails)``."""
 
     kind = "batch"
 
     def __init__(self, values, domain, label: str):
         super().__init__(domain, label)
-        self._batch = values
-
-    def _values(self, ts: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._batch(ts)
+        self._values = values
 
 
 def _decay_to_zero(f, t, sign, levels, thr):
@@ -314,37 +309,23 @@ def _decay_to_zero(f, t, sign, levels, thr):
     h starts at ``_first_step(t, room, 0.01)``: min(0.01*max(1, |t|), half
     the domain room on that side); a side with no room passes with a
     residual of 0.  f at t and at all ``levels`` probes comes from one
-    ``eval_many`` call, and the first probe under thr decides: the levels
-    after it are evaluated and never used.  If that call raises, f is
-    evaluated one point at a time in order, so only an error at a point
-    that is read surfaces.
+    evaluation, and the first probe under thr decides: the levels after it
+    are evaluated and never used, and an error at one of them never
+    surfaces.  An error at a point that is read is raised.
     """
     lo, hi = f.domain
     room = (hi - t) if sign > 0 else (t - lo)
     if room <= 0.0:
         return True, 0.0
     h0 = _first_step(t, sign * room, 0.01)
-    vals = _in_turn(f, [t] + [t + h0 * 0.5**k for k in range(levels)])
-    if isinstance(vals, np.ndarray):
-        norms = _rownorms(vals[1:] - vals[0])
-        under = np.flatnonzero(norms <= thr)
-        return (True, float(norms[under[0]])) if under.size else (False, float(norms[-1]))
-    f0, last = next(vals), math.inf
-    for v in vals:
-        last = _mnorm(v - f0)
-        if last <= thr:
-            return True, last
-    return False, last
-
-
-def _in_turn(f, pts):
-    # f at the points pts from one eval_many call; if that raises, an
-    # iterator over them point by point, so only an error at a point that
-    # is read surfaces, as the error that point raises on its own
-    try:
-        return f.eval_many(pts)
-    except Exception:
-        return (f(s) for s in pts)
+    fails = {}
+    vals = f._checked(np.array([t] + [t + h0 * 0.5**k for k in range(levels)]), fails)
+    norms = _rownorms(vals[1:] - vals[0])
+    under = np.flatnonzero(norms <= thr)
+    read = under[0] + 1 if under.size else levels  # the last point read
+    if fails and min(fails) <= read:
+        raise fails[min(fails)]
+    return bool(under.size), float(norms[read - 1])
 
 
 def check_continuity(f, p, t, tol=None) -> CaseResult:
@@ -496,59 +477,71 @@ def _left_inverse_integrals(f, a, items):
     rounded to a; quotient: no differencing room, and that sliver's mass
     is O(floor)), computed once per order and call.  Each integral's
     noise is the largest error estimate of T f at its own nodes so far.
+    Per item its integral or its error (that of its first failed node).
     """
     orders, ts, scaled = (np.array(col) for col in zip(*items))
     floors = np.where(scaled, 0.0, 4096.0 * _EPS * max(1.0, abs(a)))
     err_seen, terminal, inner = [0.0] * len(items), {}, Tolerance()
 
-    def tf(x, owner):
-        # T f at the offsets x, x[i] a node of integral owner[i]
+    def tf(x, owner, fails):
+        # T f at the offsets x, x[i] a node of integral owner[i]; a failing
+        # node's error goes into fails
         s = a + x
         near = s - a <= floors[owner]
         out = None
         for route in (True, False):
             on = ~near & (scaled[owner] == route)
             if on.any():
-                own = owner[on]
-                vals, errs = (_scaled_values(f, a, orders[own], s[on], x[on], inner) if route
-                              else _stacked(_conf_derivs(f, a, orders[own], s[on], x[on],
-                                                         "two-sided", inner)))
+                own, failed = owner[on], len(fails)
+                vals, errs = _on(on, lambda ss, fl: _scaled_values(
+                    f, a, orders[own], ss, x[on], inner, fl)[:2] if route else _stacked(
+                    _conf_derivs(f, a, orders[own], ss, x[on], "two-sided", inner), fl), s, fails)
                 errs = np.array(errs)
                 for j in np.unique(own).tolist():
                     err_seen[j] = max(err_seen[j], *errs[own == j].tolist())
-                out = np.empty((x.size,) + vals.shape[1:]) if out is None else out
-                out[on] = vals
+                if len(fails) - failed < len(own):  # a node with a value
+                    out = np.empty((x.size,) + vals.shape[1:]) if out is None else out
+                    out[on] = vals
         for j in np.unique(owner[near]).tolist():
             alpha = items[j][0]
             if alpha not in terminal:
-                terminal[alpha] = lower_terminal_deriv(f, ConfParams(alpha, a)).value.data
+                try:
+                    terminal[alpha] = lower_terminal_deriv(f, ConfParams(alpha, a)).value.data
+                except Exception as exc:
+                    terminal[alpha] = exc
+            at = near & (owner == j)
+            if isinstance(terminal[alpha], Exception):
+                fails.update(dict.fromkeys(np.flatnonzero(at).tolist(), terminal[alpha]))
+                continue
             out = np.empty((x.size,) + terminal[alpha].shape) if out is None else out
-            out[near & (owner == j)] = terminal[alpha]
-        return out
+            out[at] = terminal[alpha]
+        return np.full(x.size, np.nan) if out is None else out
 
-    tf_fn = _BatchFn(lambda x: tf(x, np.zeros(x.size, int)),
-                     domain=(0.0, f.domain[1] - a), label=f"T[{_label(f)}]")
+    def tf_fn(owner):
+        # T f over the offsets, its nodes those of integral owner (one, or one per node)
+        return _BatchFn(lambda x, fails: tf(x, np.broadcast_to(owner, x.shape), fails),
+                        (0.0, f.domain[1] - a), f"T[{_label(f)}]")
+
     noises = [(lambda j: lambda: err_seen[j])(j) for j in range(len(items))]
-    # one item: tf_fn's own values; several: each node's integral passed on
-    h = None if len(items) == 1 else (lambda x, owner: _finite(
-        lambda xs: tf(xs, np.broadcast_to(owner, xs.shape)), x, "value"))
-    return [v for v, _err, _evals in _conf_integrals(
-        tf_fn, [ConfParams(alpha) for alpha in orders.tolist()],
-        [t - a for t in ts.tolist()], Tolerance(rel=1e-9, abs=1e-9), noises, h)]
+    return _mapped(lambda r: r[0], _conf_integrals(
+        tf_fn(0), [ConfParams(alpha) for alpha in orders.tolist()],
+        [t - a for t in ts.tolist()], Tolerance(rel=1e-9, abs=1e-9), noises,
+        lambda x, owner, fails: tf_fn(owner)._checked(x, fails)))
 
 
 def _bounded_near_terminal(f, a, span):
-    # f's largest norm at a + span*2^-j, j = 2, 6, ..., 38 (see _in_turn)
+    # f's largest norm at a + span*2^-j, j = 2, 6, ..., 38, read in order:
+    # the first point where f fails ends it
     pts = [a + span * 0.5**j for j in range(2, 42, 4)]
-    vals = iter(_in_turn(f, pts))
+    fails = {}
+    vals = f._checked(np.array(pts), fails)
     worst = 0.0
-    for s in pts:
-        try:
-            worst = max(worst, _mnorm(next(vals)))
-        except DomainError:
+    for i, s in enumerate(pts):
+        if isinstance(fails.get(i), DomainError):
             return False, worst, f"f not evaluable at t = {s:.3g}"
-        if not math.isfinite(worst):
-            return False, worst, "f is non-finite near the terminal"
+        if i in fails:
+            raise fails[i]
+        worst = max(worst, _mnorm(vals[i]))
     if worst > 1e8:
         return False, worst, "f grows without bound toward the terminal"
     return True, worst, ""
@@ -633,6 +626,7 @@ def _lower_vanishing(f, alpha, beta, a, tol):
     tol = tol if tol is not None else _TERMINAL_TOL
     if not beta < alpha:
         raise ValueError(f"need beta < alpha, got beta = {beta}, alpha = {alpha}")
+    ConfParams(alpha, a), ConfParams(beta, a)  # an order out of range raises here
     inputs = {"alpha": alpha, "beta": beta, "a": a}
     subject = _label(f)
     why = _undefined(f, a)
@@ -807,11 +801,13 @@ def _drive(gens):
     their results, or thrown the error of the first that failed.  Each
     round advances every open generator; the requests not yet in the memo
     are grouped by kind and by the fields a batch shares (see _SERVE), one
-    call per group.  The memo keeps each request's result or error, so all
-    who ask are sent the same; an error is thrown with its traceback from
-    when it was served, which does not grow by each case it passes.
-    Returns the results in the order of gens once all have finished, or
-    raises the first in that order that raised.
+    call per group, which gives each request its own result or error, as
+    asked alone; what the call itself raises, each request gets.  The memo
+    keeps each request's result or error, so all who ask are sent the
+    same; an error is thrown with its traceback from when it was served,
+    which does not grow by each case it passes.  Returns the results in
+    the order of gens once all have finished, or raises the first in that
+    order that raised.
     """
     memo, tbs, out = {}, {}, [None] * len(gens)
     sends = dict.fromkeys(range(len(gens)))
@@ -832,33 +828,22 @@ def _drive(gens):
             shared = _SERVE[req[0]][0]
             groups.setdefault(req[:shared], []).append(req[shared:])
         for key, items in groups.items():
-            served = _served(_SERVE[key[0]][1], key[1:], items)
+            try:
+                served = _SERVE[key[0]][1](*key[1:], items)
+            except Exception as exc:
+                served = [exc] * len(items)
             memo.update(zip((key + item for item in items), served))
             tbs.update((id(r), r.__traceback__) for r in served if isinstance(r, Exception))
         got = {j: [memo[r] for r in reqs] for j, reqs in asked.items()}
         sends = {j: next((r for r in rs if isinstance(r, Exception)), rs) for j, rs in got.items()}
-    for r in out:
-        if isinstance(r, Exception):
-            raise r
-    return out
-
-
-def _served(kernel, shared, items):
-    # kernel's results for the items of one group; if that call raises,
-    # each item's own result or error from a call of its own
-    try:
-        return kernel(*shared, items)
-    except Exception as exc:
-        return [exc] if len(items) == 1 else [_served(kernel, shared, [it])[0] for it in items]
+    return _first_error(out)
 
 
 def _interior_derivs(f, a, side, items):
     # conf_deriv(f, ConfParams(alpha, a), t, side, Tolerance()) at each item
     # (alpha, t), in one _deriv_core call
-    ps = [ConfParams(alpha, a) for alpha, _t in items]
-    ts = np.array([t for _alpha, t in items], dtype=float)
-    a = ps[0].a
-    return _conf_derivs(f, a, np.array([p.alpha for p in ps]), ts, ts - a, side, Tolerance())
+    orders, ts = (np.array(col, dtype=float) for col in zip(*items))
+    return _conf_derivs(f, float(a), orders, ts, ts - a, side, Tolerance())
 
 
 def _rule_derivs(iid, f, g, a, items):
@@ -871,18 +856,16 @@ def _rule_derivs(iid, f, g, a, items):
     values = _combination(iid, f, g, data)
     lo, hi = max(f.domain[0], g.domain[0]), min(f.domain[1], g.domain[1])
 
-    def evalf(probes, used):
-        # each probe in its point's row of data; one point raises its first
-        # failing probe's own error (eval_many), several are served again
-        # point by point when they raise (see _served)
+    def evalf(probes, used, fails):
+        # each probe in its point's row of data
         rows = np.nonzero(used)[0]
-        fn = _BatchFn(lambda ss: values(ss, rows), (lo, hi), labels[0])
-        return (fn.eval_many if len(items) == 1 else fn._checked)(probes[used])
+        return _BatchFn(lambda ss, fl: values(ss, rows, fl), (lo, hi),
+                        labels[0])._checked(probes[used], fails)
 
-    ts = np.array(ts, dtype=float)
+    ts, fails = np.array(ts, dtype=float), {}
     dist = ts - a
-    return _deriv_core(evalf, ts, _order_pow(dist, np.array(orders), lambda al: 1.0 - al), dist,
-                       lo, hi, "two-sided", Tolerance())
+    return _deriv_core(evalf, ts, _order_pow(dist, np.array(orders), lambda al: 1.0 - al, fails),
+                       dist, lo, hi, "two-sided", Tolerance(), fails=fails)
 
 
 def _integral_limits(f, a, tol, items):
@@ -891,15 +874,16 @@ def _integral_limits(f, a, tol, items):
     orders = np.array([alpha for alpha, in items])
 
     def sample(ts, owner):
-        return [(r.value.data, r.converged) for r in _integral_derivs(
-            f, ConfParams(orders[0], a), ts, Tolerance(), orders[owner])]
+        return _mapped(lambda r: (r.value.data, r.converged), _integral_derivs(
+            f, ConfParams(orders[0], a), ts, Tolerance(), orders[owner]))
 
     return _terminal_limits(sample, [(a, f.domain[1] - a, tol)] * len(items))
 
 
 # per request kind, how many of its leading fields a batch shares and the
-# call that serves a batch: kernel(*shared fields, [other fields per request]);
-# the kinds whose whole request is shared are served one request at a time
+# call that serves a batch: kernel(*shared fields, [other fields per
+# request]), per request its result or its error; the kinds whose whole
+# request is shared are served one request at a time
 _SERVE = {
     "deriv": (4, _interior_derivs),  # f, a, side | alpha, t
     "rule": (5, _rule_derivs),  # iid, f, g, a | alpha, t, data, label

@@ -286,6 +286,11 @@ class TestEvalManyErrors:
          [2.0, 0.5, 3.0]),
         (PointPatchedFn(builtin("log"), at=1.0, value=math.inf),
          [2.0, 1.0, 3.0]),
+        # the generated grammar's errors: a negative base, a pole after a
+        # point whose product overflows, the log of a negative argument
+        (parse_expr("(t) ^ (0.5) - log(t)"), [1.0, -1.0, 0.0]),
+        (parse_expr("(1e300) * (t) / (t - 1)"), [2.0, 1e10, 1.0]),
+        (PointPatchedFn(parse_expr("log(t - 1)"), at=0.0, value=1.0), [0.0, 2.0, 0.5, 3.0]),
     ])
     def test_names_the_first_bad_point(self, f, ts):
         first_bad = next(t for t in ts if _raises(f, t))
@@ -296,7 +301,8 @@ class TestEvalManyErrors:
         assert type(batch.value) is type(one.value)
         assert str(batch.value) == str(one.value)
 
-    def test_callable_stops_at_the_first_bad_point(self):
+    def test_callable_is_called_once_per_point_in_order(self):
+        # also past a bad point: each point's outcome is decided in one pass
         seen = []
 
         def fn(t):
@@ -310,7 +316,10 @@ class TestEvalManyErrors:
             f.eval_many([1.0, 2.0, 6.0])
         with pytest.raises(DomainError, match="no value at 6.0"):
             f.eval_many([1.0, 6.0, 2.0])
-        assert seen == [1.0, 2.0, 1.0, 6.0]
+        # a point outside the domain fails before the call: not called
+        with pytest.raises(DomainError, match="outside domain"):
+            f.eval_many([1.0, 11.0, 2.0])
+        assert seen == [1.0, 2.0, 6.0, 1.0, 6.0, 2.0, 1.0, 2.0]
 
 
 def _raises(f, t):
@@ -494,6 +503,7 @@ class TestExactDerivMany:
         (builtin("exp"), [1.0, 800.0, 2.0]),
         (vector_fn([builtin("sin"), power_fn(0.5)]), [1.0, -2.0, 0.0]),
         (PointPatchedFn(power_fn(0.5), at=1.0, value=2.0), [2.0, 0.0, 1.0]),
+        (parse_expr("sqrt(t) - log(t - 1)"), [2.0, 1.0, 0.0]),
     ], ids=lambda v: getattr(v, "label", None) or "")
     def test_names_the_first_bad_point(self, f, ts):
         first_bad = next(t for t in ts if _exact_raises(f, t))
@@ -680,6 +690,8 @@ class TestConfDerivScaledMany:
         (power_fn(0.5), [1.0, 0.0]),
         (GridFn([0.0, 1.0, 2.0], [0.0, 1.0, 4.0]), [1.5, 3.0, -1.0]),
         (vector_fn([builtin("sin"), builtin("log")]), [2.0, 0.0]),
+        # f' undefined at 0.5 and 1, where the numeric source fails too
+        (parse_expr("sqrt(t - 1)"), [2.0, 0.5, 1.0]),
     ], ids=lambda v: getattr(v, "label", None) or "")
     def test_raises_the_first_failing_points_error(self, f, ts):
         p = ConfParams(0.5)
@@ -689,6 +701,23 @@ class TestConfDerivScaledMany:
             conf_deriv_scaled_many(f, p, ts)
         assert type(batch.value) is type(bad)
         assert str(batch.value) == str(bad)
+
+    def test_one_undefined_point_alone_takes_the_numeric_source(self, monkeypatch):
+        # f' is undefined at t = 1 only: one pass of exact derivatives over
+        # the batch, and the numeric source at that point alone
+        f, p, ts = parse_expr("sqrt(abs(t - 1))"), ConfParams(0.5), [0.5, 1.0, 2.0, 3.0]
+        exact, numeric = [], []
+        exact_of, numeric_source = AbstractFn._exact, calculus._numeric_source
+        monkeypatch.setattr(AbstractFn, "_exact", lambda self, xs, fails: (
+            exact.append(xs.tolist()) or exact_of(self, xs, fails)))
+        monkeypatch.setattr(calculus, "_numeric_source", lambda g, t, tol, note: (
+            numeric.append(t) or numeric_source(g, t, tol, note)))
+        vals, errs = conf_deriv_scaled_many(f, p, ts)
+        assert exact == [ts] and numeric == [1.0]
+        for t, v, e in zip(ts, vals, errs):
+            r = conf_deriv_scaled(f, p, t)
+            assert _bits_equal(v, r.value.data)
+            assert _bits_equal(e, r.err_estimate)
 
     def test_callable_derivative_called_once_per_point_in_order(self):
         seen = []
@@ -757,9 +786,12 @@ def _left_inverse_reference(f, p, t, route):
             return terminal()
         one = (np.array([s]), np.array([x]))
         if use_scaled:
-            (value,), (err,) = calculus._scaled_values(f, p.a, p.alpha, *one, inner)
+            fails = {}
+            (value,), (err,), _ = calculus._scaled_values(f, p.a, p.alpha, *one, inner, fails)
+            calculus._first_error(fails.values())
         else:
-            (r,) = calculus._conf_derivs(f, p.a, p.alpha, *one, "two-sided", inner)
+            (r,) = calculus._first_error(
+                calculus._conf_derivs(f, p.a, p.alpha, *one, "two-sided", inner))
             value, err = r.value.data, r.err_estimate
         if err > err_seen[0]:
             err_seen[0] = err
@@ -903,14 +935,16 @@ class TestIntegrandsMatchTheOnePointCode:
 
 
 def _count_batches(monkeypatch):
+    # the batch evaluations: eval_many and the kernels both evaluate
+    # through AbstractFn._checked
     calls = []
-    original = AbstractFn.eval_many
+    original = AbstractFn._checked
 
-    def counted(self, ts):
+    def counted(self, ts, fails):
         calls.append((self.label, np.size(ts), np.array(ts, dtype=float)))
-        return original(self, ts)
+        return original(self, ts, fails)
 
-    monkeypatch.setattr(AbstractFn, "eval_many", counted)
+    monkeypatch.setattr(AbstractFn, "_checked", counted)
     return calls
 
 
@@ -1014,7 +1048,8 @@ class TestDerivOfIntegralMany:
         wfun = calculus._weighted(f, p)
         s = pow_real(t - p.a, 1.0 - p.alpha)
         (want,) = calculus._deriv_core(
-            lambda probes, used: _panels(wfun, t, probes[used], 10)[0][0],
+            lambda probes, used, fails: _panels(lambda ss: wfun(ss, fails), t,
+                                                probes[used], 10)[0][0],
             np.array([t]), np.array([s]), np.array([t - p.a]), *f.domain,
             "two-sided", Tolerance(),
             detail="derivative of the running integral via local increments",
@@ -1031,7 +1066,9 @@ class TestDerivOfIntegralMany:
         (CallableFn(lambda s: math.log(s - 1.0), domain=(0.0, 5.0)), [2.5, 1.0, 0.0]),
         # a value that overflows in the probe panels of the second point
         (builtin("exp"), [1.0, 709.78, 0.0]),
-    ], ids=["terminal", "grid-domain", "callable", "overflow"])
+        # a pole: f(t) fails at the second point, its probe panels at the third
+        (parse_expr("1/(t - 2)"), [1.0, 2.0, 2.0 - 1e-6]),
+    ], ids=["terminal", "grid-domain", "callable", "overflow", "pole"])
     def test_raises_the_first_failing_points_error(self, f, ts):
         p = ConfParams(0.5)
         bad = next(r for r in (_doi_or_error(f, p, t) for t in ts)
@@ -1149,9 +1186,9 @@ def test_an_error_past_the_stop_never_surfaces():
     want = _terminal_limit_reference(lambda t: (1.0, True), 0.0, 1.0,
                                      Tolerance(rel=1e-7, abs=1e-9))
     assert want[3] == 5 and err == want[1]
-    # the failed chunk stops at the raising point, then its points are
-    # asked again one at a time, up to the stop
-    assert seen == tks[:7] + [tks[4]]
+    # the second chunk is evaluated once, each point once, also past the
+    # raising one
+    assert seen == tks[:8]
 
 
 def test_an_error_before_the_stop_is_the_points_own():

@@ -155,17 +155,19 @@ class TestDeriv:
         assert first == second
 
 
-def _counting_eval_many(monkeypatch):
+def _counting_evaluations(monkeypatch):
+    # the sizes of the batch evaluations: eval_many and the kernels both
+    # evaluate through AbstractFn._checked
     from confcalc.funcs import AbstractFn
 
     calls = []
-    eval_many = AbstractFn.eval_many
+    checked = AbstractFn._checked
 
-    def counted(self, ts):
+    def counted(self, ts, fails):
         calls.append(len(np.ravel(ts)))
-        return eval_many(self, ts)
+        return checked(self, ts, fails)
 
-    monkeypatch.setattr(AbstractFn, "eval_many", counted)
+    monkeypatch.setattr(AbstractFn, "_checked", counted)
     return calls
 
 
@@ -190,7 +192,7 @@ class TestBatchedSweeps:
     ], ids=["deriv", "convert"])
     def test_one_evaluation_call_per_sweep(self, capsys, monkeypatch, cmd):
         ts = [float(v) for v in np.linspace(0.1, 5.0, 12)]
-        calls = _counting_eval_many(monkeypatch)
+        calls = _counting_evaluations(monkeypatch)
         assert run(cmd + ["--t-range=0.1:5:12"]) == 0
         recs = _json_records(capsys)
         assert calls == [12 * 17]
@@ -216,6 +218,28 @@ class TestBatchedSweeps:
         one = _point_by_point(capsys, cmd, [1.0, 1.5, 2.0, 2.5, 3.0])
         assert recs == one["json"]
         assert run(cmd + ["--t-range=1:3:5", "--format", "csv"]) == 1
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert [[header, row] for row in rows] == one["csv"]
+
+
+    @pytest.mark.parametrize("cmd,t_range,n", [
+        (["deriv", "--expr", "1/(t - 2)", "--alpha", "0.5"], "1:3:5", 5),
+        (["integ", "--expr", "log(t - 1)", "--alpha", "0.5"], "0.5:3:6", 6),
+        (["convert", "--expr", "sqrt(t - 1)", "--alpha", "0.5", "--beta", "1"], "0.5:3:6", 6),
+    ], ids=["deriv", "integ", "convert"])
+    def test_failing_points_cost_no_second_evaluation(self, capsys, monkeypatch, cmd, t_range,
+                                                      n):
+        # each point's error is decided in the sweep's one evaluation call
+        # (9, 8 and 8 calls when a failed batch ran again point by point)
+        calls = _counting_evaluations(monkeypatch)
+        assert run(cmd + [f"--t-range={t_range}"]) == 1
+        recs = _json_records(capsys)
+        assert len(calls) == 1
+        assert any(r["error"] is not None for r in recs)
+        ts = [float(v) for v in np.linspace(*map(float, t_range.split(":")[:2]), n)]
+        one = _point_by_point(capsys, cmd, ts)
+        assert recs == one["json"]
+        assert run(cmd + [f"--t-range={t_range}", "--format", "csv"]) == 1
         header, *rows = capsys.readouterr().out.splitlines()
         assert [[header, row] for row in rows] == one["csv"]
 

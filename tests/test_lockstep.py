@@ -98,7 +98,7 @@ def _lockstep_run(names):
     jobs, value = _quad_jobs(names)
     sizes = []
 
-    def g(us, owner):
+    def g(us, owner, _fails):
         sizes.append(us.size)
         if owner is None:
             return value(0, us)
@@ -107,7 +107,8 @@ def _lockstep_run(names):
             out[owner == j] = value(j, us[owner == j])
         return out
 
-    return _outcome(lambda: _quad_lockstep(g, jobs)), sizes
+    return [(type(r), str(r)) if isinstance(r, Exception) else r
+            for r in _quad_lockstep(g, jobs)], sizes
 
 
 def _one_job_runs(names):
@@ -140,12 +141,16 @@ class TestQuadLockstep:
         assert len(sizes) == 1 + max(
             (evals - base) // 34 for (_v, _e, evals), base in zip(got, _base_evals(names)))
 
-    def test_a_failing_integral_raises_its_own_error(self):
+    def test_a_failing_integral_gets_its_own_error(self):
+        # the pole's integral ends with the error its one-job run raises,
+        # and the others finish as on their own
         names = ["exp", "pole", "noisy oscillation"]
         got, _sizes = _lockstep_run(names)
-        want = _one_job_runs(names)[1]
-        assert got[0] is QuadratureError and want[0] is QuadratureError
-        assert got == want
+        want = _one_job_runs(names)
+        assert got[1][0] is QuadratureError and got[1] == want[1]
+        for j in (0, 2):
+            (v, err, evals), (wv, werr, wevals) = got[j], want[j]
+            assert _bits(v) == _bits(wv) and (err, evals) == (werr, wevals)
 
 
 def _base_evals(names):
@@ -188,9 +193,9 @@ class TestConfIntegralInfoMany:
 
     def test_one_integrand_call_per_round(self, monkeypatch):
         calls = []
-        original = AbstractFn.eval_many
-        monkeypatch.setattr(AbstractFn, "eval_many",
-                            lambda self, ts: calls.append(np.size(ts)) or original(self, ts))
+        original = AbstractFn._checked
+        monkeypatch.setattr(AbstractFn, "_checked", lambda self, ts, fails: (
+            calls.append(np.size(ts)) or original(self, ts, fails)))
         ps, ts = zip(*_POINTS)
         got = conf_integral_info_many(builtin("exp"), ps, ts)
         # the zero at t = a (one point), the base panels of all integrals,
@@ -322,23 +327,28 @@ class TestTerminalLimits:
             assert _bits(r[0]) == _bits(want[0]) and _bits(r[1]) == _bits(want[1])
             assert r[2:] == want[2:]
 
-    def test_a_failed_round_goes_point_by_point(self):
-        # the combined call raises at a point past one sequence's stop:
-        # every sequence then reads its points one at a time, and the
-        # error never surfaces
+    def test_a_failed_point_past_the_stop_never_surfaces(self):
+        # a point past one sequence's stop fails in the combined call: only
+        # its own outcome says so, each sequence is its one-sequence run, and
+        # the error never surfaces
         seen = []
         raising = _constant_raising_past_its_stop(seen)
         jobs = [raising, _SEQUENCES["limit of cos from the left"]]
 
+        def outcome(j, t):
+            try:
+                return jobs[j][0](np.array([t]))[0]
+            except ValueError as exc:
+                return exc
+
         def sample(ts, owner):
-            out = []
-            for t, j in zip(ts.tolist(), owner.tolist()):
-                out += jobs[j][0](np.array([t]))
-            return out
+            return [outcome(j, t) for t, j in zip(ts.tolist(), owner.tolist())]
 
         got = calculus._terminal_limits(sample, [job[1:] for job in jobs])
-        for (sample_one, a, room, tol), r in zip(jobs, got):
-            want = calculus._terminal_limit(sample_one, a, room, tol)
+        assert len(seen) == 8  # two chunks, each point sampled once
+        for j, ((_sample, a, room, tol), r) in enumerate(zip(jobs, got)):
+            want = calculus._terminal_limit(lambda ts: [outcome(j, t) for t in ts.tolist()],
+                                            a, room, tol)
             assert _bits(r[0]) == _bits(want[0]) and r[1:] == want[1:]
         assert got[0][2] is True and got[0][3] == 5
 
@@ -398,7 +408,7 @@ def test_incremental_sweeps_equal_the_estimate_built_anew(vals):
 
 
 def _count_kernel_calls(monkeypatch):
-    sizes = {"_panels": [], "_deriv_core": [], "eval_many": []}
+    sizes = {"_panels": [], "_deriv_core": [], "_checked": []}
     for name in ("_panels", "_deriv_core"):
         original = getattr(calculus, name)
 
@@ -409,9 +419,17 @@ def _count_kernel_calls(monkeypatch):
         monkeypatch.setattr(calculus, name, counted)
         if hasattr(identities, name):
             monkeypatch.setattr(identities, name, counted)
-    eval_many = AbstractFn.eval_many
-    monkeypatch.setattr(AbstractFn, "eval_many",
-                        lambda fn, ts: sizes["eval_many"].append(1) or eval_many(fn, ts))
+    # eval_many and the kernels both evaluate through AbstractFn._checked;
+    # the derived integrands (kind "batch") are left out, as each of their
+    # calls evaluates members, which are counted
+    checked = AbstractFn._checked
+
+    def counted_checked(fn, ts, fails):
+        if fn.kind != "batch":
+            sizes["_checked"].append(1)
+        return checked(fn, ts, fails)
+
+    monkeypatch.setattr(AbstractFn, "_checked", counted_checked)
     return sizes
 
 
@@ -427,7 +445,7 @@ class TestSuiteWork:
         assert len(sizes["_panels"]) <= 200
         assert len(sizes["_deriv_core"]) <= 123
         assert 1 not in sizes["_deriv_core"]
-        assert len(sizes["eval_many"]) <= 840
+        assert len(sizes["_checked"]) <= 840
 
     def test_second_grid_makes_no_one_point_derivative_call(self, monkeypatch):
         # the betas' orders that ORDER_REL_3_3 and CLASS_EQ_4_5 ask for are
