@@ -38,15 +38,18 @@ The kernels evaluate in batches: the difference probes of many points
 in one evaluation (:func:`conf_deriv_many`, of which :func:`conf_deriv`
 is the one-point case; likewise :func:`deriv_of_integral_many`), and
 both Gauss rules of a row of quadrature panels in another.  Adaptive
-integrals are resumable depth-first walks, and many advance in lockstep,
-the pending panels of all in one integrand call per round; the point
-sequences toward a terminal ask for 4 points at a time, several sharing
-one call.  Each point, integral and sequence keeps its own decisions and
-its own error, decided once where it arises (no batch runs twice); the
-tableaux are built value-major (column, level, value component, row)
-with rows innermost, and panel sums run node by node, so every result
-and error is a one-point, one-integral loop's.  A sequence reads up to 3
-points past its stop, uncounted; an error at one of them never surfaces.
+integrals (resumable depth-first walks) and the point sequences toward a
+terminal are generators on one round engine, :func:`_lockstep`, which
+also drives the identity suite: each round one call serves every open
+job (the pending panels of all walks, 4 points per sequence), a failed
+request's error is thrown into its job, and a single integral or
+sequence is the one-job case.  Each point, integral and sequence keeps
+its own decisions and its own error, decided once where it arises (no
+batch runs twice); the tableaux are built value-major (column, level,
+value component, row) with rows innermost, and panel sums run node by
+node, so every result and error is a one-point, one-integral loop's.  A
+sequence reads up to 3 points past its stop, uncounted; an error at one
+of them never surfaces.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from .errors import (
     QuadratureError,
 )
 from .expr import _pow_real, _raising, _record, pow_real
-from .funcs import AbstractFn, GridFn, _stacked_rows
+from .funcs import AbstractFn, GridFn, _non_finite, _on, _stacked_rows
 from .vecspace import VecValue, _mnorm, as_vecvalue
 
 __all__ = [
@@ -186,34 +189,24 @@ class DerivResult:
     detail: str = ""
 
 
-def _richardson(seq, orders):
-    """Neville extrapolation over the stacked estimates at steps h0/2^k.
+def _tableau(col0, orders):
+    """Neville extrapolation over the estimates at steps h0/2^k.
 
-    ``seq`` has shape (n, levels, *value shape): n independent sequences,
-    one per row, and ``orders`` gives each row's integer order r: an
-    error expansion c1*h^r + c2*h^(2r) + ...  Each tableau is built by
-    column: T[k, 0] = seq[k] and, for 1 <= j <= k,
+    ``col0[k, c, i]`` is level k of value component c of row i: the rows
+    are independent sequences, and ``orders[i]`` gives row i's integer
+    order r, an error expansion c1*h^r + c2*h^(2r) + ...  Each tableau is
+    built by column: T[k, 0] = col0[k] and, for 1 <= j <= k,
     T[k, j] = T[k, j-1] + (T[k, j-1] - T[k-1, j-1]) / (2^(rj) - 1).
     An entry's error estimate is the larger of its two parent deltas
     (|T[k, 0] - T[k-1, 0]| in the first column).  Per row, returns the
     entry with the smallest estimate, the first in (k, j) order on ties,
     which stays robust once rounding noise takes over; with no finite
-    estimate it is (seq[0], inf).  Returns the picked values, shape
-    (n, *value shape), and their estimates, shape (n,).  The row-major
-    face of :func:`_tableau`, which builds the tableaux value-major.
+    estimate it is (col0[0], inf).  Returns the picked values, shape
+    (components, rows), and their estimates, shape (rows,).
     """
-    seq = np.asarray(seq, dtype=float)
-    n, levels = seq.shape[:2]
-    est, errs = _tableau(seq.reshape(n, levels, -1).transpose(1, 2, 0), orders)
-    return est.T.reshape(seq.shape[:1] + seq.shape[2:]), errs
-
-
-def _tableau(col0, orders):
-    # _richardson on the first tableau column col0[k, c, i] (level k, value
-    # component c, row i): the picked values, shape (components, rows), and
-    # their estimates.  A block of rows is one array tab[j, k, c, i] =
-    # T[k, j], NaN where j > k; with the rows innermost every column step
-    # reads and writes whole contiguous blocks.
+    # a block of rows is one array tab[j, k, c, i] = T[k, j], NaN where
+    # j > k; with the rows innermost every column step reads and writes
+    # whole contiguous blocks
     levels, comps, n = col0.shape
     est, errs = np.empty((comps, n)), np.empty(n)
     for lo in range(0, n, _BLOCK):
@@ -421,7 +414,9 @@ def _probes_of(f: AbstractFn):
 
 
 def _interior(a: float, ts: np.ndarray, fails: dict):
-    # a LowerTerminalError in fails for each point t <= a (see _record)
+    # a DomainError in fails for each point t that is not finite, then a
+    # LowerTerminalError for each t <= a (see _record)
+    _non_finite(ts, fails)
     inside = ts > a
     if np.count_nonzero(inside) < ts.size:
         _record(fails, ~inside, lambda i: (
@@ -436,15 +431,10 @@ def _order_pow(base, orders, expo, fails):
     # exponent: an array exponent rounds differently
     if isinstance(orders, float):
         return _pow_real(base, expo(orders), fails)
-    out, sub = np.empty_like(base), {}
+    out = np.empty_like(base)
     for alpha in set(orders.tolist()):
         on = orders == alpha
-        out[on] = _pow_real(base[on], expo(alpha), sub)
-        if sub:  # the entries of base[on], numbered in base
-            idx = np.flatnonzero(on).tolist()
-            for k in sub:
-                fails.setdefault(idx[k], sub[k])
-            sub = {}
+        out[on] = _on(on, lambda b, sub: _pow_real(b, expo(alpha), sub), base, fails)
     return out
 
 
@@ -509,6 +499,7 @@ def classical_deriv(f: AbstractFn, t: float, tol: Tolerance | None = None) -> De
     converged = False.
     """
     tol = tol if tol is not None else Tolerance()
+    f._check_domain(t)
     lo, hi = f.domain
     (r,) = _first_error(_deriv_core(_probes_of(f), np.array([float(t)]), np.ones(1),
                                     np.array([math.inf]), lo, hi, "two-sided", tol))
@@ -623,6 +614,7 @@ def convert_order(Ta, alpha: float, beta: float, a: float, t0: float) -> VecValu
     for name, val in (("alpha", alpha), ("beta", beta)):
         if not (0.0 < val <= 1.0):
             raise ValueError(f"{name} must lie in (0, 1], got {val}")
+    _raising(_non_finite)(np.array([t0], dtype=float))
     if not (t0 > a):
         raise LowerTerminalError(
             f"order conversion needs t0 > a, got t0 = {t0}, a = {a}"
@@ -678,25 +670,30 @@ def _extend_sweeps(levels):
 
 
 def _lockstep(jobs, serve):
-    # run the generators jobs in lockstep, each to its outcome: its return
-    # value, or the error it raises or its request fails with.  Each round
-    # advances every open job to its next request, serve maps the (job
-    # index, request) pairs to their answers in one batch, an exception
-    # for a request that failed, and each job is sent its own
-    out, answers, live = [None] * len(jobs), [None] * len(jobs), range(len(jobs))
+    """Run the generators ``jobs`` (quadrature walks, terminal sequences,
+    the suite's checkers) in lockstep, each to its return value or error.
+
+    Each round advances every open job to its next request; ``serve`` maps
+    the (job index, request) pairs to their answers in one batch, an
+    exception for a request that failed.  A job is sent its answer or
+    thrown its exception, with the traceback it was first served with:
+    kept once per exception, so one thrown into many jobs does not grow.
+    """
+    out, answers, tbs, live = [None] * len(jobs), [None] * len(jobs), {}, range(len(jobs))
     while live:
         asks = []
         for j in live:
-            if isinstance(answers[j], Exception):
-                out[j] = answers[j]
-                continue
+            got = answers[j]
             try:
-                asks.append((j, jobs[j].send(answers[j])))
+                asks.append((j, jobs[j].throw(got.with_traceback(tbs[id(got)][1]))
+                             if isinstance(got, Exception) else jobs[j].send(got)))
             except StopIteration as done:
                 out[j] = done.value
             except Exception as exc:
                 out[j] = exc
         for (j, _ask), answer in zip(asks, serve(asks) if asks else ()):
+            if isinstance(answer, Exception):  # kept with it, so its id stays its own
+                tbs.setdefault(id(answer), (answer, answer.__traceback__))
             answers[j] = answer
         live = [j for j, _ask in asks]
     return out
@@ -705,7 +702,7 @@ def _lockstep(jobs, serve):
 def _sequence(a, room, tol):
     # the rule of one sequence (see _terminal_limits): asks for its points a
     # chunk at a time, is sent their (value, ok) pairs or errors, and raises
-    # the first error it reads
+    # the first error it reads; it catches nothing
     d0 = _first_step(a, room, 0.1)
     tks = [a + d0 * 0.5**k for k in range(_TERMINAL_POINTS)]
     levels = ([], [], [], [])  # the values, then their sweeps
@@ -770,16 +767,20 @@ def _terminal_limits(sample, jobs):
     return _lockstep([_sequence(*job) for job in jobs], serve)
 
 
-def _terminal_limit(sample, a, room, tol):
-    # the one-sequence case of _terminal_limits, sample(ts) its points'
-    (r,) = _first_error(_terminal_limits(lambda ts, _owner: sample(ts), [(a, room, tol)]))
-    return r
+def _order_limits(derivs, a, room, orders, tol):
+    # limits toward a (see _terminal_limits), one per order in orders, in
+    # lockstep: derivs(ts, alphas) gives per point its DerivResult at the
+    # order alphas[i], or its error
+    orders = np.asarray(orders, dtype=float)
+    return _terminal_limits(lambda ts, owner: _mapped(
+        lambda r: (r.value.data, r.converged), derivs(ts, orders[owner])),
+        [(a, room, tol)] * orders.size)
 
 
-def _terminal_derivs(f, ps, tol):
-    # lower_terminal_deriv of f at each of ps (one terminal a) in lockstep:
-    # each round's interior derivatives of all orders in one _deriv_core call
-    a = ps[0].a
+def _terminal_derivs(f, a, orders, tol):
+    # lower_terminal_deriv of f at the terminal a at each of the orders, in
+    # lockstep: each round's interior derivatives of all orders in one
+    # _deriv_core call
     lo, hi = f.domain
     if lo > a:
         raise DomainError(
@@ -787,17 +788,11 @@ def _terminal_derivs(f, ps, tol):
         )
     if hi <= a:
         raise DomainError(f"domain ends at {hi}, at or before the terminal {a}")
-    orders = np.array([p.alpha for p in ps])
-    inner = Tolerance()
-
-    def sample(ts, owner):
-        return _mapped(lambda r: (r.value.data, r.converged),
-                       _conf_derivs(f, a, orders[owner], ts, ts - a, "two-sided", inner))
-
     return _mapped(lambda r: DerivResult(
         VecValue(np.asarray(r[0], dtype=float)), float(r[1]), "right", r[2], r[3],
         detail=r[4] or "terminal limit of interior derivatives",
-    ), _terminal_limits(sample, [(a, hi - a, tol)] * len(ps)))
+    ), _order_limits(lambda ts, al: _conf_derivs(f, a, al, ts, ts - a, "two-sided", Tolerance()),
+                     a, hi - a, orders, tol))
 
 
 def lower_terminal_deriv(
@@ -812,7 +807,8 @@ def lower_terminal_deriv(
     two digits.  The interior derivatives come 4 points per
     :func:`_deriv_core` call, as :func:`conf_deriv_many` gives them.
     """
-    (r,) = _first_error(_terminal_derivs(f, [p], tol if tol is not None else _TERMINAL_DERIV_TOL))
+    (r,) = _first_error(_terminal_derivs(f, p.a, [p.alpha],
+                                         tol if tol is not None else _TERMINAL_DERIV_TOL))
     return r
 
 
@@ -828,19 +824,20 @@ def one_sided_limit(
     tol = tol if tol is not None else _LIMIT_TOL
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be left or right, not {direction!r}")
-    lo, hi = f.domain
     at = float(at)
+    f._check_domain(at)
+    lo, hi = f.domain
     room = hi - at if direction == "right" else at - lo
     if room <= 0.0:
         raise DomainError(f"no domain room to the {direction} of {at}")
 
-    def sample(ts):
+    def sample(ts, _owner):
         fails = {}
         vals = f._checked(ts, fails)
         return [fails[i] if i in fails else (v, True) for i, v in enumerate(vals)]
 
     signed = room if direction == "right" else -room
-    value, err, conv, _used, _note = _terminal_limit(sample, at, signed, tol)
+    value, err, conv = _first_error(_terminal_limits(sample, [(at, signed, tol)]))[0][:3]
     return VecValue(np.asarray(value, dtype=float)), float(err), bool(conv)
 
 
@@ -969,11 +966,11 @@ def _quad_lockstep(g, jobs):
     :meth:`~confcalc.funcs.AbstractFn._checked`).  All base panels go into
     one call of ``g`` (their 10-point sums also set the budgets); each
     round then advances every open walk (:func:`_walk`) to its next split
-    and evaluates all those children in one more call.  Each walk keeps its
-    own decisions, counters, ``noise()`` reads and sums, so its result is
-    the one-job run's bit for bit.  Returns per job (value, error sum,
-    evaluations), 17 evaluations per panel, or the error it raises or its
-    first failed node's.
+    and evaluates all those children in one more call (:func:`_lockstep`).
+    Each walk keeps its own decisions, counters, ``noise()`` reads and
+    sums, so its result is the one-job run's bit for bit.  Returns per job
+    (value, error sum, evaluations), 17 evaluations per panel, or its
+    error: its own, or its first failed node's, thrown into it.
     """
     def serve(asks):
         # every asked panel's two rules in one call of g, in order
@@ -994,13 +991,6 @@ def _quad_lockstep(g, jobs):
     return _lockstep([_walk(*job) for job in jobs], serve)
 
 
-def _quad_adaptive(g, lo, hi, tol, noise=0.0, grade=False):
-    # the one-job case of _quad_lockstep, g(us) its integrand
-    (r,) = _first_error(_quad_lockstep(lambda us, _owner, _fails: g(us),
-                                       [(lo, hi, tol, noise, grade)]))
-    return r
-
-
 def _zero_like_probe(g, a: float, hi: float):
     # 0 * g at a, or at a probe just above a where g is undefined at a
     # (g(xs, fails), see _raising)
@@ -1013,8 +1003,10 @@ def _zero_like_probe(g, a: float, hi: float):
 
 
 def _integral_range(lo, hi, p: ConfParams, t: float):
-    # refuse what conf_integral_info refuses: t below the terminal, or
-    # [a, t] not inside the domain [lo, hi]
+    # refuse what conf_integral_info refuses: t not finite, t below the
+    # terminal, or [a, t] not inside the domain [lo, hi]
+    if not math.isfinite(t):
+        _raising(_non_finite)(np.array([t]))
     if t < p.a:
         raise LowerTerminalError(
             f"integral runs upward from the terminal; need t >= a, got t = {t} < {p.a}"
@@ -1056,15 +1048,7 @@ def _conf_integrals(f, ps, ts, tol, noises, h=None):
     jobs = [(0.0, pow_real(ts[i] - ps[i].a, ps[i].alpha),
              Tolerance(rel=tol.rel, abs=tol.abs * ps[i].alpha), noises[i], ps[i].alpha < 1.0)
             for i in live]
-    if len(jobs) == 1:
-        # one integral: _quad_adaptive, its integrand raising its first failed node's error
-        try:
-            got = [_quad_adaptive(_raising(lambda us, fails: g(us, None, fails)), *jobs[0])]
-        except Exception as exc:
-            got = [exc]
-    else:
-        got = _quad_lockstep(g, jobs) if jobs else []
-    for i, r in zip(live, got):
+    for i, r in zip(live, _quad_lockstep(g, jobs)):
         inv_alpha = 1.0 / ps[i].alpha
         out[i] = r if isinstance(r, Exception) else (
             VecValue(inv_alpha * r[0]), inv_alpha * r[1], r[2])
@@ -1120,13 +1104,12 @@ def conf_integral(
     return v
 
 
-def _weighted(f: AbstractFn, p: ConfParams, nodes=None):
+def _weighted(f: AbstractFn, a: float, orders):
     # batch integrand (s-a)^(alpha-1) f(s) of the interior slices, g(ss,
-    # fails) (see AbstractFn._checked), alpha p's or, where given, the
-    # order nodes[i] at node i (see _order_pow)
+    # fails) (see AbstractFn._checked), alpha each node's order (see
+    # _order_pow)
     def g(ss, fails):
-        weights = _order_pow(ss - p.a, p.alpha if nodes is None else nodes,
-                             lambda al: al - 1.0, fails)
+        weights = _order_pow(ss - a, orders, lambda al: al - 1.0, fails)
         vals = f._checked(ss, fails)
         return _per_row(weights, vals) * vals
 
@@ -1143,19 +1126,19 @@ def weighted_integral(
     """
     tol = tol if tol is not None else Tolerance()
     t1, t2 = float(t1), float(t2)
+    _raising(f._inside)(np.array([t1, t2]))
     if not (t1 > p.a):
         raise LowerTerminalError(
             f"interior slice needs t1 > a; for t1 = a use conf_integral (got t1 = {t1})"
         )
     if t2 < t1:
         raise ValueError(f"need t1 <= t2, got [{t1}, {t2}]")
-    lo, hi = f.domain
-    if t1 < lo or t2 > hi:
-        raise DomainError(f"slice [{t1}, {t2}] outside the domain [{lo}, {hi}]")
     if t1 == t2:
-        return VecValue(_zero_like_probe(f._checked, t1, hi))
+        return VecValue(_zero_like_probe(f._checked, t1, f.domain[1]))
 
-    val, _err, _evals = _quad_adaptive(_raising(_weighted(f, p)), t1, t2, tol)
+    g = _weighted(f, p.a, p.alpha)
+    ((val, _err, _evals),) = _first_error(_quad_lockstep(
+        lambda us, _owner, fails: g(us, fails), [(t1, t2, tol, 0.0, False)]))
     return VecValue(val)
 
 
@@ -1196,29 +1179,30 @@ def deriv_of_integral_many(
     """
     tol = tol if tol is not None else Tolerance()
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    return _first_error(_integral_derivs(f, p, ts, tol))
+    return _first_error(_integral_derivs(f, p.a, p.alpha, ts, tol))
 
 
-def _integral_derivs(f, p, ts, tol, orders=None):
-    # deriv_of_integral at the points ts, per point its DerivResult or its
-    # error (t > a, [a, t] in the domain, f(t), then _deriv_core's); with
-    # orders, point i at the order orders[i]
+def _integral_derivs(f, a, orders, ts, tol):
+    # deriv_of_integral at the points ts, each at its order (see
+    # _order_pow): per point its DerivResult or its error (t finite and
+    # > a, [a, t] in the domain, f(t), then _deriv_core's)
     lo, hi = f.domain
     fails = {}
-    _interior(p.a, ts, fails)
-    _record(fails, (p.a < lo) | (ts > hi), lambda i: (
-        f"running integral needs [{p.a}, {float(ts[i])}] inside the domain [{lo}, {hi}]"))
-    dist = ts - p.a
-    ss = _order_pow(dist, p.alpha if orders is None else orders, lambda al: 1.0 - al, fails)
+    _interior(a, ts, fails)
+    _record(fails, (a < lo) | (ts > hi), lambda i: (
+        f"running integral needs [{a}, {float(ts[i])}] inside the domain [{lo}, {hi}]"))
+    dist = ts - a
+    ss = _order_pow(dist, orders, lambda al: 1.0 - al, fails)
     f0 = 0.0 * f._checked(ts, fails)
 
     def increments(probes, used, probe_fails):
         # each probe's increment: the panel from its own point to it,
         # weighted at that point's order; a probe's error is its first
         # failing node's
-        nodes = None if orders is None else np.repeat(orders[np.nonzero(used)[0]], 10)
+        nodes = (orders if isinstance(orders, float)
+                 else np.repeat(orders[np.nonzero(used)[0]], 10))
         starts = np.broadcast_to(ts[:, None], probes.shape)
-        node_fails, g = {}, _weighted(f, p, nodes)
+        node_fails, g = {}, _weighted(f, a, nodes)
         [(v, _)] = _panels(lambda ss: g(ss, node_fails), starts[used], probes[used], 10)
         for k in sorted(node_fails):
             probe_fails.setdefault(k // 10, node_fails[k])
@@ -1237,22 +1221,17 @@ def avg_recover(f: AbstractFn, t: float, tol: Tolerance | None = None) -> VecVal
     """
     tol = tol if tol is not None else Tolerance()
     t = float(t)
-    f._check_domain(t)
+    f._check_domain(t)  # so t - lo > 0 wherever hi - t is not
     lo, hi = f.domain
-    if hi - t > 0.0:
-        room = hi - t
-    elif t - lo > 0.0:
-        room = lo - t
-    else:
-        raise DomainError(f"no domain room on either side of t = {t}")
-    h0 = _first_step(t, room, 0.01)
+    h0 = _first_step(t, hi - t if hi - t > 0.0 else lo - t, 0.01)
     if t + h0 == t:
         raise DomainError(f"averaging interval underflows at t = {t}")
 
     hs = np.array([h0 * 0.5**k for k in range(12)])
     [(sums, _)] = _panels(f.eval_many, t, t + hs, 10)
-    vals, errs = _richardson((sums / _per_row(hs, sums))[None], np.ones(1, int))
-    val = vals[0]
+    avgs = sums / _per_row(hs, sums)
+    vals, errs = _tableau(avgs.reshape(len(hs), -1, 1), np.ones(1, int))
+    val = vals[:, 0].reshape(avgs.shape[1:])
     err = max(float(errs[0]), _err_floor(_mnorm(val)))
     thr = tol.threshold(_mnorm(val))
     if err > thr:

@@ -228,7 +228,7 @@ def _cmd_limit(args) -> int:
     # the one-point case of a sweep: the terminal derivative at t = a
     return _sweep(
         args, {"alpha": args.alpha, "a": args.a},
-        lambda f, p, _ts, tol: _terminal_derivs(f, [p], tol or _TERMINAL_DERIV_TOL),
+        lambda f, p, _ts, tol: _terminal_derivs(f, p.a, [p.alpha], tol or _TERMINAL_DERIV_TOL),
         lambda r, _t: {"value": to_jsonable(r.value), "err_estimate": r.err_estimate,
                        "converged": r.converged, "steps_used": r.steps_used,
                        "detail": r.detail},

@@ -42,7 +42,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expr as _e
-from .expr import _record
+from .expr import _raising, _record
 from .errors import DomainError, ShapeError
 from .vecspace import VecValue, _mnorm
 
@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 _INF = np.inf
+_FMAX = float(np.finfo(float).max)
 
 
 class AbstractFn:
@@ -86,14 +87,15 @@ class AbstractFn:
         return self._domain
 
     def _check_domain(self, t: float):
-        lo, hi = self._domain
-        if not (lo <= t <= hi):
-            raise DomainError(f"t = {t} outside domain [{lo}, {hi}]")
+        _raising(self._inside)(np.array([t], dtype=float))
 
     def _inside(self, ts: np.ndarray, fails: dict):
+        # a DomainError in fails for each point t not finite (the clipped
+        # bounds fail it too), then for each outside the domain (see _record)
         lo, hi = self._domain
-        inside = (ts >= lo) & (ts <= hi)
+        inside = (ts >= max(lo, -_FMAX)) & (ts <= min(hi, _FMAX))
         if not inside.all():
+            _non_finite(ts, fails)
             _record(fails, ~inside, lambda i: f"t = {float(ts[i])} outside domain [{lo}, {hi}]")
 
     def _values(self, ts: np.ndarray, fails: dict) -> np.ndarray:
@@ -179,6 +181,11 @@ def _finite(fn, ts: np.ndarray, fails: dict, what: str):
         out = np.array(out, dtype=float)  # a copy: fn may hand back ts itself
         out[list(fails)] = np.nan
     return out
+
+
+def _non_finite(ts: np.ndarray, fails: dict):
+    # a DomainError in fails for each point t that is not finite (see _record)
+    _record(fails, ~np.isfinite(ts), lambda i: f"t = {float(ts[i])} is not finite")
 
 
 def _stacked_rows(rows):

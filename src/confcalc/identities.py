@@ -21,16 +21,18 @@ timestamps.
 Each checker is a generator: it runs its guards, then yields the kernel
 requests it needs (a derivative, a limit, an integral, a probe of f) and
 is sent their results.  :func:`run_suite` drives all cases of one
-terminal together (:func:`_drive`): each round it serves every new
+terminal together (:func:`_drive`) on the kernels' round engine
+(:func:`~confcalc.calculus._lockstep`): each round it serves every new
 request once, one call per kind, function and shared field (a member's
 interior derivatives of all orders and points, its LEFT_INV_3_5
 integrals, its terminal sequences in lockstep), and sends each case the
-same result or error.  The kernels are pure, their results immutable and
-every batch gives each point its one-point bits, so the report is the
-one the checkers give on their own; each public ``check_*`` is the drive
-of its one case.  Only a stateful :class:`~confcalc.funcs.CallableFn`
-can tell: it sees fewer calls, in batches, and a member's lower-order
-terminal derivative is computed also where no case comes to read it.
+same result or throws it the same error.  The kernels are pure, their
+results immutable and every batch gives each point its one-point bits,
+so the report is the one the checkers give on their own; each public
+``check_*`` is the drive of its one case.  Only a stateful
+:class:`~confcalc.funcs.CallableFn` can tell: it sees fewer calls, in
+batches, and a member's lower-order terminal derivative is computed also
+where no case comes to read it.
 """
 
 from __future__ import annotations
@@ -55,14 +57,15 @@ from .calculus import (
     _first_step,
     _integral_derivs,
     _integral_range,
+    _lockstep,
     _mapped,
+    _order_limits,
     _order_pow,
     _per_row,
     _rownorms,
     _scaled_values,
     _stacked,
     _terminal_derivs,
-    _terminal_limits,
     conf_deriv_scaled,
     convert_order,
     lower_terminal_deriv,
@@ -795,36 +798,25 @@ def _raising(exc):
 
 
 def _drive(gens):
-    """Run the checker generators gens to their results, in rounds.
+    """Run the checker generators gens to their results on the kernels'
+    round engine, :func:`~confcalc.calculus._lockstep`.
 
     A checker yields a tuple of kernel requests (kind, f, ...) and is sent
-    their results, or thrown the error of the first that failed.  Each
-    round advances every open generator; the requests not yet in the memo
-    are grouped by kind and by the fields a batch shares (see _SERVE), one
-    call per group, which gives each request its own result or error, as
-    asked alone; what the call itself raises, each request gets.  The memo
-    keeps each request's result or error, so all who ask are sent the
-    same; an error is thrown with its traceback from when it was served,
-    which does not grow by each case it passes.  Returns the results in
-    the order of gens once all have finished, or raises the first in that
+    their results, or thrown the error of the first that failed (with the
+    traceback it was served with, see ``_lockstep``).  Each round, the
+    requests not yet in the memo are grouped by kind and by the fields a
+    batch shares (see _SERVE), one call per group, which gives each
+    request its own result or error, as asked alone; what the call itself
+    raises, each request gets.  The memo keeps each request's result or
+    error, so all who ask are sent the same.  Returns the results in the
+    order of gens once all have finished, or raises the first in that
     order that raised.
     """
-    memo, tbs, out = {}, {}, [None] * len(gens)
-    sends = dict.fromkeys(range(len(gens)))
-    while sends:
-        asked = {}
-        for j, got in sends.items():
-            try:
-                if isinstance(got, Exception):
-                    asked[j] = gens[j].throw(got.with_traceback(tbs[id(got)]))
-                else:
-                    asked[j] = gens[j].send(got)
-            except StopIteration as done:
-                out[j] = done.value
-            except Exception as exc:
-                out[j] = exc
+    memo = {}
+
+    def serve(asks):
         groups = {}
-        for req in dict.fromkeys(r for reqs in asked.values() for r in reqs if r not in memo):
+        for req in dict.fromkeys(r for _j, reqs in asks for r in reqs if r not in memo):
             shared = _SERVE[req[0]][0]
             groups.setdefault(req[:shared], []).append(req[shared:])
         for key, items in groups.items():
@@ -833,10 +825,10 @@ def _drive(gens):
             except Exception as exc:
                 served = [exc] * len(items)
             memo.update(zip((key + item for item in items), served))
-            tbs.update((id(r), r.__traceback__) for r in served if isinstance(r, Exception))
-        got = {j: [memo[r] for r in reqs] for j, reqs in asked.items()}
-        sends = {j: next((r for r in rs if isinstance(r, Exception)), rs) for j, rs in got.items()}
-    return _first_error(out)
+        got = [[memo[r] for r in reqs] for _j, reqs in asks]
+        return [next((r for r in rs if isinstance(r, Exception)), rs) for rs in got]
+
+    return _first_error(_lockstep(gens, serve))
 
 
 def _interior_derivs(f, a, side, items):
@@ -868,31 +860,21 @@ def _rule_derivs(iid, f, g, a, items):
                        dist, lo, hi, "two-sided", Tolerance(), fails=fails)
 
 
-def _integral_limits(f, a, tol, items):
-    # RIGHT_INV_AT_A_3_8's terminal limits of the derivative of f's running
-    # integral, one per item (alpha,), in lockstep
-    orders = np.array([alpha for alpha, in items])
-
-    def sample(ts, owner):
-        return _mapped(lambda r: (r.value.data, r.converged), _integral_derivs(
-            f, ConfParams(orders[0], a), ts, Tolerance(), orders[owner]))
-
-    return _terminal_limits(sample, [(a, f.domain[1] - a, tol)] * len(items))
-
-
-# per request kind, how many of its leading fields a batch shares and the
-# call that serves a batch: kernel(*shared fields, [other fields per
-# request]), per request its result or its error; the kinds whose whole
-# request is shared are served one request at a time
+# _drive's grouping: per request kind, how many of its leading fields a
+# batch shares and the call that serves a batch: kernel(*shared fields,
+# [other fields per request]), per request its result or its error; the
+# kinds whose whole request is shared are served one request at a time
 _SERVE = {
     "deriv": (4, _interior_derivs),  # f, a, side | alpha, t
     "rule": (5, _rule_derivs),  # iid, f, g, a | alpha, t, data, label
     "integral": (3, lambda f, a, items: _integral_derivs(  # f, a | alpha, t
-        f, ConfParams(items[0][0], a), np.array([t for _alpha, t in items], dtype=float),
-        Tolerance(), np.array([alpha for alpha, _t in items]))),
+        f, a, *(np.array(col, dtype=float) for col in zip(*items)), Tolerance())),
     "terminal": (3, lambda f, a, items: _terminal_derivs(  # f, a | alpha
-        f, [ConfParams(alpha, a) for alpha, in items], _TERMINAL_DERIV_TOL)),
-    "integral limit": (4, _integral_limits),  # f, a, tol | alpha
+        f, float(a), [alpha for alpha, in items], _TERMINAL_DERIV_TOL)),
+    # RIGHT_INV_AT_A_3_8's terminal limits of the running integral's derivative
+    "integral limit": (4, lambda f, a, tol, items: _order_limits(  # f, a, tol | alpha
+        lambda ts, al: _integral_derivs(f, a, al, ts, Tolerance()), a, f.domain[1] - a,
+        [alpha for alpha, in items], tol)),
     "left inverse": (3, _left_inverse_integrals),  # f, a | alpha, t, scaled
     "limit": (3, lambda f, at, _: [one_sided_limit(f, at, "right", _LIMIT_TOL)]),
     "bounded": (4, lambda f, a, span, _: [_bounded_near_terminal(f, a, span)]),

@@ -44,7 +44,7 @@ from confcalc.calculus import (
     _EPS,
     _mnorm,
     _panels,
-    _richardson,
+    _tableau,
     conf_integral_info,
     lower_terminal_deriv,
     one_sided_limit,
@@ -330,6 +330,14 @@ def _raises(f, t):
     return False
 
 
+def _tableau_rows(seqs, orders):
+    # _tableau on n sequences stacked row-major, shape (n, levels, *value
+    # shape): the picked values in that layout, and their estimates
+    n, levels = seqs.shape[:2]
+    est, errs = _tableau(seqs.reshape(n, levels, -1).transpose(1, 2, 0), orders)
+    return est.T.reshape(seqs.shape[:1] + seqs.shape[2:]), errs
+
+
 def _richardson_loop(seq, p, q):
     # the point-by-point Neville loop the column version replaces
     best = np.asarray(seq[0], dtype=float)
@@ -386,7 +394,7 @@ def _tableaux(draw):
 def test_column_richardson_matches_the_loop(case):
     seqs, orders = case
     with np.errstate(all="ignore"):
-        got_v, got_e = _richardson(seqs, orders)
+        got_v, got_e = _tableau_rows(seqs, orders)
         for i, (seq, r) in enumerate(zip(seqs, orders.tolist())):
             want_v, want_e = _richardson_loop(list(seq), r, r)
             assert got_e[i] == want_e
@@ -405,7 +413,7 @@ def test_richardson_blocks_of_rows_match_the_loop(shape, levels):
     seqs[77, 3] = math.inf
     orders = rng.integers(1, 3, 130)
     with np.errstate(all="ignore"):
-        got_v, got_e = _richardson(seqs, orders)
+        got_v, got_e = _tableau_rows(seqs, orders)
         for i, (seq, p) in enumerate(zip(seqs, orders.tolist())):
             want_v, want_e = _richardson_loop(list(seq), p, p)
             assert got_e[i] == want_e
@@ -1045,7 +1053,7 @@ class TestDerivOfIntegralMany:
         # deriv_of_integral as it read before the batch: each probe's
         # increment a 10-point rule on the panel from t
         f, p, t = builtin("exp"), ConfParams(0.5), 1.3
-        wfun = calculus._weighted(f, p)
+        wfun = calculus._weighted(f, p.a, p.alpha)
         s = pow_real(t - p.a, 1.0 - p.alpha)
         (want,) = calculus._deriv_core(
             lambda probes, used, fails: _panels(lambda ss: wfun(ss, fails), t,
@@ -1156,7 +1164,7 @@ _TERMINAL_CASES = {
 @pytest.mark.parametrize("name", sorted(_TERMINAL_CASES))
 def test_chunked_terminal_limit_follows_the_point_loop(name):
     one, many, a, room, tol, used = _TERMINAL_CASES[name]
-    got = calculus._terminal_limit(many, a, room, tol)
+    (got,) = calculus._terminal_limits(lambda ts, _owner: many(ts), [(a, room, tol)])
     want = _terminal_limit_reference(one, a, room, tol)
     assert _bits_equal(got[0], want[0])
     assert _bits_equal(got[1], want[1])

@@ -32,7 +32,7 @@ from confcalc.calculus import (
     _MAX_PANELS,
     _mnorm,
     _panels,
-    _quad_adaptive,
+    _quad_lockstep,
 )
 from confcalc.errors import (
     ConvergenceError,
@@ -40,6 +40,7 @@ from confcalc.errors import (
     LowerTerminalError,
     QuadratureError,
 )
+from confcalc.expr import _raising
 
 
 def _norm(v) -> float:
@@ -75,8 +76,9 @@ def _reference_refine(g, lo, hi, budget, noise, depth, state):
 
 
 def _reference_quad(g, lo, hi, tol, noise=0.0, grade=False):
-    """_quad_adaptive with a separate 10-point pass over the base panels
-    for the budget, then each base panel refined from scratch."""
+    """One job of _quad_lockstep with a separate 10-point pass over the
+    base panels for the budget, then each base panel refined from
+    scratch."""
     if not callable(noise):
         level = float(noise)
         noise = lambda: level
@@ -116,24 +118,48 @@ def _reference_quad(g, lo, hi, tol, noise=0.0, grade=False):
     return total, achieved, state["evals"]
 
 
-def _quad_runs(monkeypatch, quad, call):
-    """call() with every adaptive integral done by ``quad``; returns its
-    result and, per integral, (value, error, evals, integrand batch sizes)."""
-    runs = []
+def _one_job_quad(g, lo, hi, tol, noise=0.0, grade=False):
+    """The engine on one integral, g(us) its integrand: (value, error,
+    evals), or the error it ends with raised."""
+    (r,) = _quad_lockstep(lambda us, _owner, _fails: g(us), [(lo, hi, tol, noise, grade)])
+    if isinstance(r, Exception):
+        raise r
+    return r
 
-    def recorded(g, lo, hi, tol, noise=0.0, grade=False):
-        sizes = []
 
-        def counted(us):
-            sizes.append(len(us))
-            return g(us)
+def _job_by_job(quad, runs):
+    """A stand-in for _quad_lockstep that runs each job on its own through
+    quad(g, lo, hi, tol, noise, grade), g(us) raising the first failed
+    node's error; per job its result or error, and in runs (value, error,
+    evals, integrand batch sizes) per result."""
+    def lockstep(g, jobs):
+        out = []
+        for j, job in enumerate(jobs):
+            sizes, own = [], None if len(jobs) == 1 else j
 
-        out = quad(counted, lo, hi, tol, noise=noise, grade=grade)
-        runs.append((*out, sizes))
+            def one(us):
+                sizes.append(len(us))
+                return _raising(lambda xs, fails: g(
+                    xs, None if own is None else np.full(xs.size, own), fails))(us)
+
+            try:
+                out.append(quad(one, *job))
+            except Exception as exc:
+                out.append(exc)
+                continue
+            runs.append((*out[-1], sizes))
         return out
 
+    return lockstep
+
+
+def _quad_runs(monkeypatch, quad, call):
+    """call() with every adaptive integral done by ``quad`` (see
+    _job_by_job); returns its result and, per integral, (value, error,
+    evals, integrand batch sizes)."""
+    runs = []
     with monkeypatch.context() as m:
-        m.setattr(calculus, "_quad_adaptive", recorded)
+        m.setattr(calculus, "_quad_lockstep", _job_by_job(quad, runs))
         result = call()
     return result, runs
 
@@ -142,7 +168,7 @@ def _assert_same_integrals(monkeypatch, call):
     """The batched engine against the depth-first reference: the same
     value and error bits, 10 fewer evaluations per base panel, all base
     panels in one integrand call and both children of a split in one."""
-    got, runs = _quad_runs(monkeypatch, _quad_adaptive, call)
+    got, runs = _quad_runs(monkeypatch, _one_job_quad, call)
     want, ref_runs = _quad_runs(monkeypatch, _reference_quad, call)
     assert len(runs) == len(ref_runs) > 0
     for (v, err, evals, sizes), (rv, rerr, revals, rsizes) in zip(runs, ref_runs):
@@ -637,14 +663,16 @@ class TestConfIntegral:
 
         f = CallableFn(pole, domain=(0.0, 1.0))
 
-        def achieved(quad):
+        def achieved(quad=None):
+            # by the engine, or each job by quad in its place
             with monkeypatch.context() as m:
-                m.setattr(calculus, "_quad_adaptive", quad)
+                if quad is not None:
+                    m.setattr(calculus, "_quad_lockstep", _job_by_job(quad, []))
                 with pytest.raises(QuadratureError) as exc:
                     conf_integral(f, ConfParams(alpha=1.0), 1.0)
             return exc.value.achieved
 
-        got = achieved(_quad_adaptive)
+        got = achieved()
         assert got > 1e-3
         # refinement runs into the panel cap, which stops the same panels
         # as in the depth-first reference
@@ -729,7 +757,7 @@ class TestDepthFirstReference:
             return np.floor(95.5 * us) % 2.0
 
         tol = Tolerance(rel=1e-2)
-        v, err, evals = _quad_adaptive(g, 0.0, 1.0, tol)
+        v, err, evals = _one_job_quad(g, 0.0, 1.0, tol)
         rv, rerr, revals = _reference_quad(g, 0.0, 1.0, tol)
         assert evals // 17 > _MAX_PANELS
         assert _bits(v) == _bits(rv) and err == rerr
@@ -794,3 +822,33 @@ class TestNoiseAwareIntegration:
         )
         assert abs(float(v.data) - (math.e - 1.0)) <= 1e-5
         assert evals < 4000
+
+
+class TestNonFinitePoints:
+    # every kernel family refuses a t that is not finite as a DomainError
+    # that says so, before f is called and with no numpy warning
+    _KERNELS = {
+        "conf_deriv": lambda f, t: conf_deriv(f, ConfParams(0.5), t),
+        "conf_deriv_scaled": lambda f, t: conf_deriv_scaled(f, ConfParams(0.5), t),
+        "classical_deriv": lambda f, t: classical_deriv(f, t),
+        "deriv_of_integral": lambda f, t: deriv_of_integral(f, ConfParams(0.5), t),
+        "conf_integral_info": lambda f, t: conf_integral_info(f, ConfParams(0.5), t),
+        "weighted_integral to t": lambda f, t: weighted_integral(f, ConfParams(0.5), 1.0, t),
+        "weighted_integral from t": lambda f, t: weighted_integral(f, ConfParams(0.5), t, 2.0),
+        "one_sided_limit right": lambda f, t: one_sided_limit(f, t, "right"),
+        "one_sided_limit left": lambda f, t: one_sided_limit(f, t, "left"),
+        "avg_recover": lambda f, t: avg_recover(f, t),
+        "convert_order": lambda f, t: convert_order(1.0, 0.5, 1.0, 0.0, t),
+        "eval": lambda f, t: f.eval(t),
+    }
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    def test_refused_as_not_finite(self, name, t):
+        calls = []
+        f = CallableFn(lambda s: calls.append(s) or math.exp(s), deriv=math.exp)
+        with np.errstate(all="raise"):
+            with pytest.raises(DomainError) as exc:
+                self._KERNELS[name](f, t)
+        assert str(exc.value) == f"t = {t} is not finite"
+        assert calls == []

@@ -8,6 +8,7 @@ alone gives.
 
 import json
 import math
+import traceback
 
 import numpy as np
 import pytest
@@ -36,9 +37,9 @@ from confcalc import (
     run_suite,
     vector_fn,
 )
-from confcalc.calculus import _MAX_PANELS, _quad_adaptive, _quad_lockstep
+from confcalc.calculus import _MAX_PANELS, _quad_lockstep
 from confcalc.cli import run
-from confcalc.errors import QuadratureError
+from confcalc.errors import DomainError, QuadratureError
 
 
 def _bits(v):
@@ -113,9 +114,11 @@ def _lockstep_run(names):
 
 def _one_job_runs(names):
     jobs, value = _quad_jobs(names)
-    return [_outcome(lambda: _quad_adaptive(lambda us: value(j, us), lo, hi, tol,
-                                            noise=noise, grade=grade))
-            for j, (lo, hi, tol, noise, grade) in enumerate(jobs)]
+    out = []
+    for j, job in enumerate(jobs):
+        (r,) = _quad_lockstep(lambda us, _owner, _fails: value(j, us), [job])
+        out.append((type(r), str(r)) if isinstance(r, Exception) else r)
+    return out
 
 
 class TestQuadLockstep:
@@ -151,6 +154,59 @@ class TestQuadLockstep:
         for j in (0, 2):
             (v, err, evals), (wv, werr, wevals) = got[j], want[j]
             assert _bits(v) == _bits(wv) and (err, evals) == (werr, wevals)
+
+
+def _served_error():
+    # an error caught one call below its raise, with that traceback
+    def fail():
+        raise QuadratureError("no value at these nodes")
+
+    try:
+        fail()
+    except QuadratureError as exc:
+        return exc
+
+
+def _frames(exc):
+    return len(traceback.extract_tb(exc.__traceback__))
+
+
+class TestThrownErrors:
+    # the engine throws a failed request's error into its job; one error
+    # object that reaches several jobs is each one's outcome, thrown with
+    # the traceback it was served with, so it does not grow by each job
+
+    def _run(self, fail_at, n):
+        # n jobs; the integrand records one error at every node of job
+        # fail_at[k] in its k-th call
+        err, calls = _served_error(), []
+
+        def g(us, owner, fails):
+            calls.append(us.size)
+            j = fail_at.get(len(calls))
+            if j is not None:
+                at = np.arange(us.size) if owner is None else np.flatnonzero(owner == j)
+                fails.update(dict.fromkeys(at.tolist(), err))
+            return 1.0 / (us + 1e-3)
+
+        return err, _quad_lockstep(g, [(0.0, 1.0, Tolerance(), 0.0, True)] * n)
+
+    def test_one_error_object_in_several_jobs_and_rounds(self):
+        err_one, (got_one,) = self._run({1: 0}, 1)
+        err, got = self._run({1: 0, 3: 1}, 3)
+        assert got_one is err_one and got[0] is got[1] is err
+        assert not isinstance(got[2], Exception)
+        assert _frames(err) == _frames(err_one)
+
+    def test_a_failed_terminal_derivative_reaches_each_integral(self):
+        # at a = -1, T f's terminal value fails (t^0.5 at -0.9); that one
+        # error is recorded at the near-terminal nodes of both integrals
+        f = parse_expr("t^0.5 + sin(t)")
+        (one,) = identities._left_inverse_integrals(f, -1.0, [(0.5, 1.0, False)])
+        two = identities._left_inverse_integrals(f, -1.0, [(0.5, -0.5, False), (0.5, 1.0, False)])
+        assert isinstance(one, DomainError) and two[0] is two[1]
+        assert str(two[0]) == str(one) == "negative base -0.9 with non-integer exponent 0.5"
+        assert _frames(two[0]) == _frames(one)
 
 
 def _base_evals(names):
@@ -323,7 +379,8 @@ class TestTerminalLimits:
         got = calculus._terminal_limits(sample, [_SEQUENCES[n][1:] for n in names])
         for name, r in zip(names, got):
             sample_one, a, room, tol = _SEQUENCES[name]
-            want = calculus._terminal_limit(sample_one, a, room, tol)
+            (want,) = calculus._terminal_limits(lambda ts, _owner: sample_one(ts),
+                                                [(a, room, tol)])
             assert _bits(r[0]) == _bits(want[0]) and _bits(r[1]) == _bits(want[1])
             assert r[2:] == want[2:]
 
@@ -347,8 +404,8 @@ class TestTerminalLimits:
         got = calculus._terminal_limits(sample, [job[1:] for job in jobs])
         assert len(seen) == 8  # two chunks, each point sampled once
         for j, ((_sample, a, room, tol), r) in enumerate(zip(jobs, got)):
-            want = calculus._terminal_limit(lambda ts: [outcome(j, t) for t in ts.tolist()],
-                                            a, room, tol)
+            (want,) = calculus._terminal_limits(
+                lambda ts, _owner: [outcome(j, t) for t in ts.tolist()], [(a, room, tol)])
             assert _bits(r[0]) == _bits(want[0]) and r[1:] == want[1:]
         assert got[0][2] is True and got[0][3] == 5
 
@@ -358,13 +415,13 @@ class TestTerminalLimits:
     def test_terminal_derivatives_across_orders(self, f):
         ps = [ConfParams(alpha, 0.0) for alpha in (0.1, 0.5, 0.9, 1.0)]
         tol = Tolerance(rel=1e-5, abs=1e-7)
-        for got, p in zip(calculus._terminal_derivs(f, ps, tol), ps):
+        for got, p in zip(calculus._terminal_derivs(f, 0.0, [p.alpha for p in ps], tol), ps):
             _same_deriv(got, lower_terminal_deriv(f, p, tol))
 
     def test_integral_derivatives_across_orders(self):
         f, ts = builtin("exp"), np.array([0.3, 1.7, 1e-3, 2.5])
         orders = np.array([0.1, 0.5, 0.9, 1.0])
-        got = calculus._integral_derivs(f, ConfParams(0.5), ts, Tolerance(), orders)
+        got = calculus._integral_derivs(f, 0.0, orders, ts, Tolerance())
         for r, alpha, t in zip(got, orders.tolist(), ts.tolist()):
             (want,) = deriv_of_integral_many(f, ConfParams(alpha), [t])
             _same_deriv(r, want)

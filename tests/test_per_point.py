@@ -10,8 +10,10 @@ the points, so their batches mix good and failing points.
 import contextlib
 import io
 import json
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,14 +21,21 @@ from confcalc import (
     ConfParams,
     PointPatchedFn,
     Tolerance,
+    builtin,
     conf_deriv,
+    conf_deriv_many,
+    conf_deriv_scaled,
+    conf_deriv_scaled_many,
     conf_integral_info,
+    conf_integral_info_many,
     deriv_of_integral,
+    deriv_of_integral_many,
     parse_expr,
     vector_fn,
 )
-from confcalc.calculus import _conf_derivs, _conf_integrals, _integral_derivs
+from confcalc.calculus import _conf_derivs, _conf_integrals, _integral_derivs, _scaled_values
 from confcalc.cli import run
+from confcalc.errors import DomainError
 
 
 def _leaves():
@@ -144,7 +153,7 @@ def test_interior_and_running_integral_derivatives(text):
     got = _conf_derivs(f, _A, orders, ts, ts - _A, "two-sided", Tolerance())
     for r, alpha, t in zip(got, _ORDERS, _TS):
         _same_result(r, _alone(lambda: conf_deriv(f, ConfParams(alpha, _A), t)))
-    got = _integral_derivs(f, ConfParams(0.5, _A), ts, Tolerance(), orders)
+    got = _integral_derivs(f, _A, orders, ts, Tolerance())
     for r, alpha, t in zip(got, _ORDERS, _TS):
         _same_result(r, _alone(lambda: deriv_of_integral(f, ConfParams(alpha, _A), t)))
 
@@ -178,3 +187,40 @@ def test_deriv_sweep_records_are_the_point_records(text):
     sweep = _cli_records(argv + ["--t-range=-1:2:5"])
     ts = [float(t) for t in np.linspace(-1.0, 2.0, 5)]
     assert sweep == [rec for t in ts for rec in _cli_records(argv + [f"--t={t!r}"])]
+
+
+@pytest.mark.parametrize("f", [builtin("exp"), parse_expr("t^0.5 + sin(t)"),
+                               vector_fn([builtin("sin"), parse_expr("1/t")])],
+                         ids=["builtin", "expr", "vector"])
+def test_non_finite_points_fail_alone(f):
+    # nan, inf and -inf among finite points: each fails on its own as not
+    # finite, the others keep their one-point bits, and a batch call
+    # raises the first one's error
+    ts = np.array([0.5, math.nan, 2.0, math.inf, 1.0, -math.inf])
+    p, tol = ConfParams(0.5), Tolerance()
+    for i, want in enumerate([_alone(lambda t=t: f.eval(t).data) for t in ts.tolist()]):
+        fails = {}
+        _same_row(f._checked(ts, fails), fails, i, want)
+    for batch, one in (
+            (_conf_derivs(f, 0.0, 0.5, ts, ts, "two-sided", tol), conf_deriv),
+            (_integral_derivs(f, 0.0, 0.5, ts, tol), deriv_of_integral)):
+        for r, t in zip(batch, ts.tolist()):
+            _same_result(r, _alone(lambda: one(f, p, t)))
+    fails = {}
+    vals, errs, _sources = _scaled_values(f, 0.0, 0.5, ts, ts, tol, fails)
+    for i, t in enumerate(ts.tolist()):
+        want = _alone(lambda: conf_deriv_scaled(f, p, t))
+        _same_row(vals, fails, i, want if i in fails else want.value.data)
+        assert i in fails or _bits(errs[i]) == _bits(want.err_estimate)
+    for r, t in zip(_conf_integrals(f, [p] * ts.size, ts.tolist(), None, [0.0] * ts.size),
+                    ts.tolist()):
+        want = _alone(lambda: conf_integral_info(f, p, t))
+        if isinstance(r, Exception):
+            assert (type(r), str(r)) == want == (DomainError, f"t = {t} is not finite")
+        else:
+            assert _bits(r[0].data) == _bits(want[0].data) and r[1:] == want[1:]
+    for call in (lambda: f.eval_many(ts), lambda: conf_deriv_many(f, p, ts),
+                 lambda: conf_deriv_scaled_many(f, p, ts),
+                 lambda: deriv_of_integral_many(f, p, ts),
+                 lambda: conf_integral_info_many(f, [p] * ts.size, ts)):
+        assert _alone(call) == (DomainError, "t = nan is not finite")
