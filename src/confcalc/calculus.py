@@ -97,6 +97,12 @@ _TERMINAL_CHUNK = 4  # points of a terminal sequence asked for per call
 _MAX_DEPTH = 60  # deepest bisection of one quadrature panel
 _MAX_PANELS = 5000  # most panels one adaptive integral may refine
 _HALVES = np.array([0.5**k for k in range(_LEVELS)])  # the step schedule
+_STEP0 = _EPS ** (1.0 / 3.0)  # a difference schedule's first step per max(1, |t|)
+_SIGNED_HALVES = np.concatenate([_HALVES, -_HALVES])  # theta_k, then -theta_k, per theta_0
+# the probes of a point (t, the right ones, the left ones) it uses, by its
+# code 4*(probe at t) + 2*(right probes) + (left probes)
+_USED = np.repeat([[c >> 2, c >> 1 & 1, c & 1] for c in range(8)],
+                  (1, _LEVELS, _LEVELS), axis=1).astype(bool)
 _BLOCK = 48  # tableau rows (the innermost axis) built at once: 16 points' three sides
 _SIDE_ORDERS = np.array([1, 1, 2])  # right, left and central quotients
 _SIDE_NAMES = ("right", "left", "two-sided")  # the sides those give
@@ -163,7 +169,7 @@ class ConfParams:
             raise ValueError("lower terminal must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DerivResult:
     """Derivative estimate with diagnostics.
 
@@ -188,14 +194,43 @@ class DerivResult:
     right: VecValue | None = None
     detail: str = ""
 
+    def __init__(self, value, err_estimate, side, converged, steps_used,
+                 left=None, right=None, detail=""):
+        # frozen: set past the refusing __setattr__, at half the cost
+        self.__dict__.update(value=value, err_estimate=err_estimate, side=side,
+                             converged=converged, steps_used=steps_used,
+                             left=left, right=right, detail=detail)
+
+
+_TRIANGLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_ROWS = np.arange(_BLOCK)
+
+
+def _triangle(levels):
+    # per tableau depth, the flat indices j*levels + k of tab[j, k] (see
+    # _tableau) that its estimates read: row 0 holds (0, 0), then every
+    # entry T[k, j] with 1 <= k and j <= k in (k, j) order, and rows 1 and
+    # 2 their parents T[k, j-1] and T[k-1, j-1] (both T[k-1, 0] at j = 0,
+    # and T[0, 1], always NaN, for (0, 0)); with them, fac[j-1, r] =
+    # 2^(rj) - 1 for the orders r = 0, 1, 2 (exact: powers of two and small
+    # integers)
+    if levels not in _TRIANGLES:
+        k, j = np.array([(k, j) for k in range(1, levels) for j in range(k + 1)]).T
+        prev = np.maximum(j - 1, 0) * levels
+        tri = np.stack([j * levels + k, np.where(j > 0, prev + k, k - 1), prev + k - 1])
+        tri = np.concatenate([[[0], [levels], [levels]], tri], axis=1)
+        fac = np.ldexp(1.0, np.arange(1, levels)[:, None] * np.arange(3)) - 1.0
+        _TRIANGLES[levels] = tri, fac
+    return _TRIANGLES[levels]
+
 
 def _tableau(col0, orders):
     """Neville extrapolation over the estimates at steps h0/2^k.
 
-    ``col0[k, c, i]`` is level k of value component c of row i: the rows
-    are independent sequences, and ``orders[i]`` gives row i's integer
-    order r, an error expansion c1*h^r + c2*h^(2r) + ...  Each tableau is
-    built by column: T[k, 0] = col0[k] and, for 1 <= j <= k,
+    ``col0[k, c, i]`` is level k (of at least 2) of value component c of
+    row i: the rows are independent sequences, and ``orders[i]``, 1 or 2,
+    gives row i's order r, an error expansion c1*h^r + c2*h^(2r) + ...
+    Each tableau is built by column: T[k, 0] = col0[k] and, for 1 <= j <= k,
     T[k, j] = T[k, j-1] + (T[k, j-1] - T[k-1, j-1]) / (2^(rj) - 1).
     An entry's error estimate is the larger of its two parent deltas
     (|T[k, 0] - T[k-1, 0]| in the first column).  Per row, returns the
@@ -203,48 +238,41 @@ def _tableau(col0, orders):
     which stays robust once rounding noise takes over; with no finite
     estimate it is (col0[0], inf).  Returns the picked values, shape
     (components, rows), and their estimates, shape (rows,).
+
+    A block of rows is one array tab[j, k, c, i] = T[k, j], NaN where
+    j > k, rows innermost, so each column step is three ufunc calls on
+    whole blocks.  The estimates come from one pass over the triangle
+    j <= k alone (see _triangle): one gather of every entry and its
+    parents, one reduce to the larger delta's max norm, then argmin.
     """
-    # a block of rows is one array tab[j, k, c, i] = T[k, j], NaN where
-    # j > k; with the rows innermost every column step reads and writes
-    # whole contiguous blocks
     levels, comps, n = col0.shape
+    tri, by_order = _triangle(levels)
+    facs = by_order.take(orders, 1)  # facs[j-1, i] = 2^(rj) - 1 of row i
     est, errs = np.empty((comps, n)), np.empty(n)
     for lo in range(0, n, _BLOCK):
-        part = slice(lo, lo + _BLOCK)
-        m = len(errs[part])
-        tab = np.full((levels, levels, comps, m), math.nan)
-        tab[0] = col0[..., part]
+        part, m = slice(lo, lo + _BLOCK), min(_BLOCK, n - lo)
+        tab = np.full((levels * levels, comps, m), math.nan)
+        tab[:levels] = col0[..., part]
         # up[j][k-1] = T[k, j] and down[j][k-1] = T[k-1, j]
-        up, down = tab[:, 1:], tab[:, :-1]
-        # facs[j-1] = 2^(rj) - 1 of every row (exact: powers of two and
-        # small integers), broadcast over the rows axis
-        facs = np.ldexp(1.0, np.arange(1, levels)[:, None] * orders[part]) - 1.0
+        cols = tab.reshape(levels, levels, comps, m)
+        up, down = cols[:, 1:], cols[:, :-1]
         # column j from column j-1, every level at once: where k < j a
         # NaN parent keeps T[k, j] NaN
-        for prev, below, cand, fac in zip(up[:-1], down[:-1], up[1:], facs):
+        prev = up[0]
+        for below, cand, fac in zip(down[:-1], up[1:], facs[:, part]):
             np.subtract(prev, below, cand)
             np.divide(cand, fac, cand)
             np.add(prev, cand, cand)
-        # d[c, 0, j, k-1] = T[k, j] - T[k, j-1], d[c, 1, j, k-1] = T[k, j] -
-        # T[k-1, j-1] (both T[k, 0] - T[k-1, 0] at j = 0); the components
-        # lead, so their max norm reduces whole blocks, not a few entries
-        d = np.empty((comps, 2, levels, levels - 1, m))
-        up, down = up.transpose(2, 0, 1, 3), down.transpose(2, 0, 1, 3)
-        np.subtract(up[:, 0], down[:, 0], d[:, :, 0].swapaxes(0, 1))
-        np.subtract(up[:, 1:], up[:, :-1], d[:, 0, 1:])
-        np.subtract(up[:, 1:], down[:, :-1], d[:, 1, 1:])
-        # e[k, j]: the larger delta's max norm; inf at level 0, and where
-        # there is no entry or a NaN estimate, so those are never picked
-        e = np.empty((levels, levels, m))
-        e[0] = math.inf
-        np.maximum.reduce(np.abs(d, d).reshape(-1, levels, levels - 1, m), 0,
-                          None, e[1:].swapaxes(0, 1))
-        np.fmin(e, math.inf, e)
-        e = e.reshape(-1, m)
-        pick = e.argmin(axis=0)
-        k, j = np.divmod(pick, levels)
-        rows = np.arange(m)
-        est[:, part] = tab[j, k, :, rows].T
+            prev = cand
+        # e[p]: the larger parent delta's max norm of triangle entry p, inf
+        # where it is NaN (at (0, 0) too), so never picked unless all are
+        d = tab.take(tri, 0)
+        entries, deltas = d[0], d[1:]
+        np.abs(np.subtract(entries, deltas, deltas), deltas)
+        e = np.maximum.reduce(deltas, (0, 2))
+        pick = np.fmin(e, math.inf, e).argmin(0)
+        rows = _ROWS[:m]
+        est[:, part] = entries[pick, :, rows].T
         errs[part] = e[pick, rows]
     return est, errs
 
@@ -278,12 +306,11 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None, fail
     want_l = side in ("left", "two-sided")
     want_r = side in ("right", "two-sided")
     n = len(ts)
-    d0s, flags, notes = [math.nan] * n, [(False, False, False)] * n, [None] * n
+    d0s, codes, notes = [math.nan] * n, [0] * n, [None] * n
     for i, (t, dist_cap) in enumerate(zip(ts.tolist(), caps.tolist())):
         if i in fails:
             continue
-        scale_t = max(1.0, abs(t))
-        d0 = _EPS ** (1.0 / 3.0) * scale_t
+        d0 = _STEP0 * max(1.0, abs(t))
         if math.isfinite(dist_cap):
             # keep every probe strictly between the lower terminal and t + cap/4
             d0 = min(d0, 0.25 * dist_cap)
@@ -308,17 +335,18 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None, fail
             )
             continue
         d0s[i] = d0
-        # per point: the probe at t, the right probes, the left probes
-        flags[i] = (f0 is None, use_r, use_l)
+        codes[i] = 4 * (f0 is None) + 2 * use_r + use_l
         notes[i] = note
     if len(fails) == n:
         return [fails[i] for i in range(n)]
 
-    thetas = (np.array(d0s) / ss)[:, None] * _HALVES
-    steps = thetas * ss[:, None]
-    col = ts[:, None]
-    probes = np.concatenate([col, col + steps, col - steps], axis=1)
-    used = np.repeat(np.array(flags), (1, _LEVELS, _LEVELS), axis=1)
+    # per point: theta_k, then -theta_k, so the left probes t + (-theta_k*s)
+    # are t - theta_k*s bit for bit
+    thetas = (np.array(d0s) / ss)[:, None] * _SIGNED_HALVES
+    probes = np.empty((n, 1 + 2 * _LEVELS))
+    probes[:, 0] = ts
+    np.add(ts[:, None], thetas * ss[:, None], probes[:, 1:])
+    used = _USED.take(codes, 0)
     probe_fails = {}
     vals = evalf(probes, used, probe_fails)
     if probe_fails:
@@ -328,69 +356,69 @@ def _deriv_core(evalf, ts, ss, caps, lo, hi, side, tol, detail="", f0=None, fail
         if len(fails) == n:
             return [fails[i] for i in range(n)]
     vshape = vals.shape[1:]
-    # value-major probe values grid[probe, component, point]; unused
-    # probes stay NaN, and their rows' estimates are never reported
-    grid = np.full((probes.shape[1], math.prod(vshape), n), math.nan)
-    grid.transpose(2, 0, 1)[used] = vals.reshape(len(vals), -1)
-    if f0 is not None:
-        grid[0] = f0.reshape(n, -1).T
-    if fails:  # a failed point's probes are never read
-        grid[..., list(fails)] = math.nan
+    # value-major probe values grid[probe, component, point]: the values
+    # as they come where every point used every probe and none failed,
+    # else a copy with NaN for the unused probes and a failed point's
+    # (never read), whose rows' estimates are never reported
+    if min(codes) == 7 and not fails:
+        grid = vals.reshape(n, 1 + 2 * _LEVELS, -1).transpose(1, 2, 0)
+    else:
+        grid = np.full((1 + 2 * _LEVELS, math.prod(vshape), n), math.nan)
+        grid.transpose(2, 0, 1)[used] = vals.reshape(len(vals), -1)
+        if f0 is not None:
+            grid[0] = f0.reshape(n, -1).T
+        if fails:
+            grid[..., list(fails)] = math.nan
     f0s, fr, fl = grid[0], grid[1:_LEVELS + 1], grid[_LEVELS + 1:]
-    th = thetas.T[:, None]
+    th = thetas[:, :_LEVELS].T[:, None]
 
     # the first tableau column: the right, left and central quotients of
     # every point, rows side by side; a side without probes gives NaN
     # rows, never reported
     quot = np.empty((_LEVELS, grid.shape[1], 3, n))
-    right, left, central = quot[:, :, 0], quot[:, :, 1], quot[:, :, 2]
+    right, left, central = quot.transpose(2, 0, 1, 3)
     np.divide(np.subtract(fr, f0s, right), th, right)
     np.divide(np.subtract(f0s, fl, left), th, left)
     np.divide(np.subtract(fr, fl, central), 2.0 * th, central)
-    est, errs = _tableau(quot.reshape(_LEVELS, -1, 3 * n), np.repeat(_SIDE_ORDERS, n))
+    est, errs = _tableau(quot.reshape(_LEVELS, -1, 3 * n), _SIDE_ORDERS.repeat(n))
     norms = np.maximum.reduce(np.abs(est), 0)
     errs = np.fmax(errs, _err_floor(norms))
     thr = tol.threshold(norms)
-    # per side k (right, left, central) and point i
+    # entry k*n + i of each is side k (right, left, central) of point i
+    conv = (errs <= thr).tolist()
     est3 = est.reshape(-1, 3, n)
-    errs3, thr3, conv3 = errs.reshape(3, n), thr.reshape(3, n), (errs <= thr).reshape(3, n)
-    gap = np.maximum.reduce(np.abs(est3[:, 0] - est3[:, 1]), 0)
-    # two one-sided estimates each within thr of a common limit may differ
-    # by 2*thr; a genuine kink or jump shows up as a gap far beyond that,
-    # not a few percent over
-    agree = gap <= np.maximum(2.0 * thr3[2], 8.0 * (errs3[0] + errs3[1]))
-    # the central estimate also needs agreeing sides, and its error covers
-    # half their gap when they disagree
-    conv3[2] &= agree
-    np.fmax(errs3[2], 0.5 * gap, out=errs3[2], where=~agree)
+    gap = np.maximum.reduce(np.abs(est3[:, 0] - est3[:, 1]), 0).tolist()
+    errs, thr = errs.tolist(), thr[2 * n:].tolist()
 
     # each row's value, row-major: row[k, i] is side k of point i
     row = est3.transpose(1, 2, 0).reshape((3, n) + vshape)
-    errs3, conv3 = errs3.tolist(), conv3.tolist()
     out = []
-    for i, (has_t, has_r, has_l), ok in zip(range(n), flags, agree.tolist()):
+    for i, code in enumerate(codes):
         if i in fails:
             out.append(fails[i])
             continue
         # the central estimate where both sides have probes, else the
         # right side where it has them, else the left
+        has_r, has_l = code >> 1 & 1, code & 1
         k = 2 if has_r and has_l else (0 if has_r else 1)
-        note = notes[i]
-        if k == 2 and not ok:
+        err, ok, note = errs[k * n + i], conv[k * n + i], notes[i]
+        # two one-sided estimates each within thr of a common limit may
+        # differ by 2*thr; a genuine kink or jump shows up as a gap far
+        # beyond that, not a few percent over.  The central estimate
+        # needs agreeing sides, and its error covers half their gap.
+        if k == 2 and not gap[i] <= max(2.0 * thr[i], 8.0 * (errs[i] + errs[n + i])):
+            err, ok = max(err, 0.5 * gap[i]), False
             note.append(
                 "one-sided estimates disagree; the two-sided limit does not exist numerically"
             )
-        elif not conv3[k][i]:
+        elif not ok:
             note.append("extrapolation not Cauchy within tolerance")
         out.append(DerivResult(
-            VecValue(row[k, i]),
-            errs3[k][i],
-            _SIDE_NAMES[k],
-            conv3[k][i],
-            has_t + _LEVELS * (has_r + has_l),
-            left=VecValue(row[1, i]) if has_l else None,
-            right=VecValue(row[0, i]) if has_r else None,
-            detail="; ".join(note),
+            VecValue(row[k, i]), err, _SIDE_NAMES[k], ok,
+            (code >> 2) + _LEVELS * (has_r + has_l),
+            VecValue(row[1, i]) if has_l else None,
+            VecValue(row[0, i]) if has_r else None,
+            "; ".join(note),
         ))
     return out
 
@@ -416,9 +444,9 @@ def _probes_of(f: AbstractFn):
 def _interior(a: float, ts: np.ndarray, fails: dict):
     # a DomainError in fails for each point t that is not finite, then a
     # LowerTerminalError for each t <= a (see _record)
-    _non_finite(ts, fails)
     inside = ts > a
-    if np.count_nonzero(inside) < ts.size:
+    if np.count_nonzero(inside & (ts < math.inf)) < ts.size:
+        _non_finite(ts, fails)
         _record(fails, ~inside, lambda i: (
             f"t = {float(ts[i])} is at or below the lower terminal a = {a}; "
             "the interior derivative needs t > a (use lower_terminal_deriv at a)"),
@@ -645,23 +673,11 @@ def _aitken_step(x0, x1, x2):
     return x2 + (rho / (1.0 - rho)) * d2
 
 
-def _sequence_limit(vals):
-    # the accelerated estimate of vals, its sweeps built anew: the last entry
-    # after up to three sweeps (_extend_sweeps keeps the sweeps and extends them)
-    cur = vals
-    est = cur[-1]
-    for _ in range(3):
-        cur = [_aitken_step(*cur[i:i + 3]) for i in range(len(cur) - 2)]
-        if not cur:
-            break
-        est = cur[-1]
-    return est
-
-
 def _extend_sweeps(levels):
     # after a new value on levels[0], give each of the three Aitken sweeps
-    # levels[1:] of the values its one new entry; returns the estimate
-    # _sequence_limit gives for the values, bit for bit
+    # levels[1:] of the values its one new entry; returns the estimate: the
+    # last entry of the highest sweep that has one (the last value before
+    # any sweep has one)
     for lower, upper in zip(levels, levels[1:]):
         if len(lower) < 3:
             break

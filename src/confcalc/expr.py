@@ -125,7 +125,7 @@ def _pow_real(base, expo, fails):
     # few points of a derivative query or a quadrature panel
     array_expo = getattr(expo, "ndim", 0) > 0
     scalar = not array_expo and getattr(base, "ndim", 0) == 0
-    b = np.array(base, dtype=float, ndmin=1)
+    b = np.array(base, dtype=float, ndmin=1, copy=None)  # read, never written
     e = np.array(expo, dtype=float) if array_expo else expo
     if np.count_nonzero(b > 0.0) == b.size:
         out = np.power(b, e)

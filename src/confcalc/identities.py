@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,7 @@ from .expr import _record
 from .funcs import (
     AbstractFn,
     ExprFn,
+    _non_finite,
     _on,
     builtin,
     diag_fn,
@@ -248,7 +250,12 @@ def _label(f: AbstractFn) -> str:
 def _undefined(f: AbstractFn, t: float, start: float | None = None) -> str:
     # why f is not defined where an identity needs it, "" when it is: at t
     # for a pointwise identity, on all of [start, t] for a terminal or
-    # integral one (start = a); checked before any kernel runs
+    # integral one (start = a); checked before any kernel runs, and a t
+    # that is not finite is refused as the kernels refuse it
+    if not math.isfinite(t):
+        fails = {}
+        _non_finite(np.array([t], dtype=float), fails)
+        raise fails[0]
     lo, hi = f.domain
     start = t if start is None else start
     if lo <= start and t <= hi:
@@ -562,6 +569,7 @@ def check_right_inverse(f, p, t, tol=None) -> CaseResult:
 
 
 def _right_inverse(f, p, t, tol):
+    why = _undefined(f, t, p.a)
     if t < p.a:
         raise LowerTerminalError(
             f"t = {t} is below the lower terminal a = {p.a}; the running "
@@ -570,7 +578,6 @@ def _right_inverse(f, p, t, tol):
     inputs = {"alpha": p.alpha, "a": p.a, "t": t}
     subject = _label(f)
     span = min(1.0, max(f.domain[1] - p.a, 0.0)) or 1.0
-    why = _undefined(f, t, p.a)
     if not why:
         ((_ok, _worst, why),) = yield (("bounded", f, p.a, span),)
     if why:

@@ -365,6 +365,8 @@ _ENTRY = st.one_of(
     st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-300, 3.0]),
     st.floats(min_value=-1e3, max_value=1e3, allow_nan=False),
     st.just(math.inf),
+    # _deriv_core's rows for a side without probes and for a failed point
+    st.just(math.nan),
 )
 
 
@@ -418,6 +420,25 @@ def test_richardson_blocks_of_rows_match_the_loop(shape, levels):
             want_v, want_e = _richardson_loop(list(seq), p, p)
             assert got_e[i] == want_e
             assert np.array_equal(got_v[i], want_v, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [47, 48, 49, 97])
+def test_rows_without_a_finite_estimate_match_the_loop(n):
+    # an all-inf row, then an all-NaN one (as _deriv_core feeds for a side
+    # without probes or a failed point), among finite rows, on both sides
+    # of a block edge; the NaN row is one block by itself at n = 97
+    rng = np.random.default_rng(n)
+    seqs = rng.standard_normal((n, 8, 2))
+    seqs[n - 2], seqs[n - 1] = math.inf, math.nan
+    orders = rng.integers(1, 3, n)
+    with np.errstate(all="ignore"):
+        got_v, got_e = _tableau_rows(seqs, orders)
+        for i, (seq, p) in enumerate(zip(seqs, orders.tolist())):
+            want_v, want_e = _richardson_loop(list(seq), p, p)
+            assert got_e[i] == want_e
+            assert np.array_equal(got_v[i], want_v, equal_nan=True)
+    assert got_e[n - 2] == got_e[n - 1] == math.inf
+    assert np.isinf(got_v[n - 2]).all() and np.isnan(got_v[n - 1]).all()
 
 
 def test_panel_sums_in_node_order():
@@ -1093,6 +1114,20 @@ class TestDerivOfIntegralMany:
 # the chunked terminal sequences against the point-by-point rule
 
 
+def _sequence_limit(vals):
+    # the accelerated estimate of vals, its sweeps built anew: the last entry
+    # after up to three Aitken sweeps (calculus._extend_sweeps keeps the
+    # sweeps and extends them)
+    cur = vals
+    est = cur[-1]
+    for _ in range(3):
+        cur = [calculus._aitken_step(*cur[i:i + 3]) for i in range(len(cur) - 2)]
+        if not cur:
+            break
+        est = cur[-1]
+    return est
+
+
 def _terminal_limit_reference(sample, a, room, tol):
     # the rule as a loop asking for one point at a time, stopping as soon
     # as it decides: sample(t) -> (value, ok)
@@ -1114,7 +1149,7 @@ def _terminal_limit_reference(sample, a, room, tol):
                 return v, math.inf, False, k + 1, note
         if len(vals) < 3:
             continue
-        est = calculus._sequence_limit(vals)
+        est = _sequence_limit(vals)
         if prev_est is not None:
             delta = _mnorm(est - prev_est)
             if delta <= tol.threshold(1.0 + _mnorm(est)):

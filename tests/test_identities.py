@@ -330,6 +330,27 @@ class TestOutsideTheDomain:
                    for r in four)
         assert four[0].inputs == {"alpha": 0.5, "a": -1.0, "t": -0.5, "c": 2.0, "d": -3.0}
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("run", [
+        lambda f, t: check_continuity(f, ConfParams(0.5), t),
+        lambda f, t: check_equivalence(f, ConfParams(0.5), t),
+        lambda f, t: check_order_relation(f, 0.5, 1.0, 0.0, t),
+        lambda f, t: check_left_inverse(f, ConfParams(0.5), t),
+        lambda f, t: check_right_inverse(f, ConfParams(0.5), t),
+        lambda f, t: check_avg_recovery(f, t),
+        lambda f, t: check_algebra_rules(f, builtin("exp"), 2.0, -3.0, ConfParams(0.5), t),
+        lambda f, t: check_class_equivalence(f, (0.5, 1.0), 0.0, (1.0, t)),
+    ], ids=["continuity", "equivalence", "order", "left-inverse", "right-inverse",
+            "average", "algebra", "class"])
+    def test_a_t_that_is_not_finite_is_refused(self, run, t):
+        # with the kernels' own error, before f is evaluated anywhere
+        seen = []
+        f = CallableFn(lambda s: seen.append(s) or math.exp(s))
+        with pytest.raises(identities.DomainError) as refused:
+            run(f, t)
+        assert str(refused.value) == f"t = {t} is not finite"
+        assert seen == []
+
     def test_a_kernel_failure_inside_the_domain_still_raises(self):
         def hole(s):
             if s == 1.0:

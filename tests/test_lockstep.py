@@ -40,6 +40,7 @@ from confcalc import (
 from confcalc.calculus import _MAX_PANELS, _quad_lockstep
 from confcalc.cli import run
 from confcalc.errors import DomainError, QuadratureError
+from test_batched import _sequence_limit
 
 
 def _bits(v):
@@ -458,7 +459,7 @@ def test_incremental_sweeps_equal_the_estimate_built_anew(vals):
     for k, v in enumerate(vals):
         levels[0].append(v)
         got = calculus._extend_sweeps(levels)
-        assert _bits(got) == _bits(calculus._sequence_limit(vals[:k + 1]))
+        assert _bits(got) == _bits(_sequence_limit(vals[:k + 1]))
 
 
 # work per default run_suite
