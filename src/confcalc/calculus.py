@@ -862,6 +862,9 @@ def one_sided_limit(
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _GL_NODES: dict[tuple, np.ndarray] = {}  # the nodes of several rules in a row
+# per (rules, value rank): each rule's weights shaped to scale a panel's
+# values, and the axes of a panel's largest |g|
+_GL_WEIGHTS: dict[tuple, tuple[list, tuple]] = {}
 
 
 def _gl(n: int):
@@ -888,33 +891,36 @@ def _panels(g, lo, hi, *ns: int):
     m = np.atleast_1d(0.5 * (hi + lo))
     vals = g((m[:, None] + c[:, None] * x).reshape(-1))
     vals = vals.reshape((c.size, x.size) + vals.shape[1:])
+    key = (ns, vals.ndim)
+    if key not in _GL_WEIGHTS:
+        _GL_WEIGHTS[key] = ([_gl(n)[1].reshape((n,) + (1,) * (vals.ndim - 2)) for n in ns],
+                            tuple(range(1, vals.ndim)))
+    weights, axes = _GL_WEIGHTS[key]
+    mags, half = np.abs(vals), _per_row(c, vals[:, 0])
     out, start = [], 0
-    for n in ns:
-        w = _gl(n)[1]
-        part = vals[:, start:start + w.size]
-        start += w.size
-        acc = np.add.accumulate(_per_row(w, part[0]) * part, axis=1)[:, -1]
-        scale = np.abs(part).reshape(c.size, -1).max(axis=1)
-        out.append((_per_row(c, acc) * acc, scale))
+    for w in weights:
+        stop = start + w.shape[0]
+        acc = np.add.accumulate(w * vals[:, start:stop], axis=1)[:, -1]
+        out.append((half * acc, mags[:, start:stop].max(axis=axes)))
+        start = stop
     return out
 
 
-def _walk(lo, hi, tol, noise, grade):
+def _walk(lo, hi, tol, noise, grade, cuts=()):
     """One adaptive integral on [lo, hi] (see _quad_lockstep), its panels
     decided depth first.  Each request it yields is the panels to evaluate,
     as (los, his): first the base partition, then a split panel's two
-    halves.  It is sent (rules, i) with those panels at i, i + 1, ... of
-    rules, and returns (value, error sum, evaluations).  Its stack holds
-    (lo, hi, rules, i, budget, depth) per panel still to decide, and None
-    where a split panel's two child sums on ``vals`` are added; the base
-    panels' sums are added left to right at the end."""
+    halves.  The base partition ends panels at the graded points and at
+    the cut points, their sorted union inside (lo, hi) without repeats,
+    so without cuts it is the graded partition alone.  It is sent (rules,
+    i) with those panels at i, i + 1, ... of rules, and returns (value,
+    error sum, evaluations).  Its stack holds (lo, hi, rules, i, budget,
+    depth) per panel still to decide, and None where a split panel's two
+    child sums on ``vals`` are added; the base panels' sums are added left
+    to right at the end."""
     wtot = hi - lo
-    pts = [lo]
-    for k in range(24 if grade else 0, 0, -1):
-        c = lo + wtot * 0.25**k
-        if c > pts[-1]:
-            pts.append(c)
-    pts.append(hi)
+    graded = [lo + wtot * 0.25**k for k in range(24, 0, -1)] if grade else []
+    pts = [lo, *sorted({x for x in (*graded, *cuts) if lo < x < hi}), hi]
     rules, first = yield pts[:-1], pts[1:]
     coarse = np.add.accumulate(rules[0][0][first:first + len(pts) - 1], axis=0)[-1]
     budget_total = tol.threshold(_mnorm(coarse))
@@ -969,15 +975,19 @@ def _walk(lo, hi, tol, noise, grade):
 
 def _quad_lockstep(g, jobs):
     """Adaptive composite Gauss-Legendre on [lo, hi] for every job (lo, hi,
-    tol, noise, grade), in lockstep.
+    tol, noise, grade[, cuts]), in lockstep.
 
     10-point panels with an embedded 7-point error estimate, budgets split
     evenly on bisection.  ``grade`` prepends a geometric partition packed
-    toward ``lo`` for an algebraic endpoint feature.  ``noise``, a number
-    or a callable re-read at each panel, is the absolute sample noise;
-    panels under its floor are accepted, so inexact integrands cannot force
-    endless refinement.  ``g(us, owner, fails)`` gives the stacked values at the
-    points us, us[i] a node of integral owner[i] (owner None for one job),
+    toward ``lo`` for an algebraic endpoint feature.  ``cuts``, floats
+    (none by default), are known breakpoints of the integrand, as
+    QUADPACK's QAGP takes them: the base partition also ends panels there,
+    since the embedded estimate does not see a kink between a panel's
+    nodes, and bisection would only home in on it one split per round.
+    ``noise``, a number or a callable re-read at each panel, is the
+    absolute sample noise; panels under its floor are accepted, so inexact
+    integrands cannot force endless refinement.  ``g(us, owner, fails)``
+    gives the stacked values at the points us, us[i] a node of integral owner[i] (owner None for one job),
     and a failing node's error in the dict fails (see
     :meth:`~confcalc.funcs.AbstractFn._checked`).  All base panels go into
     one call of ``g`` (their 10-point sums also set the budgets); each
@@ -1033,6 +1043,12 @@ def _integral_range(lo, hi, p: ConfParams, t: float):
         )
 
 
+def _breaks_in(f, lo, hi):
+    # f's breakpoints strictly inside (lo, hi)
+    b = f.breakpoints
+    return b[(b > lo) & (b < hi)] if b.size else b
+
+
 def _conf_integrals(f, ps, ts, tol, noises, h=None):
     # conf_integral_info of f at every (ps[i], ts[i]) with noise noises[i],
     # the integrals in lockstep: per point its result or its error.
@@ -1058,11 +1074,17 @@ def _conf_integrals(f, ps, ts, tol, noises, h=None):
         # in u = (s-a)^alpha: s = a + u^(1/alpha)
         own = 0 if owner is None else owner
         x = _order_pow(us, orders[own], lambda al: 1.0 / al, fails)
-        return h(np.clip(starts[own] + x, lo, hi), ids[own], fails)
+        return h(np.minimum(np.maximum(starts[own] + x, lo), hi), ids[own], fails)
+
+    def cuts(p, t):
+        # f's breakpoints in (a, t), mapped to u
+        b = _breaks_in(f, p.a, t)
+        return pow_real(b - p.a, p.alpha).tolist() if b.size else []
 
     # the budgets in u: the values carry 1/alpha
     jobs = [(0.0, pow_real(ts[i] - ps[i].a, ps[i].alpha),
-             Tolerance(rel=tol.rel, abs=tol.abs * ps[i].alpha), noises[i], ps[i].alpha < 1.0)
+             Tolerance(rel=tol.rel, abs=tol.abs * ps[i].alpha), noises[i], ps[i].alpha < 1.0,
+             cuts(ps[i], ts[i]))
             for i in live]
     for i, r in zip(live, _quad_lockstep(g, jobs)):
         inv_alpha = 1.0 / ps[i].alpha
@@ -1080,7 +1102,9 @@ def conf_integral_info(
 ):
     """conf_integral plus diagnostics: (value, error estimate, evals).
 
-    ``evals`` is 17 per quadrature panel, 1 at t = a.  ``noise`` declares
+    ``evals`` is 17 per quadrature panel, 1 at t = a.  f's breakpoints
+    inside (a, t) end base panels (mapped to u), so a grid integral takes
+    at least 17 evaluations per node interval it crosses.  ``noise`` declares
     the absolute uncertainty of individual f samples, either as a number
     or as a zero-argument callable re-read at each panel (for integrands
     whose own error estimate accumulates as they are sampled); the
@@ -1154,7 +1178,8 @@ def weighted_integral(
 
     g = _weighted(f, p.a, p.alpha)
     ((val, _err, _evals),) = _first_error(_quad_lockstep(
-        lambda us, _owner, fails: g(us, fails), [(t1, t2, tol, 0.0, False)]))
+        lambda us, _owner, fails: g(us, fails),
+        [(t1, t2, tol, 0.0, False, _breaks_in(f, t1, t2).tolist())]))
     return VecValue(val)
 
 

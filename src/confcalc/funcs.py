@@ -16,6 +16,10 @@ case is the same calls on a length-1 array, so a point gets the same bits
 and the same error (the first it meets: outside the domain, in the
 evaluation, inf or nan) in every batch.
 
+:attr:`AbstractFn.breakpoints` lists the points where a function is known
+to be less smooth than between them (a grid's interior nodes); the
+quadrature ends its base panels there.
+
 Kinds:
 
 * :class:`ExprFn`: parsed expression text, differentiable symbolically.
@@ -68,12 +72,15 @@ __all__ = [
 
 _INF = np.inf
 _FMAX = float(np.finfo(float).max)
+_NO_BREAKS = np.empty(0)
+_NO_BREAKS.setflags(write=False)
 
 
 class AbstractFn:
     """Base contract: a callable on [domain lo, domain hi]."""
 
     kind = "abstract"
+    _breaks = _NO_BREAKS
 
     def __init__(self, domain=(-_INF, _INF), label: str = ""):
         lo, hi = float(domain[0]), float(domain[1])
@@ -85,6 +92,14 @@ class AbstractFn:
     @property
     def domain(self) -> tuple[float, float]:
         return self._domain
+
+    @property
+    def breakpoints(self) -> np.ndarray:
+        """The sorted points where f is known to be less smooth than
+        between them (a grid's interior nodes), read-only; empty by
+        default.  The quadrature ends panels there (see
+        :func:`~confcalc.calculus.conf_integral_info`)."""
+        return self._breaks
 
     def _check_domain(self, t: float):
         _raising(self._inside)(np.array([t], dtype=float))
@@ -369,8 +384,8 @@ def builtin(spec: str) -> BuiltinFn:
 def _hermite(u):
     """Cubic Hermite basis (h00, h10, h01, h11) at u in [0, 1]."""
     w = 1.0 - u
-    return ((1.0 + 2.0 * u) * (w * w), u * (w * w),
-            u * u * (3.0 - 2.0 * u), u * u * (u - 1.0))
+    ww, uu = w * w, u * u
+    return (1.0 + 2.0 * u) * ww, u * ww, uu * (3.0 - 2.0 * u), uu * (u - 1.0)
 
 
 class GridFn(AbstractFn):
@@ -378,7 +393,9 @@ class GridFn(AbstractFn):
 
     ``interp`` is ``linear`` or ``cubic`` (Hermite with second order
     finite-difference slopes, so quadratic data is reproduced exactly).
-    Evaluation at a node returns the stored value exactly.  There is no
+    Evaluation at a node returns the stored value exactly.  The
+    interpolant is smooth only between nodes, so the interior nodes are
+    its :attr:`~AbstractFn.breakpoints`.  There is no
     exact derivative; ``interp_deriv`` exposes the interpolant's
     derivative together with an inflated error bound.
     """
@@ -407,6 +424,17 @@ class GridFn(AbstractFn):
         self.values = vs
         self.interp = interp
         self._slopes = self._node_slopes() if interp == "cubic" else None
+        self._breaks = ts[1:-1].copy()
+        self._breaks.setflags(write=False)
+        # per node interval: its ends and width, and what the interpolant
+        # reads there (linear: v0 and v1 - v0; cubic: v0, s0, v1, s1), so
+        # an evaluation gathers each table with one take
+        self._spans = np.stack([ts[:-1], ts[1:], ts[1:] - ts[:-1]])
+        self._coefs = np.stack(
+            [vs[:-1], vs[1:] - vs[:-1]] if interp == "linear"
+            else [vs[:-1], self._slopes[:-1], vs[1:], self._slopes[1:]])
+        # per-point factors broadcast over the value axes
+        self._ones = (1,) * (vs.ndim - 1)
 
     def _node_slopes(self) -> np.ndarray:
         # Three-point finite differences, exact for quadratic data even on
@@ -429,27 +457,27 @@ class GridFn(AbstractFn):
                 + v2 * (2.0 * t - t0 - t1) / ((t2 - t0) * (t2 - t1)))
 
     def _locate(self, t):
-        i = np.searchsorted(self.nodes_t, t, side="right") - 1
-        return np.clip(i, 0, self.nodes_t.size - 2)
+        # the node interval of t: the last that starts at or below it, the
+        # first below the grid and the last above it or at nan
+        return np.searchsorted(self._breaks, t, side="right")
 
     def _values(self, ts: np.ndarray, _fails: dict) -> np.ndarray:
         i = self._locate(ts)
-        t0, t1 = self.nodes_t[i], self.nodes_t[i + 1]
-        v0, v1 = self.values[i], self.values[i + 1]
-        h = t1 - t0
+        t0, t1, h = self._spans[:, i]
         x = (ts - t0) / h
-        # per-point factors broadcast over the value axes
-        col = (slice(None),) + (None,) * (self.values.ndim - 1)
+        c = self._coefs[:, i]
         if self.interp == "linear":
-            out = v0 + (v1 - v0) * x[col]
+            out = c[0] + c[1] * x.reshape(x.shape + self._ones)
         else:
-            s0, s1 = self._slopes[i], self._slopes[i + 1]
-            h00, h10, h01, h11 = _hermite(x)
-            out = (h00[col] * v0 + (h10 * h)[col] * s0 + h01[col] * v1
-                   + (h11 * h)[col] * s1)
-        # stored values exactly at the nodes
-        out = np.where((ts == t1)[col], v1, out)
-        return np.where((ts == t0)[col], v0, out)
+            b = np.array(_hermite(x))  # h00, h10, h01, h11 per point
+            b[1::2] *= h  # the slopes' factors h10*h and h11*h
+            p = b.reshape(b.shape + self._ones) * c
+            out = p[0] + p[1] + p[2] + p[3]
+        # stored values exactly at the nodes (t1 only at the grid's end)
+        on = np.flatnonzero((ts == t0) | (ts == t1))
+        if on.size:
+            out[on] = self.values[i[on] + (ts[on] == t1[on])]
+        return out
 
     def interp_deriv(self, t: float):
         """Interpolant derivative and a heuristic error bound.
@@ -485,7 +513,8 @@ class GridFn(AbstractFn):
 
 
 class CompositeFn(AbstractFn):
-    """Vector or square-matrix assembly of scalar component functions."""
+    """Vector or square-matrix assembly of scalar component functions;
+    its breakpoints are the sorted union of the components'."""
 
     kind = "composite"
 
@@ -509,6 +538,10 @@ class CompositeFn(AbstractFn):
         super().__init__((lo, hi), label)
         self._comps = comps
         self._flat = flat
+        # a set, not np.unique, whose first call costs milliseconds
+        self._breaks = np.array(sorted({b for f in flat for b in f.breakpoints.tolist()}),
+                                dtype=float)
+        self._breaks.setflags(write=False)
 
     def _values(self, ts: np.ndarray, fails: dict) -> np.ndarray:
         # a point's error is its first failing component's

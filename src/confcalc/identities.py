@@ -304,13 +304,15 @@ def _rowwise(op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 class _BatchFn(AbstractFn):
-    """A derived function whose ``_values`` is ``values(ts, fails)``."""
+    """A derived function whose ``_values`` is ``values(ts, fails)``, with
+    the breakpoints ``breaks`` (sorted, read-only)."""
 
     kind = "batch"
 
-    def __init__(self, values, domain, label: str):
+    def __init__(self, values, domain, label: str, breaks=AbstractFn._breaks):
         super().__init__(domain, label)
         self._values = values
+        self._breaks = breaks
 
 
 def _decay_to_zero(f, t, sign, levels, thr):
@@ -482,11 +484,12 @@ def _left_inverse_integrals(f, a, items):
 
     T f at s = a + x takes the offset x itself as its distance from a, not
     s - a, which keeps only multiples of ulp(a): each integral runs over
-    the offsets, as conf_integral_info from the terminal 0 to t - a.  A
-    node within the route's floor of a takes the terminal value (scaled: s
-    rounded to a; quotient: no differencing room, and that sliver's mass
-    is O(floor)), computed once per order and call.  Each integral's
-    noise is the largest error estimate of T f at its own nodes so far.
+    the offsets, as conf_integral_info from the terminal 0 to t - a, and
+    f's breakpoints less a are T f's on both routes.  A node within the
+    route's floor of a takes the terminal value (scaled: s rounded to a;
+    quotient: no differencing room, and that sliver's mass is O(floor)),
+    computed once per order and call.  Each integral's noise is the
+    largest error estimate of T f at its own nodes so far.
     Per item its integral or its error (that of its first failed node).
     """
     orders, ts, scaled = (np.array(col) for col in zip(*items))
@@ -527,10 +530,13 @@ def _left_inverse_integrals(f, a, items):
             out[at] = terminal[alpha]
         return np.full(x.size, np.nan) if out is None else out
 
+    breaks = f.breakpoints - a
+
     def tf_fn(owner):
-        # T f over the offsets, its nodes those of integral owner (one, or one per node)
+        # T f over the offsets, its nodes those of integral owner (one, or
+        # one per node); f's breakpoints are T f's, as offsets
         return _BatchFn(lambda x, fails: tf(x, np.broadcast_to(owner, x.shape), fails),
-                        (0.0, f.domain[1] - a), f"T[{_label(f)}]")
+                        (0.0, f.domain[1] - a), f"T[{_label(f)}]", breaks)
 
     noises = [(lambda j: lambda: err_seen[j])(j) for j in range(len(items))]
     return _mapped(lambda r: r[0], _conf_integrals(

@@ -828,6 +828,7 @@ def _left_inverse_reference(f, p, t, route):
 
     # the integral over the offsets, from the terminal 0 up to t - a
     tf_fn = CallableFn(tf, domain=(0.0, f.domain[1] - p.a), label=f"T[{subject}]")
+    tf_fn._breaks = f.breakpoints - p.a  # f's breakpoints, as offsets
     integral, _q_err, _evals = conf_integral_info(
         tf_fn, ConfParams(p.alpha), t - p.a, tol=Tolerance(rel=1e-9, abs=1e-9),
         noise=lambda: err_seen[0],

@@ -75,7 +75,7 @@ def _reference_refine(g, lo, hi, budget, noise, depth, state):
     return vl + vr
 
 
-def _reference_quad(g, lo, hi, tol, noise=0.0, grade=False):
+def _reference_quad(g, lo, hi, tol, noise=0.0, grade=False, cuts=()):
     """One job of _quad_lockstep with a separate 10-point pass over the
     base panels for the budget, then each base panel refined from
     scratch."""
@@ -93,6 +93,9 @@ def _reference_quad(g, lo, hi, tol, noise=0.0, grade=False):
         pts.append(hi)
     else:
         pts = [lo, hi]
+    # the cut points inside (lo, hi) end base panels too, each point once
+    inner = [x for x in sorted(set(pts[1:-1]) | set(cuts)) if lo < x < hi]
+    pts = [lo] + inner + [hi]
 
     [(pieces, _)] = _panels(g, pts[:-1], pts[1:], 10)
     coarse = np.add.accumulate(pieces, axis=0)[-1]
@@ -118,10 +121,11 @@ def _reference_quad(g, lo, hi, tol, noise=0.0, grade=False):
     return total, achieved, state["evals"]
 
 
-def _one_job_quad(g, lo, hi, tol, noise=0.0, grade=False):
+def _one_job_quad(g, lo, hi, tol, noise=0.0, grade=False, cuts=()):
     """The engine on one integral, g(us) its integrand: (value, error,
     evals), or the error it ends with raised."""
-    (r,) = _quad_lockstep(lambda us, _owner, _fails: g(us), [(lo, hi, tol, noise, grade)])
+    (r,) = _quad_lockstep(lambda us, _owner, _fails: g(us),
+                          [(lo, hi, tol, noise, grade, cuts)])
     if isinstance(r, Exception):
         raise r
     return r
@@ -129,7 +133,7 @@ def _one_job_quad(g, lo, hi, tol, noise=0.0, grade=False):
 
 def _job_by_job(quad, runs):
     """A stand-in for _quad_lockstep that runs each job on its own through
-    quad(g, lo, hi, tol, noise, grade), g(us) raising the first failed
+    quad(g, lo, hi, tol, noise, grade, cuts), g(us) raising the first failed
     node's error; per job its result or error, and in runs (value, error,
     evals, integrand batch sizes) per result."""
     def lockstep(g, jobs):
@@ -697,6 +701,70 @@ class TestWeightedIntegral:
         # integral of s^(-1/2) over [1, 4] = 2*(2 - 1) = 2
         v = weighted_integral(builtin("one"), ConfParams(alpha=0.5), 1.0, 4.0)
         assert abs(float(v.data) - 2.0) <= 1e-12
+
+
+class TestGridIntegrals:
+    # a cubic Hermite grid is smooth only between its nodes, which end base
+    # panels; each integral against a reference that shares no code with
+    # the quadrature, within the default tolerance and with a reported
+    # error that bounds the true one up to a factor of 100
+    _NODES = np.array([0.0, 0.3, 0.5, 1.1, 1.4, 2.0, 2.9, 3.3, 4.0, 5.2, 6.0, 7.1, 8.0])
+    _VALUES = np.stack([np.sin(_NODES), np.exp(-0.2 * _NODES)], axis=1)
+    # the node slopes: the derivative of the quadratic through each node
+    # and its neighbours, one-sided at the ends
+    _SLOPES = np.gradient(_VALUES, _NODES, axis=0, edge_order=2)
+
+    @staticmethod
+    def _close(got, err, ref):
+        true = float(np.max(np.abs(np.asarray(got) - ref)))
+        assert true <= Tolerance().threshold(float(np.max(np.abs(ref))))
+        assert true <= 100.0 * err
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("k", [3, 8, 12])
+    def test_closed_form_at_order_one(self, interp, k):
+        # the integral to node k, interval by interval: the trapezoid, and
+        # for the cubic its end correction h^2/12 (s0 - s1)
+        x, v, s = self._NODES, self._VALUES, self._SLOPES
+        h = np.diff(x)[:k, None]
+        ref = (h / 2 * (v[:k] + v[1:k + 1])).sum(axis=0)
+        if interp == "cubic":
+            ref = ref + (h * h / 12 * (s[:k] - s[1:k + 1])).sum(axis=0)
+        g = GridFn(x, v, interp)
+        got, err, _evals = conf_integral_info(g, ConfParams(1.0), float(x[k]))
+        self._close(got.data, err, ref)
+        # an interior slice, from node 2 to node k
+        part = weighted_integral(g, ConfParams(1.0), float(x[2]), float(x[k]))
+        head, _err, _ = conf_integral_info(g, ConfParams(1.0), float(x[2]))
+        assert np.max(np.abs(part.data - (ref - head.data))) <= 1e-13
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_mpmath_reference_at_fractional_orders(self, alpha):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 20
+        x, v, s = self._NODES, self._VALUES, self._SLOPES
+        g = GridFn(x, v)
+
+        def hermite(c):
+            def f(u):
+                i = min(int(np.searchsorted(x, float(u), side="right")) - 1, x.size - 2)
+                h = mp.mpf(x[i + 1]) - mp.mpf(x[i])
+                r = (u - mp.mpf(x[i])) / h
+                return ((1 + 2 * r) * (1 - r) ** 2 * v[i, c] + r * (1 - r) ** 2 * h * s[i, c]
+                        + r * r * (3 - 2 * r) * v[i + 1, c] + r * r * (r - 1) * h * s[i + 1, c])
+            return f
+
+        # the weight's singularity at 0 subtracted: u^(alpha-1) f(0)
+        # integrates to f(0) t^alpha / alpha, and the rest vanishes like
+        # u^alpha at 0
+        a = mp.mpf(alpha)
+        for t in (0.45, 3.7, 7.9):
+            knots = [0.0, *x[(x > 0.0) & (x < t)].tolist(), t]
+            ref = np.array([float(mp.quad(lambda u, f=hermite(c): u ** (a - 1) * (f(u) - v[0, c]),
+                                          knots) + v[0, c] * mp.mpf(t) ** a / a)
+                            for c in range(2)])
+            got, err, _evals = conf_integral_info(g, ConfParams(alpha), t)
+            self._close(got.data, err, ref)
 
 
 class TestDepthFirstReference:

@@ -185,6 +185,67 @@ class TestGridFn:
         g = GridFn(ts, 2 * ts, interp="linear")
         assert float(evaluate(g, 0.5).data) == pytest.approx(1.0)
 
+    @staticmethod
+    def _loop_values(g, x):
+        # the interpolant one point at a time: the last node at or below x
+        # starts its interval (the first interval below the grid, the last
+        # at or above its end and at nan), the stored value on a node
+        ts, vs = g.nodes_t, g.values
+        out = []
+        for t in x.tolist():
+            i = min(max(int(np.searchsorted(ts, t, side="right")) - 1, 0), ts.size - 2)
+            t0, t1, v0, v1 = ts[i], ts[i + 1], vs[i], vs[i + 1]
+            h = t1 - t0
+            u = (t - t0) / h
+            if g.interp == "linear":
+                v = v0 + (v1 - v0) * u
+            else:
+                w = 1.0 - u
+                v = ((1.0 + 2.0 * u) * (w * w) * v0 + u * (w * w) * h * g._slopes[i]
+                     + u * u * (3.0 - 2.0 * u) * v1 + u * u * (u - 1.0) * h * g._slopes[i + 1])
+            out.append(v0 if t == t0 else v1 if t == t1 else v)
+        return np.array(out)
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("m", [2, 3, 9])
+    @pytest.mark.parametrize("shape", [(), (2,), (2, 2)])
+    def test_batch_values_match_the_point_loop(self, rng, interp, m, shape):
+        ts = np.cumsum(rng.uniform(0.1, 1.0, m)) - 1.0
+        vs = rng.normal(size=(m,) + shape)
+        vs[0] = -0.0  # a node value the interpolant's sum would turn into +0
+        g = GridFn(ts, vs, interp)
+        x = np.concatenate([ts, np.nextafter(ts, -np.inf), np.nextafter(ts, np.inf),
+                            rng.uniform(ts[0] - 0.5, ts[-1] + 0.5, 40), [np.nan]])
+        with np.errstate(invalid="ignore"):
+            got = g._values(x, {})
+            want = self._loop_values(g, x)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+class TestBreakpoints:
+    # the points the quadrature ends base panels at
+    def test_none_by_default(self):
+        for f in (builtin("exp"), parse_expr("abs(t - 1)"), power_fn(0.5),
+                  vector_fn([builtin("exp"), builtin("sin")])):
+            assert f.breakpoints.size == 0
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    def test_a_grid_breaks_at_its_interior_nodes(self, interp):
+        ts = np.array([0.0, 0.3, 1.0, 1.4, 2.5, 4.0])
+        g = GridFn(ts, ts**2, interp)
+        assert g.breakpoints.tolist() == [0.3, 1.0, 1.4, 2.5]
+        assert GridFn(ts[:2], ts[:2], interp).breakpoints.size == 0
+        with pytest.raises(ValueError):
+            g.breakpoints[0] = 0.5  # read-only
+
+    def test_a_composite_breaks_where_its_components_do(self):
+        g = GridFn(np.linspace(0.0, 2.0, 5), np.zeros(5))
+        h = GridFn([0.5, 0.75, 1.25, 3.0], np.ones(4), "linear")
+        assert vector_fn([g, builtin("exp")]).breakpoints.tolist() == [0.5, 1.0, 1.5]
+        # sorted, each point once
+        assert diag_fn([g, h]).breakpoints.tolist() == [0.5, 0.75, 1.0, 1.25, 1.5]
+
 
 class TestComposite:
     def test_vector_fn(self):

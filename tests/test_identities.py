@@ -8,6 +8,7 @@ import pytest
 from confcalc import (
     CallableFn,
     ConfParams,
+    GridFn,
     IdentityCase,
     IdentityReport,
     LowerTerminalError,
@@ -111,6 +112,20 @@ class TestSingleCheckers:
                                route="theta")
         assert r.status == "passed"
         assert "limit-quotient" in r.diagnostics
+
+    # the benchmark's grid of [sin t, exp(-t/5)] on 81 nodes over [0, 20]:
+    # T f kinks at every node, which ends base panels of both routes'
+    # integrals; without that the route missed its threshold at alpha = .9
+    # (residuals 3.1e-5 at t = 1 and 3.8e-4 at t = 5)
+    _GRID_NODES = [20.0 * i / 80 for i in range(81)]
+    _GRID = GridFn(_GRID_NODES, [[math.sin(t), math.exp(-0.2 * t)] for t in _GRID_NODES])
+
+    @pytest.mark.parametrize("route", ["theta", "scaled"])
+    @pytest.mark.parametrize("alpha,t", [(0.5, 1.0), (0.5, 5.0), (0.9, 1.0), (0.9, 5.0)])
+    def test_left_inverse_grid(self, alpha, t, route):
+        r = check_left_inverse(self._GRID, ConfParams(alpha), t, route=route)
+        assert r.status == "passed"
+        assert r.residual <= 1e-9
 
     def test_left_inverse_scaled_route_at_nonzero_terminal(self):
         # with a = 1 some quadrature samples a + u^(1/alpha) round to a

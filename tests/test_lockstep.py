@@ -61,6 +61,9 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+_CUT_GRID = GridFn(np.linspace(0.0, 3.0, 13) ** 1.5 / 3.0 ** 0.5,
+                   np.cos(2.0 * np.linspace(0.0, 3.0, 13)))
+
 # _quad_lockstep: integrands of one scalar shape, each with its own range,
 # tolerance, grading and noise; "noisy" ones declare a noise level that
 # grows with the largest value their own nodes have shown, as the
@@ -76,6 +79,18 @@ _QUADS = {
                                "seen"),
     "short": (np.cos, 0.5, 0.5 + 1e-3, Tolerance(), False, 1e-12),
     "pole": (lambda u: 1.0 / (u - 0.6180339887), 0.0, 1.0, Tolerance(), False, 0.0),
+    "kinks": (lambda u: np.abs(u - 0.3) * np.exp(u) + np.abs(u - 1.1), 0.0, 2.0,
+              Tolerance(), False, 0.0),
+    "grid": (_CUT_GRID.eval_many, 0.0, 3.0, Tolerance(), False, 0.0),
+    "graded grid": (_CUT_GRID.eval_many, 0.0, 2.2, Tolerance(), True, 0.0),
+}
+# the jobs with cut points: the kinks (with a repeat, a point at an end and
+# one outside the range, which the partition drops), and the grid's nodes
+# (one of them a graded point of the graded range)
+_CUTS = {
+    "kinks": (1.1, 0.3, 2.0, 1.1, -1.0),
+    "grid": tuple(_CUT_GRID.breakpoints.tolist()),
+    "graded grid": tuple(_CUT_GRID.breakpoints.tolist()) + (2.2 * 0.25,),
 }
 
 
@@ -86,7 +101,7 @@ def _quad_jobs(names):
         fn, lo, hi, tol, grade, noise = _QUADS[name]
         fns.append(fn)
         jobs.append((lo, hi, tol, (lambda j: lambda: seen[j])(j) if noise == "seen" else noise,
-                     grade))
+                     grade, _CUTS.get(name, ())))
 
     def value(j, us):
         vals = fns[j](us)
@@ -128,7 +143,8 @@ class TestQuadLockstep:
          "noisy near-pole graded", "short"],
         ["noisy oscillation", "noisy near-pole graded"],
         ["short", "exp"],
-    ], ids=["all", "noisy", "short first"])
+        ["kinks", "exp", "grid", "sqrt graded", "graded grid", "noisy oscillation"],
+    ], ids=["all", "noisy", "short first", "cut among uncut"])
     def test_each_integral_is_its_one_job_run(self, names):
         got, sizes = _lockstep_run(names)
         want = _one_job_runs(names)
@@ -211,7 +227,9 @@ class TestThrownErrors:
 
 
 def _base_evals(names):
-    # 17 evaluations per base panel of each job: a graded range has 25
+    # 17 evaluations per base panel of each job: a graded range has 25,
+    # and each distinct cut point inside the range that is not a graded
+    # point adds one
     out = []
     for name in names:
         _fn, lo, hi, _tol, grade, _noise = _QUADS[name]
@@ -220,7 +238,8 @@ def _base_evals(names):
             c = lo + (hi - lo) * 0.25**k
             if c > pts[-1]:
                 pts.append(c)
-        out.append(17 * (len(pts) - 1))
+        cuts = {x for x in _CUTS.get(name, ()) if lo < x < hi} - set(pts)
+        out.append(17 * (len(pts) + len(cuts) - 1))
     return out
 
 
